@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import build_cache
+from .cache import FIT_ERRORS, build_cache
 from .dag import ConstraintSet, Dag
 from .data import Dataset, build_design, standardize
 from .errors import AbnError, NodeSetMismatch
@@ -106,7 +106,7 @@ def _one_replicate(args):
         selected, _ = most_probable_dag(table)
         score = cache.dag_score(selected)
         return k, selected.adjacency, score, None
-    except AbnError as exc:
+    except (*FIT_ERRORS, FloatingPointError, OverflowError) as exc:
         return k, None, None, f"{type(exc).__name__}: {exc}"
 
 

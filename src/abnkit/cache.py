@@ -28,6 +28,8 @@ from .glm import PriorSpec, fit_node, frequentist_scores
 
 BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
+# Exceptions a single hard fit may raise; they mark that fit failed.
+FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
 
 
 def enumerate_parent_sets(
@@ -163,7 +165,7 @@ def _score_one_node(
             else:
                 fs = frequentist_scores(fit, ds.n_obs, n_cand)
                 block[k] = (fs.loglik, fs.aic, fs.bic, fs.mdl)
-        except (AbnError, np.linalg.LinAlgError, ValueError) as exc:
+        except FIT_ERRORS as exc:
             notes.append((node, mask, f"{type(exc).__name__}: {exc}"))
         if not np.all(np.isfinite(block[k])):
             block[k] = -np.inf

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import run_bootstrap
-from .cache import build_cache, cache_from_text, cache_to_text
+from .cache import MLE_SCORES, build_cache, cache_from_text, cache_to_text
 from .dag import (
     ConstraintSet,
     dag_from_text,
@@ -41,8 +41,6 @@ from .glm import PriorSpec, fit_dag, marginal_densities
 from .heuristic import HeuristicConfig, heuristic_search, majority_consensus, repair_to_dag
 from .simulate import SimSpec, simulate_dag, simulate_data
 from .strength import discretize, pls_matrix
-
-MLE_SCORE_TYPES = ("loglik", "aic", "bic", "mdl")
 
 
 def _sha256(path: Path) -> str:
@@ -71,7 +69,7 @@ def _check_method_score(method: str, score: str | None) -> str:
         return "mlik" if method == "bayes" else "bic"
     if method == "bayes" and score != "mlik":
         raise ConfigError(f"score {score!r} requires --method mle")
-    if method == "mle" and score not in MLE_SCORE_TYPES:
+    if method == "mle" and score not in MLE_SCORES:
         raise ConfigError(f"score {score!r} requires --method bayes")
     return score
 

@@ -5,9 +5,11 @@ into ``bs(i, S) = best score of node i when its parents must lie inside S``;
 a sink sweep then assembles the best node ordering, ``F(S) = max_j F(S \\ j)
 + bs(j, S \\ j)``, and backtracking recovers the maximum-a-posteriori DAG.
 
-Tables are dense float64 over all 2^n subsets so optimality checks against
-brute-force enumeration hold with exact float equality; the memory budget
-caps n well below the method's own practical ceiling (~25 nodes).
+The subset sweep is a running minimum over int32 ranks of the cached sets,
+so tables hold each winner's exact float64 score and int32 bitmask, and
+optimality checks against brute-force enumeration hold with exact float
+equality; the memory budget caps n well below the method's own practical
+ceiling (~25 nodes).
 """
 
 from __future__ import annotations
@@ -48,13 +50,47 @@ class StructuralPrior:
         )
 
 
-def _popcounts(size: int) -> np.ndarray:
-    masks = np.arange(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.int64)
-    while np.any(masks):
-        pc += masks & 1
-        masks >>= 1
-    return pc
+def _check_budget(n: int, cell_bytes: int, budget: int) -> None:
+    need = n * (1 << n) * cell_bytes
+    if n > 31 or need > budget:  # int32 parent-set masks hold at most 31 nodes
+        raise MemoryLimit(
+            f"{n} nodes need {need / 2**30:.1f} GiB of DP tables, "
+            f"budget is {budget / 2**30:.1f} GiB"
+        )
+
+
+def _node_entries(cache: ScoreCache, prior: StructuralPrior, score_type: str):
+    """Per node: its cached parent-set masks and their score plus log-prior."""
+    n = cache.n_nodes
+    log_prior = np.array([prior.log_prior(n, k) for k in range(n)])
+    for i in range(n):
+        masks = cache.masks[i]
+        yield masks, cache.score_vector(i, score_type) + log_prior[np.bitwise_count(masks)]
+
+
+def _subset_sweep(table: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Fold ``ufunc`` over all subsets of every cell, in place.
+
+    One pass per bit j: viewed as ``(-1, 2, 2^j)``, the cells with bit j set
+    absorb their partners without it, with no index arrays or temporaries.
+    """
+    for j in range(table.size.bit_length() - 1):
+        r = table.reshape(-1, 2, 1 << j)
+        ufunc(r[:, 1, :], r[:, 0, :], out=r[:, 1, :])
+    return table
+
+
+def _sink_layers(n: int):
+    """Steps of the sink recursion in dependency order: per subset size and
+    node j, the subsets of that size holding j, and the same subsets without j."""
+    pc = np.bitwise_count(np.arange(1 << n))
+    order_masks = np.argsort(pc, kind="stable")
+    boundaries = np.searchsorted(pc[order_masks], np.arange(n + 2))
+    for k in range(1, n + 1):
+        layer = order_masks[boundaries[k]:boundaries[k + 1]]
+        for j in range(n):
+            with_j = layer[(layer & (1 << j)) != 0]
+            yield j, with_j, with_j ^ (1 << j)
 
 
 @dataclass(frozen=True)
@@ -81,45 +117,29 @@ def best_parents_table(
 ) -> BestParentTable:
     """Best parent set per (node, permitted-parent subset) by subset sweep.
 
-    Ties break toward smaller cardinality, then smaller bitmask, so repeated
-    runs agree bit for bit.
+    Per node, the cached sets plus a virtual ``(-inf, empty set)`` entry for
+    subsets with nothing cached are ranked once: higher score first, ties
+    toward smaller cardinality, then smaller bitmask, so repeated runs agree
+    bit for bit.  An int32 running minimum of ranks over subsets picks each
+    cell's winner, whose score (float64) and mask (int32) fill ``best`` and
+    ``arg``: 12 bytes per node and subset.
     """
     n = cache.n_nodes
-    size = 1 << n
-    if n * size * 16 > memory_budget:
-        raise MemoryLimit(
-            f"{n} nodes need {n * size * 16 / 2**30:.1f} GiB of DP tables, "
-            f"budget is {memory_budget / 2**30:.1f} GiB"
-        )
+    _check_budget(n, 8 + 4, memory_budget)
     score_type = score_type or cache.default_score_type()
-    pc = _popcounts(size)
     best_all = []
     arg_all = []
-    for i in range(n):
-        bs = np.full(size, -np.inf)
-        arg = np.zeros(size, dtype=np.int64)
-        masks = cache.masks[i]
-        values = cache.score_vector(i, score_type).copy()
-        values += np.array([prior.log_prior(n, int(pc[m])) for m in masks])
-        bs[masks] = values
-        arg[masks] = masks
-        all_masks = np.arange(size, dtype=np.int64)
-        for j in range(n):
-            bit = 1 << j
-            has = (all_masks & bit) != 0
-            dst = all_masks[has]
-            src = dst ^ bit
-            cand, cur = bs[src], bs[dst]
-            cand_arg, cur_arg = arg[src], arg[dst]
-            better = (cand > cur) | (
-                (cand == cur)
-                & ((pc[cand_arg] < pc[cur_arg])
-                   | ((pc[cand_arg] == pc[cur_arg]) & (cand_arg < cur_arg)))
-            )
-            bs[dst[better]] = cand[better]
-            arg[dst[better]] = cand_arg[better]
-        best_all.append(bs)
-        arg_all.append(arg)
+    for masks, values in _node_entries(cache, prior, score_type):
+        masks = np.concatenate(([0], masks)).astype(np.int32)
+        values = np.concatenate(([-np.inf], values))
+        order = np.lexsort((masks, np.bitwise_count(masks), -values))
+        position = np.empty(len(order), dtype=np.int32)
+        position[order] = np.arange(len(order), dtype=np.int32)
+        rank = np.full(1 << n, position[0], dtype=np.int32)
+        rank[masks[1:]] = position[1:]
+        _subset_sweep(rank, np.minimum)
+        best_all.append(values[order][rank])
+        arg_all.append(masks[order][rank])
     return BestParentTable(
         nodes=cache.nodes,
         score_type=score_type,
@@ -139,22 +159,14 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     """
     n = table.n_nodes
     size = 1 << n
-    pc = _popcounts(size)
     F = np.full(size, -np.inf)
     F[0] = 0.0
     choice = np.full(size, -1, dtype=np.int8)
-    order_masks = np.argsort(pc, kind="stable")
-    boundaries = np.searchsorted(pc[order_masks], np.arange(n + 2))
-    for k in range(1, n + 1):
-        layer = order_masks[boundaries[k]:boundaries[k + 1]]
-        for j in range(n):
-            bit = 1 << j
-            with_j = layer[(layer & bit) != 0]
-            sub = with_j ^ bit
-            cand = F[sub] + table.best[j][sub]
-            upd = cand > F[with_j]
-            F[with_j[upd]] = cand[upd]
-            choice[with_j[upd]] = j
+    for j, with_j, sub in _sink_layers(n):
+        cand = F[sub] + table.best[j][sub]
+        upd = cand > F[with_j]
+        F[with_j[upd]] = cand[upd]
+        choice[with_j[upd]] = j
     full = size - 1
     if not np.isfinite(F[full]):
         raise AbnError("no constraint-satisfying DAG exists for this cache")
@@ -203,33 +215,15 @@ def total_order_evidence(
     how dominant the selected DAG is.
     """
     n = cache.n_nodes
-    size = 1 << n
-    if n * size * 16 > memory_budget:
-        raise MemoryLimit(f"{n} nodes exceed the table budget")
+    _check_budget(n, 8, memory_budget)
     score_type = score_type or cache.default_score_type()
-    pc = _popcounts(size)
-    all_masks = np.arange(size, dtype=np.int64)
     tables = []
-    for i in range(n):
-        zs = np.full(size, -np.inf)
-        masks = cache.masks[i]
-        values = cache.score_vector(i, score_type).copy()
-        values += np.array([prior.log_prior(n, int(pc[m])) for m in masks])
+    for masks, values in _node_entries(cache, prior, score_type):
+        zs = np.full(1 << n, -np.inf)
         zs[masks] = values
-        for j in range(n):  # zeta transform: sum over subsets, in log space
-            bit = 1 << j
-            dst = all_masks[(all_masks & bit) != 0]
-            zs[dst] = np.logaddexp(zs[dst], zs[dst ^ bit])
-        tables.append(zs)
-    F = np.full(size, -np.inf)
+        tables.append(_subset_sweep(zs, np.logaddexp))  # log-space zeta transform
+    F = np.full(1 << n, -np.inf)
     F[0] = 0.0
-    order_masks = np.argsort(pc, kind="stable")
-    boundaries = np.searchsorted(pc[order_masks], np.arange(n + 2))
-    for k in range(1, n + 1):
-        layer = order_masks[boundaries[k]:boundaries[k + 1]]
-        for j in range(n):
-            bit = 1 << j
-            with_j = layer[(layer & bit) != 0]
-            sub = with_j ^ bit
-            F[with_j] = np.logaddexp(F[with_j], F[sub] + tables[j][sub])
-    return float(F[size - 1])
+    for j, with_j, sub in _sink_layers(n):
+        F[with_j] = np.logaddexp(F[with_j], F[sub] + tables[j][sub])
+    return float(F[-1])

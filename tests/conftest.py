@@ -128,10 +128,11 @@ def random_cache(
     max_parents: int | None = None,
     low: float = -10.0,
     high: float = 0.0,
+    retained: np.ndarray | None = None,
 ) -> ScoreCache:
     """Cache with uniform random scores for every valid parent set."""
     nodes = tuple(f"x{i}" for i in range(n))
-    constraints = ConstraintSet(nodes, max_parents=max_parents)
+    constraints = ConstraintSet(nodes, retained=retained, max_parents=max_parents)
     masks, scores = [], []
     for i in range(n):
         m = enumerate_parent_sets(i, constraints, n)

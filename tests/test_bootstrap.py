@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import abnkit.bootstrap
 from abnkit.bootstrap import (
     arc_support_matrix,
     model_grid_posteriors,
@@ -118,6 +119,26 @@ class TestRunBootstrap:
         parallel = run_bootstrap(fits, dag, ds, jobs=2, **kwargs)
         assert np.array_equal(serial.support, parallel.support)
         assert serial.replicate_scores == parallel.replicate_scores
+
+    @pytest.mark.parametrize(
+        "error", [ValueError, np.linalg.LinAlgError, FloatingPointError, OverflowError]
+    )
+    def test_replicate_exception_is_a_failure(self, small_model, monkeypatch, error):
+        """A replicate whose simulation raises is logged, not fatal."""
+        dag, ds, fits = small_model
+        calls = []
+
+        def flaky_simulate(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise error("lam too large")
+            return simulate_data(spec)
+
+        monkeypatch.setattr(abnkit.bootstrap, "simulate_data", flaky_simulate)
+        report = run_bootstrap(fits, dag, ds, n_replicates=20, seed=23,
+                               structural_prior="uninformative")
+        assert report.failures == ((1, f"{error.__name__}: lam too large"),)
+        assert len(report.replicate_dags) == 19
 
     def test_true_arcs_dominate_spurious(self, small_model):
         dag, ds, fits = small_model

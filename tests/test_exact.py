@@ -30,6 +30,19 @@ def oracle_best(cache, prior, dag_masks):
     return best
 
 
+def oracle_table_cell(cache, prior, i, S):
+    """Brute-force best (value, mask) of node i with parents inside S: highest
+    score plus log-prior, then fewest parents, then smallest mask, over the
+    cached sets and a virtual (-inf, empty set) entry for "nothing cached"."""
+    n = cache.n_nodes
+    items = [(-np.inf, 0)] + [
+        (cache.score(i, m) + prior.log_prior(n, bin(m).count("1")), m)
+        for m in map(int, cache.masks[i])
+        if m & ~S == 0
+    ]
+    return max(items, key=lambda item: (item[0], -bin(item[1]).count("1"), -item[1]))
+
+
 class TestBestParentsTable:
     def test_empty_subset_is_minimal_set(self):
         rng = np.random.default_rng(0)
@@ -77,6 +90,29 @@ class TestBestParentsTable:
         cache.scores[0][:] = -1.0
         table = best_parents_table(cache, StructuralPrior("uninformative"))
         assert table.arg[0][0b110] == 0
+
+    @pytest.mark.parametrize("prior_kind", ["uninformative", "koivisto"])
+    def test_ties_and_neg_inf_match_brute_force(self, prior_kind):
+        rng = np.random.default_rng(50)
+        prior = StructuralPrior(prior_kind)
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            retained = None
+            if trial % 4 == 0:  # x0 must keep parent x1: the empty set is no entry
+                retained = np.zeros((n, n), dtype=np.int8)
+                retained[0, 1] = 1
+            cache = random_cache(n, rng, retained=retained)
+            assert cache.has_entry(0, 0) == (retained is None)
+            for scores in cache.scores:
+                scores[:] = rng.integers(-3, 0, size=scores.shape)  # exact ties
+                scores[rng.random(len(scores)) < 0.2] = -np.inf
+            table = best_parents_table(cache, prior)
+            for i in range(n):
+                assert table.arg[i].dtype == np.int32
+                for S in range(1 << n):
+                    value, mask = oracle_table_cell(cache, prior, i, S)
+                    assert table.best[i][S] == value
+                    assert table.arg[i][S] == mask
 
     def test_memory_limit(self):
         rng = np.random.default_rng(4)
