@@ -29,7 +29,6 @@ from .glm import (
     frequentist_scores,
     laplace_marginal_likelihood,
     marginal_densities,
-    score_contribution,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "markov_blanket",
     "parse_formula",
     "render_formula",
-    "score_contribution",
     "standardize",
     "topological_order",
     "validate_acyclic",

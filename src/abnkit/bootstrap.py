@@ -10,17 +10,17 @@ than the threshold fraction of replicates are treated as over-fitting.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import FIT_ERRORS, build_cache
+from .cache import FIT_ERRORS, build_cache, parallel_map
 from .dag import ConstraintSet, Dag
 from .data import Dataset, build_design, standardize
 from .errors import AbnError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .glm import FitResult, PriorSpec, marginal_densities
+from .heuristic import arc_frequency_matrix, arc_support
 from .simulate import GridPosterior, SimSpec, sample_posterior_params, simulate_data
 
 MAX_FAILURE_FRACTION = 0.05
@@ -87,9 +87,8 @@ def _draw_simspec(
     )
 
 
-def _one_replicate(args):
-    (k, dag, families_map, grids, n_obs, seed, constraints, priors,
-     prior_kind) = args
+def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, priors,
+                   prior_kind):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
     try:
         spec = _draw_simspec(dag, families_map, grids, n_obs, rng)
@@ -143,12 +142,7 @@ def run_bootstrap(
          structural_prior)
         for k in range(n_replicates)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_replicate, tasks))
-    else:
-        results = [_one_replicate(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    results = parallel_map(_one_replicate, tasks, jobs)
 
     dags: list[Dag] = []
     scores: list[float] = []
@@ -164,7 +158,7 @@ def run_bootstrap(
             f"{len(failures)}/{n_replicates} bootstrap replicates failed; "
             f"first: {failures[0][1]}"
         )
-    support = arc_support_matrix(dags)[0]
+    support = arc_frequency_matrix(dags)
     pruned = prune_by_support(dag, support, threshold=threshold, mode=mode)
     return BootstrapReport(
         n_replicates=n_replicates,
@@ -179,22 +173,6 @@ def run_bootstrap(
     )
 
 
-def arc_support_matrix(dags: list[Dag]) -> tuple[np.ndarray, np.ndarray]:
-    """Directed arc frequencies over DAGs, plus the undirected variant
-    (sum of both directions)."""
-    if not dags:
-        raise NodeSetMismatch("need at least one DAG")
-    nodes = dags[0].nodes
-    for d in dags:
-        if d.nodes != nodes:
-            raise NodeSetMismatch("all DAGs must share one node set")
-    directed = np.zeros((len(nodes), len(nodes)))
-    for d in dags:
-        directed += d.adjacency
-    directed /= len(dags)
-    return directed, directed + directed.T
-
-
 def prune_by_support(
     original: Dag,
     support: np.ndarray,
@@ -207,12 +185,5 @@ def prune_by_support(
     arc with the support of both directions.  The result is a subgraph of
     the original, hence automatically acyclic.
     """
-    support = np.asarray(support, dtype=float)
-    if mode == "directed":
-        effective = support
-    elif mode == "undirected":
-        effective = support + support.T
-    else:
-        raise ValueError(f"unknown pruning mode {mode!r}")
-    keep = original.adjacency.astype(bool) & (effective >= threshold)
+    keep = original.adjacency.astype(bool) & (arc_support(support, mode) >= threshold)
     return Dag(original.nodes, keep.astype(np.int8))

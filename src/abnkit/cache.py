@@ -9,6 +9,7 @@ and searching another.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -30,6 +31,20 @@ BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
 # Exceptions a single hard fit may raise; they mark that fit failed.
 FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
+
+
+def default_score_type(method: str) -> str:
+    """The score a method reports when none is named."""
+    return "mlik" if method == "bayes" else "bic"
+
+
+def parallel_map(fn, tasks, jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, run in ``jobs`` worker processes
+    when ``jobs > 1``; results keep the task order either way."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
 
 
 def enumerate_parent_sets(
@@ -108,7 +123,7 @@ class ScoreCache:
             ) from None
 
     def default_score_type(self) -> str:
-        return "mlik" if self.method == "bayes" else "bic"
+        return default_score_type(self.method)
 
     def has_entry(self, node: int, mask: int) -> bool:
         return mask in self._lookup[node]
@@ -174,10 +189,6 @@ def _score_one_node(
     return block, notes
 
 
-def _worker(args):
-    return _score_one_node(*args)
-
-
 def build_cache(
     ds: Dataset,
     constraints: ConstraintSet | None = None,
@@ -204,11 +215,7 @@ def build_cache(
     all_masks = [enumerate_parent_sets(i, constraints, n) for i in range(n)]
 
     tasks = [(ds, i, all_masks[i], method, priors, score_types) for i in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, tasks))
-    else:
-        results = [_worker(t) for t in tasks]
+    results = parallel_map(_score_one_node, tasks, jobs)
 
     diagnostics: list[tuple[int, int, str]] = []
     blocks = []
@@ -287,7 +294,10 @@ def cache_from_text(text: str) -> ScoreCache:
             diagnostics.append((int(node), int(mask), message))
             continue
         node, mask, st, value = line.split("\t")
-        per_node[int(node)].setdefault(int(mask), {})[st] = float(value)
+        score = float(value)
+        if not (math.isfinite(score) or score == -math.inf):
+            raise CacheMismatch(f"non-finite score {value!r} in line {line!r}")
+        per_node[int(node)].setdefault(int(mask), {})[st] = score
     masks = []
     scores = []
     for i in range(len(nodes)):

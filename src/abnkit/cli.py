@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import run_bootstrap
-from .cache import MLE_SCORES, build_cache, cache_from_text, cache_to_text
+from .cache import MLE_SCORES, build_cache, cache_from_text, cache_to_text, default_score_type
 from .dag import (
     ConstraintSet,
     dag_from_text,
@@ -66,7 +66,7 @@ def _resolve_seed(seed: int | None) -> int:
 def _check_method_score(method: str, score: str | None) -> str:
     """The bayes method pairs with mlik; mle with the frequentist scores."""
     if score is None:
-        return "mlik" if method == "bayes" else "bic"
+        return default_score_type(method)
     if method == "bayes" and score != "mlik":
         raise ConfigError(f"score {score!r} requires --method mle")
     if method == "mle" and score not in MLE_SCORES:
@@ -301,9 +301,6 @@ def cmd_simulate(args) -> int:
         return _finish(args, manifest, out, "simulate-dag")
     _require_readable(args.spec)
     spec = SimSpec.from_json(Path(args.spec).read_text())
-    if args.thin is not None:
-        print("notice: --thin is accepted for workflow compatibility and ignored; "
-              "draws are exact and independent")
     if args.seed is not None or args.n_obs is not None:
         spec = SimSpec(
             dag=spec.dag, families=spec.families, coefficients=spec.coefficients,
@@ -491,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dag mode: per-arc inclusion probability")
     p.add_argument("--spec", help="data mode: SimSpec JSON file")
     p.add_argument("--n-obs", type=int, help="data mode: override spec n_obs")
-    p.add_argument("--thin", type=int,
-                   help="accepted for workflow compatibility; ignored")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 

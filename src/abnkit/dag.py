@@ -8,6 +8,7 @@ orientation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from .errors import (
     UnknownName,
 )
 
-RESERVED = set("~:|+. \t\n")
+RESERVED = set("~:|+.,")
 
 
 def check_node_names(names: Sequence[str]) -> None:
@@ -30,9 +31,10 @@ def check_node_names(names: Sequence[str]) -> None:
     if len(set(names)) != len(names):
         raise UnknownName("node names must be unique")
     for name in names:
-        if not name or any(ch in RESERVED for ch in name):
+        if not name or any(ch in RESERVED or ch.isspace() for ch in name):
             raise UnknownName(
-                f"invalid node name {name!r}: must be nonempty and free of '~ : | + .'"
+                f"invalid node name {name!r}: must be nonempty and free of "
+                "'~ : | + . ,' and whitespace"
             )
 
 
@@ -44,6 +46,32 @@ def _as_binary_matrix(matrix, n: int) -> np.ndarray:
     return m
 
 
+def row_masks(matrix) -> list[int]:
+    """Bitmask of each row's nonzero columns: every node's parent set."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in np.asarray(matrix)]
+
+
+def _kahn_order(adj: np.ndarray, keys: Sequence) -> list[int]:
+    """Kahn's algorithm, always placing the ready node with the smallest key.
+
+    Returns the placed node indices in order.  Nodes on or downstream of a
+    cycle are never ready, so they are exactly the ones left out.
+    """
+    n_parents = np.count_nonzero(adj, axis=1).tolist()  # row = child
+    children = [np.flatnonzero(col).tolist() for col in adj.T]
+    ready = [(keys[i], i) for i, k in enumerate(n_parents) if k == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        _, node = heapq.heappop(ready)
+        order.append(node)
+        for child in children[node]:
+            n_parents[child] -= 1
+            if n_parents[child] == 0:
+                heapq.heappush(ready, (keys[child], child))
+    return order
+
+
 def find_cycle(adjacency: np.ndarray) -> list[int] | None:
     """Return a list of node indices forming a directed cycle, or None.
 
@@ -53,22 +81,10 @@ def find_cycle(adjacency: np.ndarray) -> list[int] | None:
     """
     adj = np.asarray(adjacency)
     n = adj.shape[0]
-    if np.any(np.diag(adj)):
-        i = int(np.flatnonzero(np.diag(adj))[0])
-        return [i]
-    # indegree under row=child: number of parents = row sum
-    remaining = set(range(n))
-    n_parents = {i: int(adj[i].sum()) for i in remaining}
-    roots = [i for i in remaining if n_parents[i] == 0]
-    while roots:
-        r = roots.pop()
-        remaining.discard(r)
-        for child in np.flatnonzero(adj[:, r]):
-            child = int(child)
-            if child in remaining:
-                n_parents[child] -= 1
-                if n_parents[child] == 0:
-                    roots.append(child)
+    loops = np.flatnonzero(np.diag(adj))
+    if loops.size:
+        return [int(loops[0])]
+    remaining = set(range(n)).difference(_kahn_order(adj, range(n)))
     if not remaining:
         return None
     # every leftover node has a parent in `remaining`; walk until repeat
@@ -89,32 +105,17 @@ def validate_acyclic(adjacency) -> tuple[bool, list[int]]:
     """Check a square binary matrix for cycles.
 
     Returns ``(True, topological_certificate)`` where the certificate is a
-    node-index order in which every parent precedes its children, or
-    ``(False, cycle)`` with the indices of one directed cycle.  A cycle is a
-    result here, not an error.
+    node-index order in which every parent precedes its children (smallest
+    index first on ties), or ``(False, cycle)`` with the indices of one
+    directed cycle.  A cycle is a result here, not an error.
     """
     adj = np.asarray(adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ConstraintError(f"adjacency must be square, got {adj.shape}")
-    cycle = find_cycle(adj)
-    if cycle is not None:
-        return False, cycle
-    return True, _topological_indices(adj)
-
-
-def _topological_indices(adj: np.ndarray) -> list[int]:
-    """Topological order of an acyclic adjacency, smallest index first on ties."""
-    n = adj.shape[0]
-    n_parents = adj.sum(axis=1).astype(int)
-    placed = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    for _ in range(n):
-        ready = np.flatnonzero((n_parents == 0) & ~placed)
-        nxt = int(ready[0])
-        order.append(nxt)
-        placed[nxt] = True
-        n_parents[adj[:, nxt] != 0] -= 1
-    return order
+    order = _kahn_order(adj, range(adj.shape[0]))
+    if len(order) == adj.shape[0]:
+        return True, order
+    return False, find_cycle(adj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +137,6 @@ class Dag:
             adj = np.zeros((n, n), dtype=np.int8)
         else:
             adj = _as_binary_matrix(adjacency, n)
-        if np.any(np.diag(adj)):
-            raise CyclicInput([int(np.flatnonzero(np.diag(adj))[0])])
         cycle = find_cycle(adj)
         if cycle is not None:
             raise CyclicInput([names[i] for i in cycle])
@@ -178,16 +177,7 @@ class Dag:
 
     def parent_masks(self) -> list[int]:
         """Per-node parent set encoded as a bitmask over node indices."""
-        masks = []
-        for i in range(self.n_nodes):
-            mask = 0
-            for j in np.flatnonzero(self.adjacency[i]):
-                mask |= 1 << int(j)
-            masks.append(mask)
-        return masks
-
-    def with_adjacency(self, adjacency) -> "Dag":
-        return Dag(self.nodes, adjacency)
+        return row_masks(self.adjacency)
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,20 +193,7 @@ def topological_order(dag: Dag) -> list[str]:
     Ties are broken by node-name lexicographic order so the result is
     reproducible across runs regardless of input column order.
     """
-    n = dag.n_nodes
-    adj = dag.adjacency
-    n_parents = adj.sum(axis=1).astype(int)
-    placed = np.zeros(n, dtype=bool)
-    order: list[str] = []
-    for _ in range(n):
-        ready = [i for i in range(n) if n_parents[i] == 0 and not placed[i]]
-        if not ready:
-            raise CyclicInput(find_cycle(adj) or [])
-        nxt = min(ready, key=lambda i: dag.nodes[i])
-        order.append(dag.nodes[nxt])
-        placed[nxt] = True
-        n_parents[adj[:, nxt] != 0] -= 1
-    return order
+    return [dag.nodes[i] for i in _kahn_order(dag.adjacency, dag.nodes)]
 
 
 def markov_blanket(dag: Dag, node: str) -> set[str]:

@@ -77,9 +77,6 @@ class FitResult:
     neg_hessian: np.ndarray = field(repr=False)
     gaussian_log_precision: float | None = None
     mlik: float | None = None
-    aic: float | None = None
-    bic: float | None = None
-    mdl: float | None = None
     dropped_predictors: tuple[str, ...] = ()
     used_firth: bool = False
     converged: bool = True
@@ -186,17 +183,6 @@ def _irls(design: DesignMatrix):
     return theta, False
 
 
-def _hat_diagonals(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    wx = X * w[:, None]
-    info = X.T @ wx
-    try:
-        chol = cho_factor(info)
-        sol = cho_solve(chol, wx.T)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.pinv(info) @ wx.T
-    return np.einsum("ij,ji->i", X, sol)
-
-
 def _firth(design: DesignMatrix):
     """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX)."""
     X, y = design.predictors, design.response
@@ -274,9 +260,9 @@ def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, bool, bool]:
     """One MLE attempt: (theta, used_firth, converged).  Raises _Diverged."""
     fam = design.family
     if fam == "gaussian":
-        if np.linalg.matrix_rank(design.predictors) < design.width:
+        theta, _, rank, _ = np.linalg.lstsq(design.predictors, design.response, rcond=None)
+        if rank < design.width:
             raise _Diverged("rank-deficient design")
-        theta, *_ = np.linalg.lstsq(design.predictors, design.response, rcond=None)
         if not np.all(np.isfinite(theta)):
             raise _Diverged("non-finite least-squares solution")
         return theta, False, True
@@ -666,26 +652,3 @@ def marginal_densities(
             )
         )
     return out
-
-
-def score_contribution(
-    fit: FitResult, design: DesignMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation log-likelihood terms and hat-matrix diagonals.
-
-    The terms sum to the fit's log-likelihood; the diagonals come from the
-    weighted projection matrix at the fitted mean, each within [0, 1] and
-    summing to the number of retained predictors (intercept included).
-    """
-    X = design.predictors
-    eta = X @ fit.coefficients
-    if fit.family == "gaussian":
-        tau = fit.precision if fit.precision is not None else 1.0
-        terms = families.loglik_terms("gaussian", design.response, eta, tau)
-        w = np.ones(design.n_obs)
-    else:
-        terms = families.loglik_terms(fit.family, design.response, eta)
-        mu = families.mean(fit.family, eta)
-        w = families.irls_weights(fit.family, mu)
-    hat = _hat_diagonals(X, w)
-    return np.asarray(terms), np.clip(hat, 0.0, 1.0)

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import ScoreCache
-from .dag import ConstraintSet, Dag, find_cycle
+from .cache import ScoreCache, parallel_map
+from .dag import ConstraintSet, Dag, find_cycle, row_masks
 from .errors import EmptyCache, NodeSetMismatch
 from .exact import StructuralPrior
 
 Move = tuple[str, int, int]  # kind, child, parent
+INIT_DENSITY = 0.1  # chance that each admissible arc enters a random start
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class HeuristicConfig:
     initial_temperature: float = 1.0
     cooling_factor: float = 0.995
     seed: int = 0
-    init_density: float = 0.1
 
     def __post_init__(self):
         if self.algorithm not in ("hill_climb", "tabu", "simulated_annealing"):
@@ -70,11 +69,7 @@ class _State:
         self.n = cache.n_nodes
         self.prior = prior
         self.score_type = score_type
-        retained = cache.constraints.retained
-        self.masks = [
-            sum(1 << int(j) for j in np.flatnonzero(retained[i]))
-            for i in range(self.n)
-        ]
+        self.masks = row_masks(cache.constraints.retained)
         self.node_scores = [self._score(i, self.masks[i]) for i in range(self.n)]
 
     def _score(self, node: int, mask: int) -> float:
@@ -91,20 +86,6 @@ class _State:
     def has_arc(self, child: int, parent: int) -> bool:
         return bool(self.masks[child] >> parent & 1)
 
-    def path_exists(self, start: int, goal: int) -> bool:
-        """Directed path start -> ... -> goal over current arcs."""
-        stack = [start]
-        seen = {start}
-        while stack:
-            cur = stack.pop()
-            if cur == goal:
-                return True
-            for child in range(self.n):
-                if self.masks[child] >> cur & 1 and child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return False
-
     # --- move machinery ---------------------------------------------------
 
     def valid_moves(self) -> list[tuple[Move, float]]:
@@ -119,7 +100,7 @@ class _State:
                 new = cur | (1 << parent)
                 if not self.has_entry(child, new):
                     continue
-                if self.path_exists(child, parent):
+                if path_exists(self.masks, child, parent):
                     continue  # parent -> child arc would close a cycle
                 delta = self._score(child, new) - self.node_scores[child]
                 out.append((("add", child, parent), delta))
@@ -144,7 +125,7 @@ class _State:
                     continue
                 # after dropping parent->child, child->parent must not close a cycle
                 self.masks[child] = child_new
-                closes = self.path_exists(parent, child)
+                closes = path_exists(self.masks, parent, child)
                 self.masks[child] = self.masks[child] | (1 << parent)
                 if closes:
                     continue
@@ -185,15 +166,31 @@ def _inverse(move: Move) -> Move:
     return ("reverse", parent, child)
 
 
-def _randomize_start(state: _State, rng: np.random.Generator, density: float) -> None:
+def path_exists(masks: list[int], start: int, goal: int) -> bool:
+    """Directed path start -> ... -> goal, where ``masks[i]`` is node i's
+    parent bitmask."""
+    stack = [start]
+    seen = {start}
+    while stack:
+        cur = stack.pop()
+        if cur == goal:
+            return True
+        for child, mask in enumerate(masks):
+            if mask >> cur & 1 and child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
+
+def _randomize_start(state: _State, rng: np.random.Generator) -> None:
     pairs = [(i, j) for i in range(state.n) for j in range(state.n) if i != j]
     order = rng.permutation(len(pairs))
     for k in order:
         child, parent = pairs[k]
-        if rng.random() >= density or state.has_arc(child, parent):
+        if rng.random() >= INIT_DENSITY or state.has_arc(child, parent):
             continue
         new = state.masks[child] | (1 << parent)
-        if state.has_entry(child, new) and not state.path_exists(child, parent):
+        if state.has_entry(child, new) and not path_exists(state.masks, child, parent):
             state.apply(("add", child, parent))
 
 
@@ -208,7 +205,7 @@ def _run_restart(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(restart_index,))
     )
     state = _State(cache, prior, score_type)
-    _randomize_start(state, rng, config.init_density)
+    _randomize_start(state, rng)
 
     best_score = state.total()
     best_masks = list(state.masks)
@@ -266,10 +263,6 @@ def _run_restart(
     return RestartTrace(dag=final.dag(), score=best_score, best_scores=tuple(trail))
 
 
-def _restart_worker(args):
-    return _run_restart(*args)
-
-
 def heuristic_search(
     cache: ScoreCache,
     constraints: ConstraintSet | None = None,
@@ -292,11 +285,7 @@ def heuristic_search(
         raise NodeSetMismatch("constraint node set differs from cache")
     score_type = score_type or cache.default_score_type()
     tasks = [(cache, prior, score_type, config, k) for k in range(config.restarts)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_restart_worker, tasks))
-    else:
-        traces = [_restart_worker(t) for t in tasks]
+    traces = parallel_map(_run_restart, tasks, jobs)
     return SearchTrace(restarts=tuple(traces), score_type=score_type)
 
 
@@ -306,6 +295,7 @@ def heuristic_search(
 
 
 def arc_frequency_matrix(dags: list[Dag]) -> np.ndarray:
+    """Fraction of ``dags`` that contain each arc (directed)."""
     if not dags:
         raise NodeSetMismatch("need at least one DAG")
     nodes = dags[0].nodes
@@ -316,6 +306,17 @@ def arc_frequency_matrix(dags: list[Dag]) -> np.ndarray:
     for d in dags:
         freq += d.adjacency
     return freq / len(dags)
+
+
+def arc_support(frequency, mode: str) -> np.ndarray:
+    """Support of each arc: its own frequency (directed), or the frequency of
+    both directions summed (undirected)."""
+    frequency = np.asarray(frequency, dtype=float)
+    if mode == "directed":
+        return frequency
+    if mode == "undirected":
+        return frequency + frequency.T
+    raise ValueError(f"unknown support mode {mode!r}")
 
 
 def majority_consensus(
@@ -329,14 +330,8 @@ def majority_consensus(
     sums both directions and returns a symmetric matrix.
     """
     freq = arc_frequency_matrix(dags)
-    if mode == "directed":
-        kept = (freq >= threshold).astype(np.int8)
-    elif mode == "undirected":
-        und = freq + freq.T
-        kept = ((und >= threshold) & ~np.eye(len(freq), dtype=bool)).astype(np.int8)
-    else:
-        raise ValueError(f"unknown consensus mode {mode!r}")
-    return kept, freq
+    kept = (arc_support(freq, mode) >= threshold) & ~np.eye(len(freq), dtype=bool)
+    return kept.astype(np.int8), freq
 
 
 def repair_to_dag(matrix, frequencies, nodes) -> Dag:
@@ -349,7 +344,6 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
     """
     m = np.array(matrix, dtype=np.int8)
     freq = np.asarray(frequencies, dtype=float)
-    n = m.shape[0]
     budget = 4 * int(m.sum()) + 4
     for _ in range(budget):
         cycle = find_cycle(m)
@@ -366,7 +360,7 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
         if m[parent, child]:
             continue  # two-cycle: the higher-frequency direction survives
         # reversal closes a cycle iff some path child -> ... -> parent remains
-        if not _path(m, child, parent):
+        if not path_exists(row_masks(m), child, parent):
             m[parent, child] = 1
     else:
         # safety: delete remaining cycle arcs outright
@@ -375,18 +369,3 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
             parent = cycle[1 % len(cycle)]
             m[child, parent] = 0
     return Dag(nodes, m)
-
-
-def _path(m: np.ndarray, start: int, goal: int) -> bool:
-    stack = [start]
-    seen = {start}
-    while stack:
-        cur = stack.pop()
-        if cur == goal:
-            return True
-        for child in np.flatnonzero(m[:, cur]):
-            child = int(child)
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return False

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 import abnkit.bootstrap
-from abnkit.bootstrap import (
-    arc_support_matrix,
-    model_grid_posteriors,
-    prune_by_support,
-    run_bootstrap,
-)
+from abnkit.bootstrap import model_grid_posteriors, prune_by_support, run_bootstrap
 from abnkit.dag import ConstraintSet, Dag, validate_acyclic
 from abnkit.data import standardize
 from abnkit.errors import NodeSetMismatch
 from abnkit.glm import fit_dag
+from abnkit.heuristic import arc_frequency_matrix, arc_support
 from abnkit.simulate import SimSpec, simulate_data
 
 from conftest import dag_from_arcs
@@ -38,20 +34,21 @@ def small_model():
 
 class TestSupportMatrix:
     def test_single_dag_is_its_adjacency(self, asia_dag):
-        directed, undirected = arc_support_matrix([asia_dag])
+        directed = arc_frequency_matrix([asia_dag])
         assert np.array_equal(directed, asia_dag.adjacency.astype(float))
-        assert np.array_equal(undirected, directed + directed.T)
+        assert np.array_equal(arc_support(directed, "undirected"), directed + directed.T)
 
     def test_opposite_arcs(self):
         a = dag_from_arcs(("x", "y"), (("x", "y"),))
         b = dag_from_arcs(("x", "y"), (("y", "x"),))
-        directed, undirected = arc_support_matrix([a, b])
+        directed = arc_frequency_matrix([a, b])
+        undirected = arc_support(directed, "undirected")
         assert directed[1, 0] == directed[0, 1] == 0.5
         assert undirected[1, 0] == undirected[0, 1] == 1.0
 
     def test_mismatched_nodes(self, asia_dag):
         with pytest.raises(NodeSetMismatch):
-            arc_support_matrix([asia_dag, Dag(("a", "b"))])
+            arc_frequency_matrix([asia_dag, Dag(("a", "b"))])
 
 
 class TestPrune:

@@ -150,6 +150,22 @@ class TestSerialization:
         with pytest.raises(CacheMismatch):
             cache_from_text("not a cache\n")
 
+    def test_non_finite_scores_rejected_except_neg_inf(self):
+        ds = mixed_dataset(100, 6)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1))
+        lines = cache_to_text(cache).splitlines()
+        body = [k for k, line in enumerate(lines) if line[:1].isdigit()]
+
+        def with_score(k, value):
+            edited = list(lines)
+            edited[k] = edited[k].rpartition("\t")[0] + "\t" + value
+            return "\n".join(edited) + "\n"
+
+        for k, bad in ((body[1], "nan"), (body[2], "inf")):
+            with pytest.raises(CacheMismatch):
+                cache_from_text(with_score(k, bad))
+        assert cache_from_text(with_score(body[1], "-inf")).scores[0][1, 0] == -np.inf
+
     def test_diagnostics_survive_round_trip(self):
         from abnkit.data import Dataset
 

@@ -153,7 +153,7 @@ class TestOtherCommands:
         assert (out / "dag.txt").exists() and (out / "dag.dot").exists()
         out2 = tmp_path / "simdata"
         assert run(["simulate", "data", "--spec", workspace / "simspec.json",
-                    "--seed", "9", "--thin", "20", "--out", out2, "--jobs", "1"]) == 0
+                    "--seed", "9", "--out", out2, "--jobs", "1"]) == 0
         data = (out2 / "data.csv").read_text()
         assert data.splitlines()[0] == "g,b,p"
         assert len(data.splitlines()) == 251

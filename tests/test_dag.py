@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abnkit.cache import ScoreCache, cache_from_text, cache_to_text, enumerate_parent_sets
 from abnkit.dag import (
     ConstraintSet,
     Dag,
+    check_node_names,
     compare_dags,
     dag_from_text,
     dag_to_dot,
     dag_to_text,
+    find_cycle,
     info_metrics,
     markov_blanket,
     parse_adjacency,
@@ -23,6 +28,21 @@ from abnkit.errors import (
 )
 
 from conftest import dag_from_arcs, random_dag
+
+
+def smallest_key_order(adjacency, keys) -> list[int] | None:
+    """Brute-force topological order: repeatedly place the unplaced node with
+    the smallest key among those whose parents are all placed (None when a
+    cycle stops it)."""
+    n = len(keys)
+    order: list[int] = []
+    while len(order) < n:
+        ready = [i for i in range(n) if i not in order
+                 and all(int(j) in order for j in np.flatnonzero(adjacency[i]))]
+        if not ready:
+            return None
+        order.append(min(ready, key=lambda i: keys[i]))
+    return order
 
 
 class TestValidateAcyclic:
@@ -51,8 +71,34 @@ class TestValidateAcyclic:
             Dag(("a", "b"), np.array([[0, 1], [1, 0]]))
 
     def test_self_loop_rejected(self):
-        with pytest.raises(CyclicInput):
+        with pytest.raises(CyclicInput) as exc:
             Dag(("a", "b"), np.array([[1, 0], [0, 0]]))
+        assert exc.value.cycle == ["a"]
+
+    def test_certificate_and_names_break_ties_by_smallest_key(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            shape = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
+            names = tuple(f"v{k}" for k in rng.permutation(n))
+            dag = Dag(names, shape.adjacency)
+            ok, certificate = validate_acyclic(dag.adjacency)
+            assert ok and certificate == smallest_key_order(dag.adjacency, range(n))
+            expected = smallest_key_order(dag.adjacency, names)
+            assert topological_order(dag) == [names[i] for i in expected]
+
+    def test_find_cycle_returns_a_directed_cycle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            m = (rng.random((n, n)) < rng.uniform(0.05, 0.4)).astype(np.int8)
+            cycle = find_cycle(m)
+            if smallest_key_order(m, range(n)) is not None:
+                assert cycle is None
+                continue
+            assert cycle and len(set(cycle)) == len(cycle)
+            for k, child in enumerate(cycle):  # each node's successor is a parent
+                assert m[child, cycle[(k + 1) % len(cycle)]] == 1
 
 
 class TestTopologicalOrder:
@@ -215,3 +261,44 @@ class TestTextFormats:
         weights[case_study_dag.adjacency != 0] = 0.5
         dot = dag_to_dot(case_study_dag, edge_weights=weights)
         assert "penwidth" in dot
+
+
+def accepted(name: str) -> bool:
+    try:
+        check_node_names([name])
+    except UnknownName:
+        return False
+    return True
+
+
+valid_name = st.text(min_size=1, max_size=6).filter(accepted)
+
+
+class TestNodeNames:
+    @pytest.mark.parametrize("name", ["c,d", "a b", "a\xa0b", "a\x0cb", "a\rb", "a\u2028b"])
+    def test_separators_and_whitespace_rejected(self, name):
+        with pytest.raises(UnknownName):
+            check_node_names([name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(valid_name, min_size=1, max_size=4, unique=True))
+    def test_accepted_names_survive_text_formats(self, names):
+        n = len(names)
+        chain = np.eye(n, k=-1, dtype=np.int8)  # node i <- node i-1
+        dag = Dag(names, chain)
+        assert dag_from_text(dag_to_text(dag)) == dag
+
+        constraints = ConstraintSet(names, banned=chain.T, max_parents=1)
+        masks = [np.array(enumerate_parent_sets(i, constraints, n), dtype=np.int64)
+                 for i in range(n)]
+        cache = ScoreCache(
+            nodes=tuple(names), distributions=("gaussian",) * n, method="bayes",
+            score_types=("mlik",), fingerprint="test", constraints=constraints,
+            masks=tuple(masks),
+            scores=tuple(-np.arange(1.0, len(m) + 1)[:, None] for m in masks),
+        )
+        back = cache_from_text(cache_to_text(cache))
+        assert back.nodes == cache.nodes and back.constraints == constraints
+        for i in range(n):
+            assert np.array_equal(back.masks[i], cache.masks[i])
+            assert np.array_equal(back.scores[i], cache.scores[i])

@@ -20,7 +20,6 @@ from abnkit.glm import (
     laplace_marginal_likelihood,
     log_joint,
     marginal_densities,
-    score_contribution,
 )
 
 from conftest import mixed_dataset
@@ -360,40 +359,6 @@ class TestMarginalDensities:
         fit = fit_node(d, method="bayes")
         for dens in marginal_densities(fit, d, PriorSpec()):
             assert dens.probabilities.sum() == pytest.approx(1.0)
-
-
-class TestScoreContribution:
-    def test_terms_sum_to_loglik(self):
-        ds = mixed_dataset(200, 1)
-        for child, parents in (("g", ["b"]), ("b", ["g"]), ("p", ["g", "b"])):
-            d = build_design(ds, child, parents)
-            fit = fit_node(d, method="mle")
-            terms, _ = score_contribution(fit, d)
-            assert abs(terms.sum() - fit.log_likelihood) < 1e-10
-
-    def test_gaussian_hat_equals_classical_leverage(self):
-        d = gaussian_design(40, 2, 3)
-        fit = fit_node(d, method="mle")
-        _, hat = score_contribution(fit, d)
-        X = d.predictors
-        H = X @ np.linalg.inv(X.T @ X) @ X.T
-        assert np.max(np.abs(hat - np.diag(H))) < 1e-10
-
-    def test_hat_sums_to_rank(self):
-        ds = mixed_dataset(150, 2)
-        for child, parents in (("g", ["b", "p"]), ("b", ["g"]), ("p", [])):
-            d = build_design(ds, child, parents)
-            fit = fit_node(d, method="mle")
-            _, hat = score_contribution(fit, d)
-            assert np.all((hat >= 0) & (hat <= 1))
-            assert hat.sum() == pytest.approx(len(fit.coefficients), abs=1e-8)
-
-    def test_single_observation_hat_is_one(self):
-        d = DesignMatrix(response=np.array([1.3]), predictors=np.ones((1, 1)),
-                         labels=("(Intercept)",), child="y", family="gaussian")
-        fit = fit_node(d, method="mle")
-        _, hat = score_contribution(fit, d)
-        assert hat[0] == pytest.approx(1.0)
 
 
 class TestFormatting:
