@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -57,27 +57,19 @@ def enumerate_parent_sets(
     """
     if n_nodes > 64:
         raise AbnError("parent-set bitmasks support at most 64 nodes")
-    retained = [j for j in range(n_nodes) if constraints.retained[node, j]]
-    base = 0
-    for j in retained:
-        base |= 1 << j
+    retained = constraints.retained[node].tolist()
+    banned = constraints.banned[node].tolist()
     limit = constraints.max_parents[node]
-    if len(retained) > limit:
+    if sum(retained) > limit:
         raise RetainedExceedsLimit(
             f"node {constraints.nodes[node]!r} retains more parents than allowed"
         )
-    free = [
-        j
-        for j in range(n_nodes)
-        if j != node and not constraints.banned[node, j] and not constraints.retained[node, j]
-    ]
-    masks = []
-    for extra in range(0, limit - len(retained) + 1):
-        for combo in combinations(free, extra):
-            mask = base
-            for j in combo:
-                mask |= 1 << j
-            masks.append(mask)
+    base = sum(1 << j for j in range(n_nodes) if retained[j])
+    free = [1 << j for j in range(n_nodes) if j != node and not banned[j] and not retained[j]]
+    # the bits are disjoint, so a sum is their union
+    masks = [base + sum(combo)
+             for extra in range(limit - sum(retained) + 1)
+             for combo in combinations(free, extra)]
     return sorted(masks)
 
 
@@ -101,10 +93,8 @@ class ScoreCache:
     diagnostics: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self):
-        lookup = []
-        for node_masks in self.masks:
-            lookup.append({int(m): k for k, m in enumerate(node_masks)})
-        object.__setattr__(self, "_lookup", tuple(lookup))
+        lookup = tuple(dict(zip(m.tolist(), range(len(m)))) for m in self.masks)
+        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def n_nodes(self) -> int:
@@ -125,24 +115,48 @@ class ScoreCache:
     def default_score_type(self) -> str:
         return default_score_type(self.method)
 
-    def has_entry(self, node: int, mask: int) -> bool:
-        return mask in self._lookup[node]
-
-    def entry_row(self, node: int, mask: int) -> int:
+    def score(self, node: int, mask: int, score_type: str | None = None) -> float:
+        st = self.score_index(score_type or self.default_score_type())
         try:
-            return self._lookup[node][mask]
+            row = self._lookup[node][mask]
         except KeyError:
             raise UnenumeratedParentSet(
                 f"parent set {mask:#x} of node {self.nodes[node]!r} was never enumerated"
             ) from None
-
-    def score(self, node: int, mask: int, score_type: str | None = None) -> float:
-        st = self.score_index(score_type or self.default_score_type())
-        return float(self.scores[node][self.entry_row(node, mask), st])
+        return float(self.scores[node][row, st])
 
     def score_vector(self, node: int, score_type: str | None = None) -> np.ndarray:
         st = self.score_index(score_type or self.default_score_type())
         return self.scores[node][:, st]
+
+    def restrict(self, constraints: ConstraintSet) -> ScoreCache:
+        """The entries ``constraints`` allow, with their scores and diagnostics.
+
+        Every parent set ``constraints`` allow must be cached: a cache built
+        under looser constraints can be narrowed, never widened.
+        """
+        if constraints.nodes != self.nodes:
+            raise CacheMismatch("constraint node set differs from cache")
+        masks, scores = [], []
+        for i, lookup in enumerate(self._lookup):
+            wanted = enumerate_parent_sets(i, constraints, self.n_nodes)
+            for mask in wanted:
+                if mask not in lookup:
+                    parents = [name for j, name in enumerate(self.nodes) if mask >> j & 1]
+                    raise CacheMismatch(
+                        f"cache has no entry for node {self.nodes[i]!r} with parents "
+                        f"{{{','.join(parents)}}}; rebuild it under these constraints"
+                    )
+            masks.append(np.array(wanted, dtype=np.int64))
+            scores.append(self.scores[i][[lookup[m] for m in wanted]])
+        allowed = [set(m.tolist()) for m in masks]
+        return replace(
+            self,
+            constraints=constraints,
+            masks=tuple(masks),
+            scores=tuple(scores),
+            diagnostics=tuple(d for d in self.diagnostics if d[1] in allowed[d[0]]),
+        )
 
     def check_dataset(self, ds: Dataset) -> None:
         if ds.fingerprint() != self.fingerprint:
@@ -263,6 +277,24 @@ def cache_to_text(cache: ScoreCache) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = ("fingerprint", "method", "score_types", "nodes", "distributions",
+                "max_parents", "banned", "retained")
+
+
+def _body_fields(line: str, count: int, n_nodes: int) -> list:
+    """A body line's ``count`` tab-separated fields, the leading node index
+    and parent mask checked and converted to int."""
+    fields = line.split("\t", count - 1)
+    try:
+        node, mask = int(fields[0]), int(fields[1])
+        ok = len(fields) == count and 0 <= node < n_nodes and 0 <= mask < 1 << n_nodes
+    except (ValueError, IndexError):
+        ok = False
+    if not ok:
+        raise CacheMismatch(f"malformed cache line {line!r}")
+    return [node, mask, *fields[2:]]
+
+
 def cache_from_text(text: str) -> ScoreCache:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _CACHE_MAGIC:
@@ -276,13 +308,20 @@ def cache_from_text(text: str) -> ScoreCache:
         key, _, value = line.partition("=")
         header[key] = value
         body_start = k + 1
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CacheMismatch(f"cache header lacks {', '.join(missing)}")
     nodes = tuple(header["nodes"].split(","))
     score_types = tuple(header["score_types"].split(","))
+    try:
+        limits = [int(v) for v in header["max_parents"].split(",")]
+    except ValueError:
+        raise CacheMismatch(f"malformed header max_parents={header['max_parents']}") from None
     constraints = ConstraintSet(
         nodes,
         banned=parse_formula(header["banned"], nodes),
         retained=parse_formula(header["retained"], nodes),
-        max_parents=[int(v) for v in header["max_parents"].split(",")],
+        max_parents=limits,
     )
     per_node: dict[int, dict[int, dict[str, float]]] = {i: {} for i in range(len(nodes))}
     diagnostics = []
@@ -290,14 +329,17 @@ def cache_from_text(text: str) -> ScoreCache:
         if not line.strip():
             continue
         if line.startswith("# diag\t"):
-            _, node, mask, message = line.split("\t", 3)
-            diagnostics.append((int(node), int(mask), message))
+            node, mask, message = _body_fields(line.removeprefix("# diag\t"), 3, len(nodes))
+            diagnostics.append((node, mask, message))
             continue
-        node, mask, st, value = line.split("\t")
-        score = float(value)
+        node, mask, st, value = _body_fields(line, 4, len(nodes))
+        try:
+            score = float(value)
+        except ValueError:
+            score = math.nan
         if not (math.isfinite(score) or score == -math.inf):
-            raise CacheMismatch(f"non-finite score {value!r} in line {line!r}")
-        per_node[int(node)].setdefault(int(mask), {})[st] = score
+            raise CacheMismatch(f"score {value!r} is neither finite nor -inf in line {line!r}")
+        per_node[node].setdefault(mask, {})[st] = score
     masks = []
     scores = []
     for i in range(len(nodes)):

@@ -79,7 +79,7 @@ def _load_inputs(args) -> tuple[Dataset, ConstraintSet]:
     ds = load_dataset(args.data, args.dists)
     if not args.no_standardize and "gaussian" in ds.distributions:
         ds = standardize(ds)
-    constraints = _constraints_from_args(args, ds.names)
+    constraints = _constraints_from_args(args, ds.names, getattr(args, "max_parents", None))
     return ds, constraints
 
 
@@ -95,12 +95,12 @@ def _constraint_matrix(source: str | None, nodes) -> np.ndarray | None:
     return matrix
 
 
-def _constraints_from_args(args, nodes) -> ConstraintSet:
+def _constraints_from_args(args, nodes, max_parents: int | None) -> ConstraintSet:
     return ConstraintSet(
         nodes,
         banned=_constraint_matrix(getattr(args, "ban", None), nodes),
         retained=_constraint_matrix(getattr(args, "retain", None), nodes),
-        max_parents=getattr(args, "max_parents", None),
+        max_parents=max_parents,
     )
 
 
@@ -153,19 +153,14 @@ def cmd_build_cache(args) -> int:
     return _finish(args, manifest, out, "build-cache")
 
 
-def _load_cache_for(args, ds: Dataset):
-    _require_readable(args.cache)
-    cache = cache_from_text(Path(args.cache).read_text())
-    if ds is not None:
-        cache.check_dataset(ds)
-    return cache
-
-
 def cmd_search(args) -> int:
     ds, constraints = _load_inputs(args)
     score = _check_method_score(args.method, args.score)
     if args.cache:
-        cache = _load_cache_for(args, ds)
+        _require_readable(args.cache)
+        cache = cache_from_text(Path(args.cache).read_text())
+        cache.check_dataset(ds)
+        cache = cache.restrict(constraints)
     else:
         cache = build_cache(ds, constraints, method=args.method, jobs=args.jobs)
     out = _out_dir(args)
@@ -196,8 +191,8 @@ def cmd_search(args) -> int:
             cooling_factor=args.cooling,
             seed=seed,
         )
-        trace = heuristic_search(cache, constraints, config, prior=prior,
-                                 score_type=score, jobs=args.jobs)
+        trace = heuristic_search(cache, config, prior=prior, score_type=score,
+                                 jobs=args.jobs)
         dag = trace.best().dag
         manifest["config"]["total_objective"] = trace.best().score
         lines = ["restart\tstep\tbest_score"]
@@ -269,14 +264,10 @@ def cmd_sweep_parents(args) -> int:
                          max=args.max, ban=args.ban, retain=args.retain)
     rows = ["max_parents\ttotal_score\tn_arcs"]
     best = []
+    full = build_cache(ds, _constraints_from_args(args, ds.names, args.max),
+                       method=args.method, jobs=args.jobs)
     for limit in range(1, args.max + 1):
-        constraints = ConstraintSet(
-            ds.names,
-            banned=_constraint_matrix(args.ban, ds.names),
-            retained=_constraint_matrix(args.retain, ds.names),
-            max_parents=limit,
-        )
-        cache = build_cache(ds, constraints, method=args.method, jobs=args.jobs)
+        cache = full.restrict(_constraints_from_args(args, ds.names, limit))
         table = best_parents_table(cache, StructuralPrior(args.prior), score_type=score)
         dag, _ = most_probable_dag(table)
         total = cache.dag_score(dag, score)
@@ -407,7 +398,7 @@ def cmd_info(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_data_args(p, constraints=True):
+def _add_data_args(p, constraints=True, max_parents=True):
     p.add_argument("--data", required=True, help="comma-delimited data file with header")
     p.add_argument("--dists", required=True,
                    help="column=distribution spec file (binomial/gaussian/poisson)")
@@ -416,6 +407,7 @@ def _add_data_args(p, constraints=True):
     if constraints:
         p.add_argument("--ban", help="banned arcs: formula (~child|parent) or matrix file")
         p.add_argument("--retain", help="retained arcs: formula or matrix file")
+    if constraints and max_parents:
         p.add_argument("--max-parents", type=int, default=4,
                        help="parent-set cardinality limit (default 4)")
 
@@ -445,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="find a high-scoring DAG")
     p.add_argument("mode", choices=("exact", "heuristic"))
     _add_data_args(p)
-    p.add_argument("--cache", help="reuse a cache file instead of rebuilding")
+    p.add_argument("--cache", help="reuse a cache built under these or looser constraints")
     p.add_argument("--method", choices=("bayes", "mle"), default="bayes")
     p.add_argument("--score", help="mlik (bayes) or loglik/aic/bic/mdl (mle)")
     p.add_argument("--prior", choices=("koivisto", "uninformative"), default="koivisto")
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-parents",
                        help="exact search under increasing parent limits")
-    _add_data_args(p)
+    _add_data_args(p, max_parents=False)
     p.add_argument("--max", type=int, default=7, help="largest limit to try")
     p.add_argument("--method", choices=("bayes", "mle"), default="bayes")
     p.add_argument("--score")

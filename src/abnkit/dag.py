@@ -187,6 +187,13 @@ class Dag:
         )
 
 
+def dag_from_masks(nodes: Sequence[str], masks: Sequence[int]) -> Dag:
+    """The DAG whose node i has parent bitmask ``masks[i]``; the inverse of
+    :func:`row_masks`."""
+    n = len(nodes)
+    return Dag(nodes, [[int(mask) >> j & 1 for j in range(n)] for mask in masks])
+
+
 def topological_order(dag: Dag) -> list[str]:
     """Node names ordered so every parent precedes its children.
 
@@ -444,6 +451,11 @@ def dag_from_text(text: str) -> Dag:
 _DOT_SHAPE = {"binomial": "box", "gaussian": "ellipse", "poisson": "diamond"}
 
 
+def _dot_id(name: str) -> str:
+    """A node name as a quoted DOT ID, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dag_to_dot(
     dag: Dag,
     distributions: dict[str, str] | None = None,
@@ -459,7 +471,7 @@ def dag_to_dot(
     lines = ["digraph dag {"]
     for name in dag.nodes:
         shape = _DOT_SHAPE.get((distributions or {}).get(name, ""), "ellipse")
-        lines.append(f'  "{name}" [shape={shape}];')
+        lines.append(f"  {_dot_id(name)} [shape={shape}];")
     weights = None
     if edge_weights is not None:
         weights = np.asarray(edge_weights, dtype=float)
@@ -469,6 +481,6 @@ def dag_to_dot(
         if weights is not None and top > 0:
             w = abs(float(weights[dag.index(child), dag.index(parent)]))
             attr = f' [penwidth={max(0.5, max_penwidth * w / top):.3f}]'
-        lines.append(f'  "{parent}" -> "{child}"{attr};')
+        lines.append(f"  {_dot_id(parent)} -> {_dot_id(child)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

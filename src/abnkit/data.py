@@ -165,9 +165,8 @@ def load_dataset(
     path,
     dist_spec: Mapping[str, str] | str | Path,
     group_var: str | None = None,
-    delimiter: str = ",",
 ) -> Dataset:
-    """Read a delimited text file with header into a validated Dataset.
+    """Read a comma-delimited text file with header into a validated Dataset.
 
     ``dist_spec`` maps every modeled column to a distribution; it may also be
     the path of a spec file.  Two-level string columns declared binomial are
@@ -181,7 +180,7 @@ def load_dataset(
         dists = dict(dist_spec)
 
     text = Path(path).read_text()
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one data row")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .cache import ScoreCache
-from .dag import Dag
+from .dag import Dag, dag_from_masks
 from .errors import AbnError, MemoryLimit
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes across all per-node tables
@@ -170,19 +170,14 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     full = size - 1
     if not np.isfinite(F[full]):
         raise AbnError("no constraint-satisfying DAG exists for this cache")
-    adjacency = np.zeros((n, n), dtype=np.int8)
+    masks = [0] * n
     S = full
     while S:
         j = int(choice[S])
         S ^= 1 << j
-        parents = int(table.arg[j][S])
-        for p in range(n):
-            if parents >> p & 1:
-                adjacency[j, p] = 1
-    dag = Dag(table.nodes, adjacency)
-    cache = table.cache
-    total = dag_objective(cache, dag, table.prior, table.score_type)
-    return dag, total
+        masks[j] = int(table.arg[j][S])
+    dag = dag_from_masks(table.nodes, masks)
+    return dag, dag_objective(table.cache, dag, table.prior, table.score_type)
 
 
 def dag_objective(

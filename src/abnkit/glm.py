@@ -477,30 +477,21 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
 
 def fit_node(
     design: DesignMatrix,
-    family: str | None = None,
     method: str = "bayes",
     priors: PriorSpec | None = None,
 ) -> FitResult:
-    """Fit one node's regression by the requested method.
+    """Fit one node's regression, in the design's family, by the requested
+    method.
 
-    ``family`` defaults to the family recorded on the design.  The returned
-    FitResult carries the Laplace marginal likelihood (bayes) or the
-    log-likelihood ready for :func:`frequentist_scores` (mle).
+    The returned FitResult carries the Laplace marginal likelihood (bayes)
+    or the log-likelihood ready for :func:`frequentist_scores` (mle).
     """
     if design.n_obs < 1:
         raise NoObservations(f"node {design.child!r} has no observations")
     if not (np.all(np.isfinite(design.predictors))
             and np.all(np.isfinite(design.response))):
         raise NonFiniteData(f"node {design.child!r} design contains non-finite values")
-    family = families.check_family(family or design.family)
-    if family != design.family:
-        design = DesignMatrix(
-            response=design.response,
-            predictors=design.predictors,
-            labels=design.labels,
-            child=design.child,
-            family=family,
-        )
+    families.check_family(design.family)
     # overflow/underflow is detected explicitly via finiteness checks
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if method == "mle":

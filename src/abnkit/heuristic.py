@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import ScoreCache, parallel_map
-from .dag import ConstraintSet, Dag, find_cycle, row_masks
+from .dag import Dag, dag_from_masks, find_cycle, row_masks
 from .errors import EmptyCache, NodeSetMismatch
-from .exact import StructuralPrior
+from .exact import StructuralPrior, _node_entries
 
 Move = tuple[str, int, int]  # kind, child, parent
 INIT_DENSITY = 0.1  # chance that each admissible arc enters a random start
@@ -54,107 +54,72 @@ class RestartTrace:
 @dataclass(frozen=True)
 class SearchTrace:
     restarts: tuple[RestartTrace, ...]
-    score_type: str
 
     def best(self) -> RestartTrace:
         """Highest-scoring restart; earliest index wins exact ties."""
         return max(self.restarts, key=lambda r: (r.score, -self.restarts.index(r)))
 
 
+def objective_tables(
+    cache: ScoreCache, prior: StructuralPrior, score_type: str
+) -> list[dict[int, float]]:
+    """Per node, ``{parent mask: score + log-prior}`` over the cached sets: the
+    exact DP's objective as lookup tables."""
+    return [dict(zip(masks.tolist(), values.tolist()))
+            for masks, values in _node_entries(cache, prior, score_type)]
+
+
 class _State:
-    """Mutable search state: parent masks, per-node scores, adjacency."""
+    """Mutable search state: parent masks and per-node objective terms."""
 
-    def __init__(self, cache: ScoreCache, prior: StructuralPrior, score_type: str):
-        self.cache = cache
-        self.n = cache.n_nodes
-        self.prior = prior
-        self.score_type = score_type
-        self.masks = row_masks(cache.constraints.retained)
-        self.node_scores = [self._score(i, self.masks[i]) for i in range(self.n)]
-
-    def _score(self, node: int, mask: int) -> float:
-        return self.cache.score(node, mask, self.score_type) + self.prior.log_prior(
-            self.n, bin(mask).count("1")
-        )
-
-    def has_entry(self, node: int, mask: int) -> bool:
-        return self.cache.has_entry(node, mask)
+    def __init__(self, tables: list[dict[int, float]], masks: list[int]):
+        self.tables = tables
+        self.n = len(tables)
+        self.masks = list(masks)
+        self.node_scores = [tables[i][m] for i, m in enumerate(self.masks)]
 
     def total(self) -> float:
         return float(sum(self.node_scores))
 
-    def has_arc(self, child: int, parent: int) -> bool:
-        return bool(self.masks[child] >> parent & 1)
-
-    # --- move machinery ---------------------------------------------------
-
     def valid_moves(self) -> list[tuple[Move, float]]:
         """All admissible single-arc moves with their score deltas, in the
         canonical order add < delete < reverse, then (child, parent)."""
-        out = []
+        adds, deletes, reverses = [], [], []
         for child in range(self.n):
-            cur = self.masks[child]
+            cur, table, here = self.masks[child], self.tables[child], self.node_scores[child]
             for parent in range(self.n):
-                if parent == child or self.has_arc(child, parent):
+                bit = 1 << parent
+                if not cur & bit:
+                    new = cur | bit
+                    # the arc parent -> child must not close a cycle
+                    if (parent != child and new in table
+                            and not path_exists(self.masks, child, parent)):
+                        adds.append((("add", child, parent), table[new] - here))
                     continue
-                new = cur | (1 << parent)
-                if not self.has_entry(child, new):
-                    continue
-                if path_exists(self.masks, child, parent):
-                    continue  # parent -> child arc would close a cycle
-                delta = self._score(child, new) - self.node_scores[child]
-                out.append((("add", child, parent), delta))
-        for child in range(self.n):
-            cur = self.masks[child]
-            for parent in range(self.n):
-                if not self.has_arc(child, parent):
-                    continue
-                new = cur & ~(1 << parent)
-                if not self.has_entry(child, new):
+                new = cur & ~bit
+                if new not in table:
                     continue  # retained arcs have no cached subset
-                delta = self._score(child, new) - self.node_scores[child]
-                out.append((("delete", child, parent), delta))
-        for child in range(self.n):
-            for parent in range(self.n):
-                if not self.has_arc(child, parent):
-                    continue
-                child_new = self.masks[child] & ~(1 << parent)
+                deletes.append((("delete", child, parent), table[new] - here))
                 parent_new = self.masks[parent] | (1 << child)
-                if not (self.has_entry(child, child_new)
-                        and self.has_entry(parent, parent_new)):
+                if parent_new not in self.tables[parent]:
                     continue
                 # after dropping parent->child, child->parent must not close a cycle
-                self.masks[child] = child_new
+                self.masks[child] = new
                 closes = path_exists(self.masks, parent, child)
-                self.masks[child] = self.masks[child] | (1 << parent)
-                if closes:
-                    continue
-                delta = (self._score(child, child_new) - self.node_scores[child]
-                         + self._score(parent, parent_new) - self.node_scores[parent])
-                out.append((("reverse", child, parent), delta))
-        return out
+                self.masks[child] = cur
+                if not closes:
+                    delta = (table[new] - here
+                             + self.tables[parent][parent_new] - self.node_scores[parent])
+                    reverses.append((("reverse", child, parent), delta))
+        return adds + deletes + reverses
 
     def apply(self, move: Move) -> None:
         kind, child, parent = move
-        if kind == "add":
-            self.masks[child] |= 1 << parent
-            self.node_scores[child] = self._score(child, self.masks[child])
-        elif kind == "delete":
-            self.masks[child] &= ~(1 << parent)
-            self.node_scores[child] = self._score(child, self.masks[child])
-        else:
-            self.masks[child] &= ~(1 << parent)
+        self.masks[child] ^= 1 << parent  # add sets the bit; delete and reverse clear it
+        self.node_scores[child] = self.tables[child][self.masks[child]]
+        if kind == "reverse":
             self.masks[parent] |= 1 << child
-            self.node_scores[child] = self._score(child, self.masks[child])
-            self.node_scores[parent] = self._score(parent, self.masks[parent])
-
-    def dag(self) -> Dag:
-        adjacency = np.zeros((self.n, self.n), dtype=np.int8)
-        for i, mask in enumerate(self.masks):
-            for j in range(self.n):
-                if mask >> j & 1:
-                    adjacency[i, j] = 1
-        return Dag(self.cache.nodes, adjacency)
+            self.node_scores[parent] = self.tables[parent][self.masks[parent]]
 
 
 def _inverse(move: Move) -> Move:
@@ -187,24 +152,23 @@ def _randomize_start(state: _State, rng: np.random.Generator) -> None:
     order = rng.permutation(len(pairs))
     for k in order:
         child, parent = pairs[k]
-        if rng.random() >= INIT_DENSITY or state.has_arc(child, parent):
+        if rng.random() >= INIT_DENSITY or state.masks[child] >> parent & 1:
             continue
         new = state.masks[child] | (1 << parent)
-        if state.has_entry(child, new) and not path_exists(state.masks, child, parent):
+        if new in state.tables[child] and not path_exists(state.masks, child, parent):
             state.apply(("add", child, parent))
 
 
 def _run_restart(
     cache: ScoreCache,
-    prior: StructuralPrior,
-    score_type: str,
+    tables: list[dict[int, float]],
     config: HeuristicConfig,
     restart_index: int,
 ) -> RestartTrace:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(restart_index,))
     )
-    state = _State(cache, prior, score_type)
+    state = _State(tables, row_masks(cache.constraints.retained))
     _randomize_start(state, rng)
 
     best_score = state.total()
@@ -257,15 +221,12 @@ def _run_restart(
             temperature *= config.cooling_factor
             trail.append(best_score)
 
-    final = _State(cache, prior, score_type)
-    final.masks = best_masks
-    final.node_scores = [final._score(i, m) for i, m in enumerate(best_masks)]
-    return RestartTrace(dag=final.dag(), score=best_score, best_scores=tuple(trail))
+    return RestartTrace(dag=dag_from_masks(cache.nodes, best_masks), score=best_score,
+                        best_scores=tuple(trail))
 
 
 def heuristic_search(
     cache: ScoreCache,
-    constraints: ConstraintSet | None = None,
     config: HeuristicConfig = HeuristicConfig(),
     prior: StructuralPrior = StructuralPrior("uninformative"),
     score_type: str | None = None,
@@ -273,20 +234,17 @@ def heuristic_search(
 ) -> SearchTrace:
     """Run the configured stochastic search, one trace per restart.
 
-    Constraints are taken from the cache itself (parent sets outside it are
-    never reachable); passing ``constraints`` merely asserts they match.
-    Each restart draws from a generator derived from (seed, restart index),
-    so a fixed seed reproduces the trace bit for bit, restarts may run in
+    Constraints are the cache's own: parent sets outside it are never
+    reachable (narrow a cache with :meth:`ScoreCache.restrict`).  Each
+    restart draws from a generator derived from (seed, restart index), so a
+    fixed seed reproduces the trace bit for bit, restarts may run in
     parallel, and traces merge deterministically by index.
     """
     if cache.n_entries == 0:
         raise EmptyCache("score cache has no entries")
-    if constraints is not None and constraints.nodes != cache.nodes:
-        raise NodeSetMismatch("constraint node set differs from cache")
-    score_type = score_type or cache.default_score_type()
-    tasks = [(cache, prior, score_type, config, k) for k in range(config.restarts)]
-    traces = parallel_map(_run_restart, tasks, jobs)
-    return SearchTrace(restarts=tuple(traces), score_type=score_type)
+    tables = objective_tables(cache, prior, score_type or cache.default_score_type())
+    tasks = [(cache, tables, config, k) for k in range(config.restarts)]
+    return SearchTrace(restarts=tuple(parallel_map(_run_restart, tasks, jobs)))
 
 
 # --------------------------------------------------------------------------

@@ -175,3 +175,94 @@ class TestSerialization:
         cache = build_cache(ds, method="mle")
         back = cache_from_text(cache_to_text(cache))
         assert back.diagnostics == cache.diagnostics
+
+
+def _overflow_dataset():
+    """Four gaussian columns; fits involving the 1e160 columns a and b fail,
+    so the cache mixes finite and -inf entries with diagnostics."""
+    from abnkit.data import Dataset
+
+    rng = np.random.default_rng(0)
+    cols = np.column_stack([np.tile([0.0, 1e160], 20), np.tile([1e160, 0.0], 20),
+                            rng.normal(size=40), rng.normal(size=40)])
+    return Dataset(names=("a", "b", "c", "d"), columns=cols,
+                   distributions=("gaussian",) * 4)
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("ban, retain, limit", [
+        (None, None, 1),
+        ("~c|a + d|b:c", None, 3),
+        (None, "~c|d + a|b", 3),
+        ("~d|a", "~c|b", 2),
+        (None, None, 0),
+    ])
+    def test_restrict_equals_direct_build(self, ban, retain, limit):
+        ds = _overflow_dataset()
+        nodes = ds.names
+        tight = ConstraintSet(
+            nodes,
+            banned=parse_formula(ban, nodes) if ban else None,
+            retained=parse_formula(retain, nodes) if retain else None,
+            max_parents=limit,
+        )
+        direct = build_cache(ds, tight)
+        restricted = build_cache(ds).restrict(tight)
+        assert restricted.constraints == direct.constraints
+        for i in range(len(nodes)):
+            assert np.array_equal(restricted.masks[i], direct.masks[i])
+            assert np.array_equal(restricted.scores[i], direct.scores[i])
+        assert restricted.diagnostics == direct.diagnostics
+        assert cache_to_text(restricted) == cache_to_text(direct)
+        assert any(np.any(block == -np.inf) for block in direct.scores)
+
+    def test_looser_constraints_raise(self):
+        ds = mixed_dataset(60, 9)
+        nodes = ds.names
+        banned = parse_formula("~b|g", nodes)
+        cache = build_cache(ds, ConstraintSet(nodes, banned=banned, max_parents=1))
+        with pytest.raises(CacheMismatch, match=r"node 'g' with parents \{b,p\}"):
+            cache.restrict(ConstraintSet(nodes, banned=banned, max_parents=2))
+        with pytest.raises(CacheMismatch, match=r"node 'b' with parents \{g\}"):
+            cache.restrict(ConstraintSet(nodes, max_parents=1))
+        with pytest.raises(CacheMismatch):
+            cache.restrict(ConstraintSet(("x", "y", "z")))
+
+
+class TestMalformedText:
+    @pytest.fixture(scope="class")
+    def lines(self):
+        ds = mixed_dataset(60, 10)
+        return cache_to_text(build_cache(ds, ConstraintSet(ds.names, max_parents=1))).splitlines()
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: "7" + line[1:],                    # unknown node index
+        lambda line: "-1" + line[1:],                   # negative node index
+        lambda line: line + "\textra",                  # five fields
+        lambda line: line.rpartition("\t")[0],          # three fields
+        lambda line: "x" + line[1:],                    # non-integer node
+        lambda line: line.replace("\t", "\t0x", 1),     # non-integer mask
+        lambda line: line.replace("\t", "\t64", 1),     # mask beyond the nodes
+        lambda line: line.rpartition("\t")[0] + "\tbig",  # non-numeric score
+    ])
+    def test_bad_body_line(self, lines, edit):
+        body = next(k for k, line in enumerate(lines) if line[:1].isdigit())
+        edited = list(lines)
+        edited[body] = edit(lines[body])
+        with pytest.raises(CacheMismatch):
+            cache_from_text("\n".join(edited) + "\n")
+
+    @pytest.mark.parametrize("key", ["nodes", "score_types", "max_parents", "banned"])
+    def test_missing_header_key(self, lines, key):
+        edited = [line for line in lines if not line.startswith(key + "=")]
+        with pytest.raises(CacheMismatch, match=key):
+            cache_from_text("\n".join(edited) + "\n")
+
+    def test_non_integer_max_parents(self, lines):
+        edited = [line.replace("max_parents=1,", "max_parents=one,") for line in lines]
+        with pytest.raises(CacheMismatch, match="max_parents"):
+            cache_from_text("\n".join(edited) + "\n")
+
+    def test_bad_diagnostic_line(self, lines):
+        with pytest.raises(CacheMismatch):
+            cache_from_text("\n".join([*lines, "# diag\t9\t0\tboom"]) + "\n")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from abnkit.cli import main
+from abnkit.cli import build_parser, main
+from abnkit.dag import dag_from_text
 from abnkit.data import format_dist_spec
 from abnkit.simulate import SimSpec, simulate_data
 
@@ -122,6 +123,57 @@ class TestCacheReuse:
         assert "CacheMismatch" in capsys.readouterr().err
 
 
+class TestCacheConstraints:
+    """``search --cache`` searches the cache restricted to the CLI constraints."""
+
+    @pytest.fixture(scope="class")
+    def cache_file(self, workspace):
+        out = workspace / "cache-2"
+        assert run(["build-cache", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--max-parents", "2",
+                    "--out", out, "--jobs", "1"]) == 0
+        return out / "cache.txt"
+
+    def search(self, workspace, cache_file, out, *flags):
+        return run(["search", "exact", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--cache", cache_file,
+                    *flags, "--out", out, "--jobs", "1"])
+
+    def test_max_parents_zero_gives_no_arcs(self, workspace, cache_file, tmp_path):
+        assert self.search(workspace, cache_file, tmp_path, "--max-parents", "0") == 0
+        assert dag_from_text((tmp_path / "dag.txt").read_text()).n_arcs == 0
+        manifest = json.loads((tmp_path / "manifest-search.json").read_text())
+        assert manifest["config"]["max_parents"] == 0
+
+    def test_ban_removes_the_arc(self, workspace, cache_file, tmp_path):
+        assert self.search(workspace, cache_file, tmp_path / "free", "--max-parents", "2") == 0
+        assert ("g", "b") in dag_from_text((tmp_path / "free" / "dag.txt").read_text()).arcs()
+        assert self.search(workspace, cache_file, tmp_path / "ban", "--max-parents", "2",
+                           "--ban", "~b|g") == 0
+        assert ("g", "b") not in dag_from_text((tmp_path / "ban" / "dag.txt").read_text()).arcs()
+
+    def test_looser_limit_is_cache_mismatch(self, workspace, tmp_path, capsys):
+        assert run(["build-cache", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--max-parents", "1",
+                    "--out", tmp_path / "c1", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        code = self.search(workspace, tmp_path / "c1" / "cache.txt", tmp_path / "s",
+                           "--max-parents", "2")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ERROR CacheMismatch: cache has no entry")
+
+    def test_malformed_cache_is_one_error_line(self, workspace, cache_file, tmp_path, capsys):
+        lines = cache_file.read_text().splitlines()
+        body = next(k for k, line in enumerate(lines) if line.startswith("0\t"))
+        lines[body] = "7" + lines[body][1:]
+        corrupt = tmp_path / "corrupt.txt"
+        corrupt.write_text("\n".join(lines) + "\n")
+        code = self.search(workspace, corrupt, tmp_path / "s", "--max-parents", "2")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR CacheMismatch")
+
+
 class TestOtherCommands:
     def test_fit_with_marginals(self, workspace, tmp_path):
         out = tmp_path / "fit"
@@ -145,6 +197,12 @@ class TestOtherCommands:
         rows = (out / "sweep.tsv").read_text().splitlines()[1:]
         totals = [float(r.split("\t")[1]) for r in rows]
         assert totals == sorted(totals)
+
+    def test_sweep_parents_has_no_max_parents_flag(self, workspace, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep-parents", "--data", "d.csv", "--dists", "d.txt",
+                                       "--max-parents", "0"])
+        assert "unrecognized arguments: --max-parents" in capsys.readouterr().err
 
     def test_simulate_dag_and_data(self, workspace, tmp_path):
         out = tmp_path / "simdag"

@@ -9,6 +9,7 @@ from abnkit.dag import (
     Dag,
     check_node_names,
     compare_dags,
+    dag_from_masks,
     dag_from_text,
     dag_to_dot,
     dag_to_text,
@@ -261,6 +262,18 @@ class TestTextFormats:
         weights[case_study_dag.adjacency != 0] = 0.5
         dot = dag_to_dot(case_study_dag, edge_weights=weights)
         assert "penwidth" in dot
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        dot = dag_to_dot(Dag(('a"b', "c\\d"), [[0, 0], [1, 0]])).splitlines()
+        assert dot[1] == '  "a\\"b" [shape=ellipse];'
+        assert dot[2] == '  "c\\\\d" [shape=ellipse];'
+        assert dot[3] == '  "a\\"b" -> "c\\\\d";'
+
+    def test_dag_from_masks_inverts_parent_masks(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 8):
+            dag = random_dag(n, rng)
+            assert dag_from_masks(dag.nodes, dag.parent_masks()) == dag
 
 
 def accepted(name: str) -> bool:

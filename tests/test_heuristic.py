@@ -42,12 +42,10 @@ class TestSearch:
             seq = restart.best_scores
             assert all(b >= a for a, b in zip(seq, seq[1:]))
         # terminal state: no admissible single-arc move improves
-        from abnkit.heuristic import _State
+        from abnkit.heuristic import _State, objective_tables
 
         best = trace.best()
-        state = _State(chain_cache, UNIF, "mlik")
-        state.masks = list(best.dag.parent_masks())
-        state.node_scores = [state._score(i, m) for i, m in enumerate(state.masks)]
+        state = _State(objective_tables(chain_cache, UNIF, "mlik"), best.dag.parent_masks())
         assert all(delta <= 1e-9 for _, delta in state.valid_moves())
 
     def test_fixed_seed_reproducible(self, chain_cache):
