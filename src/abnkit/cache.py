@@ -333,6 +333,9 @@ def cache_from_text(text: str) -> ScoreCache:
             diagnostics.append((node, mask, message))
             continue
         node, mask, st, value = _body_fields(line, 4, len(nodes))
+        if st not in score_types:
+            raise CacheMismatch(f"score type {st!r} is not in the header's score_types "
+                                f"in line {line!r}")
         try:
             score = float(value)
         except ValueError:
@@ -343,13 +346,17 @@ def cache_from_text(text: str) -> ScoreCache:
     masks = []
     scores = []
     for i in range(len(nodes)):
-        node_masks = sorted(per_node[i])
-        block = np.full((len(node_masks), len(score_types)), -np.inf)
-        for k, mask in enumerate(node_masks):
-            for s, st in enumerate(score_types):
-                block[k, s] = per_node[i][mask].get(st, -np.inf)
+        entries = per_node[i]
+        node_masks = sorted(entries)
+        try:
+            values = [entries[mask][st] for mask in node_masks for st in score_types]
+        except KeyError:
+            mask = next(m for m in node_masks if len(entries[m]) < len(score_types))
+            lacking = [st for st in score_types if st not in entries[mask]]
+            raise CacheMismatch(f"node {nodes[i]!r} parent mask {mask} lacks "
+                                f"score types {','.join(lacking)}") from None
         masks.append(np.array(node_masks, dtype=np.int64))
-        scores.append(block)
+        scores.append(np.array(values, dtype=float).reshape(len(node_masks), len(score_types)))
     return ScoreCache(
         nodes=nodes,
         distributions=tuple(header["distributions"].split(",")),

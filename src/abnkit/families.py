@@ -7,6 +7,8 @@ and return per-observation values unless noted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import expit, gammaln
 
@@ -49,11 +51,19 @@ def irls_weights(family: str, mu: np.ndarray) -> np.ndarray:
     return np.maximum(w, 1e-10)
 
 
+def log_y_factorial(y: np.ndarray) -> np.ndarray:
+    """``log(y!)``, the response-only term of the poisson log-likelihood."""
+    return gammaln(np.asarray(y, dtype=float) + 1.0)
+
+
 def loglik_terms(family: str, y: np.ndarray, eta: np.ndarray,
-                 precision: float | None = None) -> np.ndarray:
+                 precision: float | None = None,
+                 log_factorial: np.ndarray | None = None) -> np.ndarray:
     """Per-observation log-likelihood at linear predictor ``eta``.
 
-    For the gaussian family ``precision`` (tau = 1/sigma^2) is required.
+    For the gaussian family ``precision`` (tau = 1/sigma^2) is required.  A
+    poisson caller that evaluates many ``eta`` for one ``y`` passes
+    ``log_y_factorial(y)`` once as ``log_factorial``.
     """
     y = np.asarray(y, dtype=float)
     if family == "binomial":
@@ -62,23 +72,46 @@ def loglik_terms(family: str, y: np.ndarray, eta: np.ndarray,
     if family == "poisson":
         with np.errstate(over="ignore"):
             mu = np.exp(eta)
-        return y * eta - mu - gammaln(y + 1.0)
+        if log_factorial is None:
+            log_factorial = log_y_factorial(y)
+        return y * eta - mu - log_factorial
     if precision is None:
         raise ValueError("gaussian log-likelihood needs a precision")
     resid = y - eta
     return 0.5 * (np.log(precision) - np.log(2.0 * np.pi)) - 0.5 * precision * resid**2
 
 
-def deviance(family: str, y: np.ndarray, mu: np.ndarray) -> float:
-    """Family deviance used as the IRLS convergence measure."""
+def _sum_xlogx(v: np.ndarray) -> float:
+    """sum(v * log v) over the entries of ``v`` whose term is not 0."""
+    v = v[(v > 0) & (v != 1)]
+    return float(v @ np.log(v))
+
+
+def saturated_deviance_term(family: str, y: np.ndarray) -> float:
+    """The response-only half of the binomial or poisson deviance (the
+    saturated model's log-likelihood kernel); 0 for 0/1 binomial responses."""
     y = np.asarray(y, dtype=float)
     if family == "binomial":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
-            t0 = np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
-        return float(2.0 * np.sum(t1 + t0))
-    if family == "poisson":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
-        return float(2.0 * np.sum(t - (y - mu)))
-    return float(np.sum((y - mu) ** 2))
+        return _sum_xlogx(y) + _sum_xlogx(1.0 - y)
+    return _sum_xlogx(y) - float(np.sum(y))
+
+
+def deviance(family: str, y: np.ndarray, mu: np.ndarray, saturated: float) -> float:
+    """Binomial or poisson deviance, ``2 * (saturated - fitted)``, where
+    ``saturated = saturated_deviance_term(family, y)`` is computed once per
+    response and ``fitted`` holds the y-weighted log terms of ``mu``.
+
+    Binomial ``mu`` must lie strictly inside (0, 1).  A poisson ``y == 0``
+    term counts 0 even where ``mu`` underflows to 0.
+    """
+    y = np.asarray(y, dtype=float)
+    if family == "binomial":
+        fitted = y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu)
+        return float(2.0 * (saturated - fitted))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mu = np.log(mu)
+        fitted = y @ log_mu
+        if math.isnan(fitted):  # 0 * log(0) where a mean underflowed
+            log_mu[y == 0] = 0.0
+            fitted = y @ log_mu
+    return float(2.0 * (saturated - (fitted - np.sum(mu))))

@@ -16,7 +16,6 @@ identifier must match a supplied node name exactly.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +32,7 @@ def _split_names(part: str, what: str) -> list[str]:
     return names
 
 
-def parse_formula(
-    text: str, node_names: Sequence[str], verbose: bool = False
-) -> np.ndarray:
+def parse_formula(text: str, node_names: Sequence[str]) -> np.ndarray:
     """Expand a constraint formula into an n x n binary matrix.
 
     Entry ``(child, parent)`` is set for every pair implied by the formula.
@@ -76,12 +73,6 @@ def parse_formula(
         child_tokens = (
             list(names) if children_from_dot else _split_names(child_part, "child")
         )
-        if verbose and len(child_tokens) > 1 and parent_part == ".":
-            warnings.warn(
-                f"term {term!r} mixes a child list with '.' parents; "
-                "expanding as the full cartesian product",
-                stacklevel=2,
-            )
         for child_tok in child_tokens:
             c = resolve(child_tok)
             if parent_part == ".":

@@ -16,7 +16,7 @@ All scores are stored in larger-is-better orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -124,21 +124,86 @@ def _log_prior_log_precision(lam: float, priors: PriorSpec) -> float:
     return a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
 
 
+class _Posterior:
+    """Log joint of one bayes fit and its derivatives.
+
+    The per-fit constants (prior precision matrix, gaussian ``X'X``, poisson
+    ``log y!``) are built once.  ``params`` is the optimized vector: the
+    coefficients, then the gaussian log-precision unless it is fixed.
+    """
+
+    def __init__(self, design: DesignMatrix, priors: PriorSpec):
+        self.X, self.y = design.predictors, design.response
+        self.family = design.family
+        self.priors = priors
+        self.width = design.width
+        gaussian = self.family == "gaussian"
+        self.free_precision = gaussian and priors.fixed_precision is None
+        self.prior_precision = np.eye(self.width) / priors.coef_variance
+        self.gram = self.X.T @ self.X if gaussian else None
+        self.log_factorial = (families.log_y_factorial(self.y)
+                              if self.family == "poisson" else None)
+
+    def split(self, params: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """(coefficients, log-precision or None) of an optimized vector."""
+        if self.free_precision:
+            return params[:self.width], float(params[self.width])
+        return params, None
+
+    def evaluate(self, theta: np.ndarray, log_precision: float | None = None):
+        """(log joint, log-likelihood, eta) at ``theta``; ``log_precision``
+        is read only for a gaussian node with a free precision."""
+        priors = self.priors
+        eta = self.X @ theta
+        tau = None
+        if self.family == "gaussian":
+            tau = (priors.fixed_precision if priors.fixed_precision is not None
+                   else math.exp(log_precision))
+        ll = float(np.sum(families.loglik_terms(self.family, self.y, eta, tau,
+                                                self.log_factorial)))
+        joint = ll + _log_prior_coef(theta, priors)
+        if self.free_precision:
+            joint += _log_prior_log_precision(log_precision, priors)
+        return joint, ll, eta
+
+    def grad_hess(self, params: np.ndarray, eta: np.ndarray):
+        """Gradient and Hessian of the log joint at ``params``, whose linear
+        predictor is ``eta``."""
+        X, y, p = self.X, self.y, self.width
+        priors = self.priors
+        v = priors.coef_variance
+        if self.family == "gaussian":
+            theta, lam = self.split(params)
+            tau = math.exp(lam) if self.free_precision else priors.fixed_precision
+            r = y - eta
+            xr = X.T @ r
+            coef_grad = tau * xr - (theta - priors.coef_mean) / v
+            coef_hess = -tau * self.gram - self.prior_precision
+            if not self.free_precision:
+                return coef_grad, coef_hess
+            rr = float(r @ r)
+            a, b = priors.precision_shape, priors.precision_rate
+            grad = np.empty(p + 1)
+            grad[:p] = coef_grad
+            grad[p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
+            hess = np.empty((p + 1, p + 1))
+            hess[:p, :p] = coef_hess
+            cross = tau * xr
+            hess[:p, p] = cross
+            hess[p, :p] = cross
+            hess[p, p] = -0.5 * tau * rr - b * tau
+            return grad, hess
+        mu = families.mean(self.family, eta)
+        w = families.irls_weights(self.family, mu)
+        grad = X.T @ (y - mu) - (params - priors.coef_mean) / v
+        hess = -(X.T @ (X * w[:, None])) - self.prior_precision
+        return grad, hess
+
+
 def log_joint(design: DesignMatrix, theta: np.ndarray, priors: PriorSpec,
               log_precision: float | None = None) -> float:
     """Log-likelihood plus log-prior with all normalizing constants."""
-    eta = design.predictors @ theta
-    if design.family == "gaussian":
-        if priors.fixed_precision is not None:
-            tau = priors.fixed_precision
-            ll = float(np.sum(families.loglik_terms("gaussian", design.response, eta, tau)))
-            return ll + _log_prior_coef(theta, priors)
-        tau = math.exp(log_precision)
-        ll = float(np.sum(families.loglik_terms("gaussian", design.response, eta, tau)))
-        return (ll + _log_prior_coef(theta, priors)
-                + _log_prior_log_precision(log_precision, priors))
-    ll = float(np.sum(families.loglik_terms(design.family, design.response, eta)))
-    return ll + _log_prior_coef(theta, priors)
+    return _Posterior(design, priors).evaluate(theta, log_precision)[0]
 
 
 # --------------------------------------------------------------------------
@@ -156,6 +221,7 @@ def _irls(design: DesignMatrix):
     fam = design.family
     mu = (y + 0.5) / 2.0 if fam == "binomial" else y + 0.5
     eta = families.link(fam, mu)
+    saturated = families.saturated_deviance_term(fam, y)
     dev_old = np.inf
     theta = np.zeros(X.shape[1])
     for _ in range(IRLS_MAX_ITER):
@@ -174,7 +240,7 @@ def _irls(design: DesignMatrix):
         mu = families.mean(fam, eta)
         if fam == "binomial":
             mu = np.clip(mu, 1e-12, 1 - 1e-12)
-        dev = families.deviance(fam, y, mu)
+        dev = families.deviance(fam, y, mu, saturated)
         if not math.isfinite(dev):
             raise _Diverged("non-finite deviance")
         if abs(dev - dev_old) / (abs(dev) + 0.1) < IRLS_TOL:
@@ -247,11 +313,10 @@ def _neg_hessian_loglik(design: DesignMatrix, theta: np.ndarray,
                         log_precision: float | None) -> np.ndarray:
     """Observed information of the log-likelihood at theta (coefficients only)."""
     X = design.predictors
-    eta = X @ theta
     if design.family == "gaussian":
         tau = math.exp(log_precision) if log_precision is not None else 1.0
         return tau * (X.T @ X)
-    mu = families.mean(design.family, eta)
+    mu = families.mean(design.family, X @ theta)
     w = families.irls_weights(design.family, mu)
     return X.T @ (X * w[:, None])
 
@@ -351,68 +416,38 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
 
 def _posterior_grad_hess(design: DesignMatrix, params: np.ndarray, priors: PriorSpec):
     """Gradient and Hessian of the log joint in the optimized parameters."""
-    X, y = design.predictors, design.response
-    p = X.shape[1]
-    v = priors.coef_variance
-    fam = design.family
-    if fam == "gaussian" and priors.fixed_precision is None:
-        beta, lam = params[:p], params[p]
-        tau = math.exp(lam)
-        r = y - X @ beta
-        a, b = priors.precision_shape, priors.precision_rate
-        grad = np.empty(p + 1)
-        grad[:p] = tau * (X.T @ r) - (beta - priors.coef_mean) / v
-        grad[p] = 0.5 * len(y) - 0.5 * tau * float(r @ r) + a - b * tau
-        hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = -tau * (X.T @ X) - np.eye(p) / v
-        cross = tau * (X.T @ r)
-        hess[:p, p] = cross
-        hess[p, :p] = cross
-        hess[p, p] = -0.5 * tau * float(r @ r) - b * tau
-        return grad, hess
-    if fam == "gaussian":
-        tau = priors.fixed_precision
-        r = y - X @ params
-        grad = tau * (X.T @ r) - (params - priors.coef_mean) / v
-        hess = -tau * (X.T @ X) - np.eye(p) / v
-        return grad, hess
-    eta = X @ params
-    mu = families.mean(fam, eta)
-    w = families.irls_weights(fam, mu)
-    grad = X.T @ (y - mu) - (params - priors.coef_mean) / v
-    hess = -(X.T @ (X * w[:, None])) - np.eye(p) / v
-    return grad, hess
+    post = _Posterior(design, priors)
+    theta, _ = post.split(params)
+    return post.grad_hess(params, post.X @ theta)
 
 
 def _newton_mode(design: DesignMatrix, priors: PriorSpec):
-    """Newton ascent with step halving to the posterior mode."""
-    X, y = design.predictors, design.response
-    p = X.shape[1]
-    fam = design.family
-    with_precision = fam == "gaussian" and priors.fixed_precision is None
+    """Newton ascent with step halving to the posterior mode.
 
-    params = np.zeros(p + (1 if with_precision else 0))
+    Returns (params, negative Hessian, converged, log joint, log-likelihood,
+    eta), the last three evaluated at ``params``.
+    """
+    post = _Posterior(design, priors)
+    X, y, p = post.X, post.y, post.width
+    fam = design.family
+
+    params = np.zeros(p + (1 if post.free_precision else 0))
     mean_y = float(np.mean(y))
     if fam == "binomial":
         params[0] = families.link(fam, min(max(mean_y, 1e-3), 1 - 1e-3))
     elif fam == "poisson":
         params[0] = math.log(max(mean_y, 1e-8))
     else:
-        ridge = X.T @ X + np.eye(p) / priors.coef_variance
-        params[:p] = np.linalg.solve(ridge, X.T @ y)
-        if with_precision:
+        params[:p] = np.linalg.solve(post.gram + post.prior_precision, X.T @ y)
+        if post.free_precision:
             rss = float(np.sum((y - X @ params[:p]) ** 2))
             params[p] = math.log(len(y) / max(rss, 1e-12))
 
-    def objective(q):
-        if with_precision:
-            return log_joint(design, q[:p], priors, float(q[p]))
-        return log_joint(design, q, priors)
-
-    f_old = objective(params)
+    f_old, ll, eta = post.evaluate(*post.split(params))
+    derivatives = None
     converged = False
     for _ in range(NEWTON_MAX_ITER):
-        grad, hess = _posterior_grad_hess(design, params, priors)
+        grad, hess = derivatives = post.grad_hess(params, eta)
         if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
             converged = True
             break
@@ -423,8 +458,7 @@ def _newton_mode(design: DesignMatrix, priors: PriorSpec):
         scale = 1.0
         for _ in range(40):
             cand = params + scale * step
-            with np.errstate(over="ignore"):
-                f_new = objective(cand)
+            f_new, ll_new, eta_new = post.evaluate(*post.split(cand))
             if math.isfinite(f_new) and f_new >= f_old - 1e-12:
                 break
             scale /= 2.0
@@ -433,30 +467,33 @@ def _newton_mode(design: DesignMatrix, priors: PriorSpec):
         if not np.all(np.isfinite(cand)):
             break
         moved = np.max(np.abs(scale * step))
-        params, f_old = cand, f_new
+        params, f_old, ll, eta = cand, f_new, ll_new, eta_new
+        derivatives = None
         if moved < 1e-10:
             converged = True
             break
-    grad, hess = _posterior_grad_hess(design, params, priors)
+    if derivatives is None:
+        derivatives = post.grad_hess(params, eta)
+    grad, hess = derivatives
     if np.max(np.abs(grad)) < 1e-4:
         converged = True
-    return params, -hess, converged
+    return params, -hess, converged, f_old, ll, eta
 
 
 def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    params, neg_h, converged = _newton_mode(design, priors)
+    params, neg_h, converged, joint, ll, eta = _newton_mode(design, priors)
     p = design.width
     fam = design.family
     if fam == "gaussian" and priors.fixed_precision is None:
         theta, lam = params[:p], float(params[p])
     elif fam == "gaussian":
         theta, lam = params, float(np.log(priors.fixed_precision))
+        # the reported likelihood uses exp(log tau), not tau itself
+        ll = float(np.sum(families.loglik_terms(fam, design.response, eta,
+                                                math.exp(lam))))
     else:
         theta, lam = params, None
-    eta = design.predictors @ theta
-    tau = math.exp(lam) if lam is not None else None
-    ll = float(np.sum(families.loglik_terms(fam, design.response, eta, tau)))
-    fit = FitResult(
+    return FitResult(
         labels=design.labels,
         coefficients=theta,
         family=fam,
@@ -464,10 +501,10 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
         n_obs=design.n_obs,
         log_likelihood=ll,
         neg_hessian=neg_h,
-        gaussian_log_precision=lam if fam == "gaussian" else None,
+        gaussian_log_precision=lam,
+        mlik=_laplace(joint, len(params), neg_h),
         converged=converged,
     )
-    return replace(fit, mlik=laplace_marginal_likelihood(fit, design, priors))
 
 
 # --------------------------------------------------------------------------
@@ -527,6 +564,11 @@ def _spd_logdet(matrix: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
+def _laplace(joint: float, n_params: int, neg_hessian: np.ndarray) -> float:
+    logdet = _spd_logdet(neg_hessian)
+    return joint + 0.5 * n_params * np.log(2.0 * np.pi) - 0.5 * logdet
+
+
 def laplace_marginal_likelihood(
     fit: FitResult, design: DesignMatrix, priors: PriorSpec
 ) -> float:
@@ -539,16 +581,9 @@ def laplace_marginal_likelihood(
     if fit.method != "bayes":
         raise FitError("laplace_marginal_likelihood needs a bayes-mode fit")
     d = fit.n_params if priors.fixed_precision is None else len(fit.coefficients)
-    joint = log_joint(
-        design,
-        fit.coefficients,
-        priors,
-        fit.gaussian_log_precision
-        if (fit.family == "gaussian" and priors.fixed_precision is None)
-        else None,
-    )
-    logdet = _spd_logdet(fit.neg_hessian)
-    return joint + 0.5 * d * np.log(2.0 * np.pi) - 0.5 * logdet
+    joint, _, _ = _Posterior(design, priors).evaluate(
+        fit.coefficients, fit.gaussian_log_precision)
+    return _laplace(joint, d, fit.neg_hessian)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,24 @@ def discretize(ds: Dataset, rule: str = "fixed_k", fixed_k: int = 8) -> Discreti
     return DiscretizedData(names=ds.names, indices=indices, edges=tuple(edges_out), rule=rule)
 
 
+def _cell_counts(rows: np.ndarray) -> np.ndarray:
+    """How often each distinct row of a 2-D array occurs, in lexicographic
+    row order: the counts of ``np.unique(rows, axis=0, return_counts=True)``.
+
+    Each row gets one mixed-radix code, first column most significant, so
+    codes sort like rows; re-compacting after every column keeps the codes
+    below the row count, so they never overflow.
+    """
+    code = None
+    for column in rows.T:
+        levels, index = np.unique(column, return_inverse=True)
+        if code is None:
+            code = index
+        else:
+            _, code = np.unique(code * len(levels) + index, return_inverse=True)
+    return np.bincount(code)
+
+
 def empirical_entropy(*columns: np.ndarray) -> float:
     """Plug-in joint entropy H = -sum p log2 p over observed cells, in bits."""
     if not columns:
@@ -92,7 +110,7 @@ def empirical_entropy(*columns: np.ndarray) -> float:
     stacked = np.column_stack([np.asarray(c) for c in columns])
     if stacked.shape[0] == 0:
         raise AbnError("columns are empty")
-    _, counts = np.unique(stacked, axis=0, return_counts=True)
+    counts = _cell_counts(stacked)
     p = counts / counts.sum()
     return float(-np.sum(p * np.log2(p)))
 

@@ -263,6 +263,23 @@ class TestMalformedText:
         with pytest.raises(CacheMismatch, match="max_parents"):
             cache_from_text("\n".join(edited) + "\n")
 
+    def test_unknown_score_type(self, lines):
+        edited = [line.replace("\tmlik\t", "\tmlk\t") if line.startswith("1\t0\t") else line
+                  for line in lines]
+        assert edited != lines
+        with pytest.raises(CacheMismatch, match="'mlk'"):
+            cache_from_text("\n".join(edited) + "\n")
+
+    def test_entry_lacking_a_score_type(self):
+        ds = mixed_dataset(60, 10)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1), method="mle")
+        lines = cache_to_text(cache).splitlines()
+        entry = [k for k, line in enumerate(lines) if line.startswith("1\t0\t")]
+        assert len(entry) == 4
+        del lines[entry[2]]  # node 1's empty-set bic line
+        with pytest.raises(CacheMismatch, match="lacks score types bic"):
+            cache_from_text("\n".join(lines) + "\n")
+
     def test_bad_diagnostic_line(self, lines):
         with pytest.raises(CacheMismatch):
             cache_from_text("\n".join([*lines, "# diag\t9\t0\tboom"]) + "\n")

@@ -72,9 +72,8 @@ class TestParse:
         with pytest.raises(FormulaError):
             parse_formula("~a", ["a", "b"])
 
-    def test_mixed_child_list_with_dot_warns_in_verbose(self):
-        with pytest.warns(UserWarning):
-            m = parse_formula("~a:b|.", ["a", "b", "c"], verbose=True)
+    def test_child_list_with_dot_parents_expands_cartesian(self):
+        m = parse_formula("~a:b|.", ["a", "b", "c"])
         assert m[0, 1] == 1 and m[0, 2] == 1  # a <- b, c
         assert m[1, 0] == 1 and m[1, 2] == 1  # b <- a, c
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from abnkit import families
 from abnkit.data import DesignMatrix, build_design
 from abnkit.errors import (
     AllPredictorsDropped,
@@ -14,6 +15,7 @@ from abnkit.errors import (
 )
 from abnkit.glm import (
     PriorSpec,
+    _irls,
     _posterior_grad_hess,
     fit_node,
     frequentist_scores,
@@ -116,6 +118,47 @@ class TestIrls:
             fit_node(bad, method="mle")
 
 
+    def test_poisson_mean_underflow_at_zero_count(self):
+        # the last row's fitted mean exp(0.15 - 0.71 * 1500) underflows to 0;
+        # its y == 0 term must count 0 in the deviance, not NaN
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=40)
+        y = rng.poisson(np.exp(0.2 + 0.6 * x)).astype(float)
+        X = np.column_stack([np.ones(41), np.append(x, -1500.0)])
+        d = DesignMatrix(response=np.append(y, 0.0), predictors=X,
+                         labels=("(Intercept)", "x"), child="y", family="poisson")
+        with np.errstate(all="ignore"):
+            theta, converged = _irls(d)
+            mu = np.exp(X @ theta)
+        assert converged and mu[-1] == 0.0
+        np.testing.assert_allclose(theta, [0.1513626643965747, 0.7129195051298354],
+                                   rtol=1e-12)
+        fit = fit_node(d, method="mle")
+        assert fit.converged and fit.dropped_predictors == ()
+
+    @pytest.mark.parametrize("family", ["binomial", "poisson"])
+    def test_deviance_equals_per_observation_form(self, family):
+        rng = np.random.default_rng(11)
+        mu = np.clip(rng.random(300), 1e-6, 1 - 1e-6)
+        if family == "binomial":
+            y = (rng.random(300) < 0.3).astype(float)
+        else:
+            y = rng.poisson(2.0, 300).astype(float)
+            mu *= 4
+            mu[np.flatnonzero(y == 0)[:5]] = 0.0  # underflowed means at zero counts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
+            if family == "binomial":
+                terms += np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
+            else:
+                terms -= y - mu
+        saturated = families.saturated_deviance_term(family, y)
+        got = families.deviance(family, y, mu, saturated)
+        assert got == pytest.approx(2.0 * np.sum(terms), rel=1e-12)
+        if family == "binomial":
+            assert saturated == 0.0
+
+
 class TestFirthAndPruning:
     def test_separated_data_triggers_firth(self):
         x = np.linspace(-2, 2, 60)
@@ -204,6 +247,26 @@ class TestBayes:
         assert fit.converged
         assert np.all(np.isfinite(fit.coefficients))
         assert 5 < fit.coefficient("x") < 60
+
+
+class TestSharedArithmetic:
+    """The mode's own numbers are the ones the public wrappers recompute."""
+
+    @pytest.mark.parametrize("family", ["binomial", "poisson", "gaussian"])
+    @pytest.mark.parametrize("fixed", [None, 9.0])  # exp(log(9.0)) != 9.0
+    def test_fit_reuses_mode_evaluation_exactly(self, family, fixed):
+        maker = {"binomial": binomial_design, "poisson": poisson_design,
+                 "gaussian": gaussian_design}[family]
+        priors = PriorSpec(fixed_precision=fixed)
+        for seed in range(5):
+            d = maker(80, 2, seed)
+            fit = fit_node(d, method="bayes", priors=priors)
+            assert fit.mlik == laplace_marginal_likelihood(fit, d, priors)
+            tau = (math.exp(fit.gaussian_log_precision) if family == "gaussian"
+                   else None)
+            eta = d.predictors @ fit.coefficients
+            ll = float(np.sum(families.loglik_terms(family, d.response, eta, tau)))
+            assert fit.log_likelihood == ll
 
 
 class TestLaplace:

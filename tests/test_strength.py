@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abnkit.data import Dataset
 from abnkit.strength import (
+    _cell_counts,
     conditional_entropy,
     discretize,
     empirical_entropy,
@@ -79,6 +82,50 @@ class TestEntropy:
         rng = np.random.default_rng(4)
         x = rng.integers(0, 4, 1000)
         assert empirical_entropy(x, x) == pytest.approx(empirical_entropy(x))
+
+
+def _row_unique_entropy(*columns):
+    """The joint entropy from whole-row ``np.unique``, as an exact oracle."""
+    _, counts = np.unique(np.column_stack(columns), axis=0, return_counts=True)
+    p = counts / counts.sum()
+    return float(-np.sum(p * np.log2(p)))
+
+
+@st.composite
+def _mixed_columns(draw):
+    """1-8 columns of 1-400 rows: integer or float, negative values and
+    -0.0 included, from a handful of levels to all rows distinct."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        spread = draw(st.sampled_from([1, 3, 50, 10**9]))
+        if draw(st.booleans()):
+            columns.append(rng.integers(-spread, spread + 1, size=n))
+        else:
+            columns.append(np.round(rng.normal(scale=spread, size=n)) / 4)
+    return columns
+
+
+class TestEntropyCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(_mixed_columns())
+    def test_equals_row_unique_oracle(self, columns):
+        assert empirical_entropy(*columns) == _row_unique_entropy(*columns)
+
+    @pytest.mark.parametrize("n_cols, n_rows", [(6, 1500), (8, 300)])
+    def test_many_levels_do_not_overflow(self, n_cols, n_rows):
+        # every column has n_rows levels, so a plain mixed-radix code would
+        # need n_rows ** n_cols > 2**63 values; rows repeat 1-7 times so
+        # that the order of the counts matters
+        rng = np.random.default_rng(n_cols)
+        distinct = np.column_stack([rng.permutation(n_rows) - n_rows // 2
+                                    for _ in range(n_cols)])
+        rows = np.repeat(distinct, np.arange(n_rows) % 7 + 1, axis=0)
+        assert float(n_rows) ** n_cols > 2.0**63
+        _, oracle = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(_cell_counts(rows), oracle)
+        assert empirical_entropy(*rows.T) == _row_unique_entropy(*rows.T)
 
 
 class TestMutualInformation:
