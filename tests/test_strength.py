@@ -9,7 +9,6 @@ from abnkit.strength import (
     conditional_entropy,
     discretize,
     empirical_entropy,
-    mutual_information,
     pls_matrix,
 )
 
@@ -129,28 +128,6 @@ class TestEntropyCodes:
 
 
 class TestMutualInformation:
-    def test_identity_gives_marginal_entropy(self):
-        rng = np.random.default_rng(5)
-        x = rng.integers(0, 3, 2000)
-        assert mutual_information(x, x) == pytest.approx(empirical_entropy(x))
-
-    def test_negation_gives_marginal_entropy(self):
-        rng = np.random.default_rng(6)
-        x = rng.integers(0, 2, 2000)
-        assert mutual_information(x, 1 - x) == pytest.approx(empirical_entropy(x))
-
-    def test_independent_columns_near_zero(self):
-        rng = np.random.default_rng(7)
-        x = rng.integers(0, 2, 10_000)
-        y = rng.integers(0, 2, 10_000)
-        assert mutual_information(x, y) < 0.02
-
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(8)
-        x = rng.integers(0, 4, 500)
-        y = (x + rng.integers(0, 2, 500)) % 4
-        assert mutual_information(x, y) == mutual_information(y, x)
-
     def test_conditioning_never_increases_entropy(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
