@@ -17,7 +17,7 @@ import numpy as np
 from .cache import FIT_ERRORS, build_cache, parallel_map
 from .dag import ConstraintSet, Dag
 from .data import Dataset, build_design, standardize
-from .errors import AbnError, NodeSetMismatch
+from .errors import AbnError, ConfigError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .glm import FitResult, PriorSpec, marginal_densities
 from .heuristic import arc_frequency_matrix, arc_support
@@ -88,12 +88,14 @@ def _draw_simspec(
 
 
 def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, priors,
-                   prior_kind):
+                   prior_kind, standardized):
+    """Simulate, score and search replicate ``k``; its gaussian columns are
+    standardised when the original dataset's were."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
     try:
         spec = _draw_simspec(dag, families_map, grids, n_obs, rng)
         replicate = simulate_data(spec)
-        if any(d == "gaussian" for d in replicate.distributions):
+        if standardized:
             replicate = standardize(replicate)
         cache = build_cache(replicate, constraints, method="bayes", priors=priors)
         for i in range(cache.n_nodes):
@@ -125,13 +127,15 @@ def run_bootstrap(
 ) -> BootstrapReport:
     """Full bootstrap pipeline for a fitted model.
 
-    Replicate datasets match the original's size; replicate searches reuse
-    the original constraints and structural prior.  Individual replicate
-    failures are logged and excluded, but more than 5% of them abort the
-    run.  The whole pipeline is a pure function of ``seed``.
+    Replicate datasets match the original's size and standardisation;
+    replicate searches reuse the original constraints and structural prior.
+    Individual replicate failures are logged and excluded, but more than 5%
+    of them abort the run.  The whole pipeline is a pure function of ``seed``.
     """
     if dag.nodes != ds.names:
         raise NodeSetMismatch("DAG node set differs from dataset columns")
+    if n_replicates < 1:
+        raise ConfigError(f"need at least one bootstrap replicate, got {n_replicates}")
     priors = priors or PriorSpec()
     if constraints is None:
         constraints = ConstraintSet(ds.names)
@@ -139,7 +143,7 @@ def run_bootstrap(
     families_map = ds.dist_map()
     tasks = [
         (k, dag, families_map, grids, ds.n_obs, seed, constraints, priors,
-         structural_prior)
+         structural_prior, ds.standardized)
         for k in range(n_replicates)
     ]
     results = parallel_map(_one_replicate, tasks, jobs)

@@ -5,7 +5,9 @@ heuristic), fit, sweep-parents, simulate (dag or data), bootstrap, strength,
 compare, info.  Every run writes its artifacts plus a machine-readable
 manifest (inputs with fingerprints, effective configuration, seed, version)
 into the output directory; identical inputs and seed reproduce identical
-bytes.  Failures exit nonzero with one machine-parsable line on stderr.
+bytes.  The manifest fingerprints every file the command reads, ban/retain
+matrix files included.  Failures exit nonzero with one machine-parsable line
+on stderr and write no artifacts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .bootstrap import run_bootstrap
 from .cache import MLE_SCORES, build_cache, cache_from_text, cache_to_text, default_score_type
 from .dag import (
     ConstraintSet,
+    Dag,
     dag_from_text,
     dag_to_dot,
     dag_to_text,
@@ -41,18 +44,6 @@ from .glm import PriorSpec, fit_dag, marginal_densities
 from .heuristic import HeuristicConfig, heuristic_search, majority_consensus, repair_to_dag
 from .simulate import SimSpec, simulate_dag, simulate_data
 from .strength import discretize, pls_matrix
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _require_readable(*paths):
-    for p in paths:
-        if p is None:
-            continue
-        if not Path(p).is_file():
-            raise ConfigError(f"input file not readable: {p}")
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -74,63 +65,78 @@ def _check_method_score(method: str, score: str | None) -> str:
     return score
 
 
-def _load_inputs(args) -> tuple[Dataset, ConstraintSet]:
-    _require_readable(args.data, args.dists)
-    ds = load_dataset(args.data, args.dists)
-    if not args.no_standardize and "gaussian" in ds.distributions:
-        ds = standardize(ds)
-    constraints = _constraints_from_args(args, ds.names, getattr(args, "max_parents", None))
-    return ds, constraints
+class _Run:
+    """One command's run: every file it reads, fingerprinted where it is read,
+    and every artifact it writes, held until :meth:`finish` writes them all
+    with the manifest.  A command that raises writes nothing."""
+
+    def __init__(self, args, **config):
+        self.args = args
+        self.config = config
+        self.inputs: dict[str, str] = {}
+        self.artifacts: dict[str, str] = {}
+
+    def input(self, path):
+        """Check that ``path`` is a readable file, fingerprint it, return it."""
+        if not Path(path).is_file():
+            raise ConfigError(f"input file not readable: {path}")
+        self.inputs[str(path)] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        return path
+
+    def dag(self, path, nodes=None) -> Dag:
+        """The DAG in adjacency file ``path``, checked against ``nodes`` if given."""
+        dag = dag_from_text(Path(self.input(path)).read_text())
+        if nodes is not None and dag.nodes != nodes:
+            raise ConfigError("DAG nodes differ from data columns")
+        return dag
+
+    def data(self) -> tuple[Dataset, ConstraintSet]:
+        """The dataset, gaussian columns standardised unless ``--no-standardize``,
+        and the constraints of ``--ban``, ``--retain`` and ``--max-parents``."""
+        args = self.args
+        ds = load_dataset(self.input(args.data), self.input(args.dists))
+        if not args.no_standardize and "gaussian" in ds.distributions:
+            ds = standardize(ds)
+        banned = self._arcs(getattr(args, "ban", None), ds.names)
+        retained = self._arcs(getattr(args, "retain", None), ds.names)
+        return ds, ConstraintSet(ds.names, banned=banned, retained=retained,
+                                 max_parents=getattr(args, "max_parents", None))
+
+    def _arcs(self, source: str | None, nodes) -> np.ndarray | None:
+        """An arc matrix given as a formula or as an adjacency file."""
+        if source is None:
+            return None
+        if source.strip().startswith("~"):
+            return parse_formula(source, nodes)
+        names, matrix = parse_adjacency(Path(self.input(source)).read_text())
+        if tuple(names) != tuple(nodes):
+            raise ConfigError(f"constraint matrix nodes {names} differ from data columns")
+        return matrix
+
+    def write(self, name: str, text: str) -> None:
+        self.artifacts[name] = text
+
+    def finish(self, name: str) -> int:
+        """Write the artifacts in the order recorded, then the manifest."""
+        out = Path(self.args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for artifact, text in self.artifacts.items():
+            (out / artifact).write_text(text)
+        manifest = {"command": self.args.command, "config": self.config,
+                    "inputs": self.inputs, "outputs": list(self.artifacts),
+                    "version": __version__}
+        (out / f"manifest-{name}.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+        return 0
 
 
-def _constraint_matrix(source: str | None, nodes) -> np.ndarray | None:
-    if source is None:
-        return None
-    if source.strip().startswith("~"):
-        return parse_formula(source, nodes)
-    _require_readable(source)
-    names, matrix = parse_adjacency(Path(source).read_text())
-    if tuple(names) != tuple(nodes):
-        raise ConfigError(f"constraint matrix nodes {names} differ from data columns")
-    return matrix
-
-
-def _constraints_from_args(args, nodes, max_parents: int | None) -> ConstraintSet:
-    return ConstraintSet(
-        nodes,
-        banned=_constraint_matrix(getattr(args, "ban", None), nodes),
-        retained=_constraint_matrix(getattr(args, "retain", None), nodes),
-        max_parents=max_parents,
-    )
-
-
-def _write(out_dir: Path, name: str, text: str, manifest: dict) -> Path:
-    path = out_dir / name
-    path.write_text(text)
-    manifest["outputs"].append(name)
-    return path
-
-
-def _finish(args, manifest: dict, out_dir: Path, command: str) -> int:
-    for key in ("data", "dists", "dag", "cache", "spec", "reference", "candidate"):
-        value = getattr(args, key, None)
-        if value and Path(str(value)).is_file():
-            manifest["inputs"][str(value)] = _sha256(Path(str(value)))
-    manifest["version"] = __version__
-    (out_dir / f"manifest-{command}.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    return 0
-
-
-def _manifest(args, **config) -> dict:
-    return {"command": args.command, "config": config, "inputs": {}, "outputs": []}
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _fit_coefficients(run: _Run, ds: Dataset, dag: Dag, method: str) -> dict:
+    """Fit every node of ``dag`` and record ``coefficients.txt``."""
+    fits = fit_dag(ds, dag, method=method)
+    lines = [line for node in dag.nodes for line in fits[node].format_lines(node)]
+    run.write("coefficients.txt", "\n".join(lines) + "\n")
+    return fits
 
 
 # --------------------------------------------------------------------------
@@ -139,108 +145,85 @@ def _out_dir(args) -> Path:
 
 
 def cmd_build_cache(args) -> int:
-    ds, constraints = _load_inputs(args)
+    run = _Run(args, method=args.method, max_parents=args.max_parents,
+               ban=args.ban, retain=args.retain, standardize=not args.no_standardize)
+    ds, constraints = run.data()
     cache = build_cache(ds, constraints, method=args.method, priors=PriorSpec(),
                         jobs=args.jobs)
-    out = _out_dir(args)
-    manifest = _manifest(args, method=args.method, max_parents=args.max_parents,
-                         ban=args.ban, retain=args.retain,
-                         standardize=not args.no_standardize,
-                         fingerprint=cache.fingerprint)
-    _write(out, "cache.txt", cache_to_text(cache), manifest)
+    run.config["fingerprint"] = cache.fingerprint
+    run.write("cache.txt", cache_to_text(cache))
     print(f"scored {cache.n_entries} parent sets over {cache.n_nodes} nodes "
           f"({len(cache.diagnostics)} failures)")
-    return _finish(args, manifest, out, "build-cache")
+    return run.finish("build-cache")
 
 
 def cmd_search(args) -> int:
-    ds, constraints = _load_inputs(args)
-    score = _check_method_score(args.method, args.score)
+    run = _Run(args, mode=args.mode, method=args.method, prior=args.prior,
+               max_parents=args.max_parents, ban=args.ban, retain=args.retain)
+    ds, constraints = run.data()
+    score = run.config["score"] = _check_method_score(args.method, args.score)
     if args.cache:
-        _require_readable(args.cache)
-        cache = cache_from_text(Path(args.cache).read_text())
+        cache = cache_from_text(Path(run.input(args.cache)).read_text())
         cache.check_dataset(ds)
         cache = cache.restrict(constraints)
     else:
         cache = build_cache(ds, constraints, method=args.method, jobs=args.jobs)
-    out = _out_dir(args)
     prior = StructuralPrior(args.prior)
-    manifest = _manifest(args, mode=args.mode, method=args.method, score=score,
-                         prior=args.prior, max_parents=args.max_parents,
-                         ban=args.ban, retain=args.retain)
 
     if args.mode == "exact":
         table = best_parents_table(cache, prior, score_type=score)
         dag, total = most_probable_dag(table)
-        manifest["config"]["total_objective"] = total
-        manifest["config"]["total_score"] = cache.dag_score(dag, score)
+        run.config["total_objective"] = total
+        run.config["total_score"] = cache.dag_score(dag, score)
         breakdown = ["node\tparents\tscore"]
         for i, node in enumerate(dag.nodes):
             parents = ":".join(sorted(dag.parents(node))) or "-"
             breakdown.append(f"{node}\t{parents}\t{cache.score(i, dag.parent_masks()[i], score):.17g}")
-        _write(out, "scores.tsv", "\n".join(breakdown) + "\n", manifest)
+        run.write("scores.tsv", "\n".join(breakdown) + "\n")
     else:
-        seed = _resolve_seed(args.seed)
-        manifest["config"]["seed"] = seed
+        seed = run.config["seed"] = _resolve_seed(args.seed)
         config = HeuristicConfig(
-            algorithm=args.algorithm,
-            restarts=args.restarts,
-            max_steps=args.max_steps,
-            tabu_length=args.tabu_length,
-            initial_temperature=args.temperature,
-            cooling_factor=args.cooling,
-            seed=seed,
+            algorithm=args.algorithm, restarts=args.restarts, max_steps=args.max_steps,
+            tabu_length=args.tabu_length, initial_temperature=args.temperature,
+            cooling_factor=args.cooling, seed=seed,
         )
         trace = heuristic_search(cache, config, prior=prior, score_type=score,
                                  jobs=args.jobs)
         dag = trace.best().dag
-        manifest["config"]["total_objective"] = trace.best().score
+        run.config["total_objective"] = trace.best().score
         lines = ["restart\tstep\tbest_score"]
         for r, restart in enumerate(trace.restarts):
             for s, value in enumerate(restart.best_scores):
                 lines.append(f"{r}\t{s}\t{value:.17g}")
-        _write(out, "trace.tsv", "\n".join(lines) + "\n", manifest)
+        run.write("trace.tsv", "\n".join(lines) + "\n")
         kept, freq = majority_consensus([r.dag for r in trace.restarts], args.threshold)
-        _write(out, "consensus-frequency.txt",
-               format_adjacency(cache.nodes, freq, fmt=".17g"), manifest)
+        run.write("consensus-frequency.txt", format_adjacency(cache.nodes, freq, fmt=".17g"))
         consensus = repair_to_dag(kept, freq, cache.nodes)
-        _write(out, "consensus-dag.txt", dag_to_text(consensus), manifest)
+        run.write("consensus-dag.txt", dag_to_text(consensus))
 
-    _write(out, "dag.txt", dag_to_text(dag), manifest)
-    _write(out, "dag.dot", dag_to_dot(dag, ds.dist_map()), manifest)
-    fits = fit_dag(ds, dag, method=args.method)
-    coef_lines = []
-    for node in dag.nodes:
-        coef_lines.extend(fits[node].format_lines(node))
-    _write(out, "coefficients.txt", "\n".join(coef_lines) + "\n", manifest)
+    run.write("dag.txt", dag_to_text(dag))
+    run.write("dag.dot", dag_to_dot(dag, ds.dist_map()))
+    _fit_coefficients(run, ds, dag, args.method)
     print(f"selected DAG with {dag.n_arcs} arcs; "
           f"total {score} = {cache.dag_score(dag, score):.4f}")
-    return _finish(args, manifest, out, "search")
+    return run.finish("search")
 
 
 def cmd_fit(args) -> int:
-    ds, _ = _load_inputs(args)
-    _require_readable(args.dag)
-    dag = dag_from_text(Path(args.dag).read_text())
-    if dag.nodes != ds.names:
-        raise ConfigError("DAG nodes differ from data columns")
-    out = _out_dir(args)
-    manifest = _manifest(args, method=args.method,
-                         standardize=not args.no_standardize, n_grid=args.n_grid)
-    fits = fit_dag(ds, dag, method=args.method)
-    lines = []
-    for node in dag.nodes:
-        lines.extend(fits[node].format_lines(node))
-    _write(out, "coefficients.txt", "\n".join(lines) + "\n", manifest)
+    run = _Run(args, method=args.method, standardize=not args.no_standardize,
+               n_grid=args.n_grid)
+    ds, _ = run.data()
+    dag = run.dag(args.dag, ds.names)
+    fits = _fit_coefficients(run, ds, dag, args.method)
     if args.method == "bayes":
         total = sum(f.mlik for f in fits.values())
         score_rows = [f"{node}\t{fits[node].mlik:.17g}" for node in dag.nodes]
     else:
         total = sum(f.log_likelihood for f in fits.values())
         score_rows = [f"{node}\t{fits[node].log_likelihood:.17g}" for node in dag.nodes]
-    _write(out, "node-scores.tsv",
-           "node\tscore\n" + "\n".join(score_rows) + f"\ntotal\t{total:.17g}\n", manifest)
-    manifest["config"]["total_" + ("mlik" if args.method == "bayes" else "loglik")] = total
+    run.write("node-scores.tsv",
+              "node\tscore\n" + "\n".join(score_rows) + f"\ntotal\t{total:.17g}\n")
+    run.config["total_" + ("mlik" if args.method == "bayes" else "loglik")] = total
     if args.marginals:
         if args.method != "bayes":
             raise ConfigError("--marginals requires --method bayes")
@@ -251,71 +234,70 @@ def cmd_fit(args) -> int:
                                            n_grid=args.n_grid):
                 for g, d in zip(dens.grid, dens.density):
                     rows.append(f"{node}\t{dens.label}\t{g:.17g}\t{d:.17g}\t{dens.area:.6f}")
-        _write(out, "marginals.tsv", "\n".join(rows) + "\n", manifest)
+        run.write("marginals.tsv", "\n".join(rows) + "\n")
     print(f"fitted {len(fits)} nodes; total = {total:.4f}")
-    return _finish(args, manifest, out, "fit")
+    return run.finish("fit")
 
 
 def cmd_sweep_parents(args) -> int:
-    ds, _ = _load_inputs(args)
-    score = _check_method_score(args.method, args.score)
-    out = _out_dir(args)
-    manifest = _manifest(args, method=args.method, score=score, prior=args.prior,
-                         max=args.max, ban=args.ban, retain=args.retain)
+    run = _Run(args, method=args.method, prior=args.prior, max=args.max,
+               ban=args.ban, retain=args.retain)
+    ds, arcs = run.data()
+    score = run.config["score"] = _check_method_score(args.method, args.score)
+
+    def limited(limit: int) -> ConstraintSet:
+        return ConstraintSet(ds.names, banned=arcs.banned, retained=arcs.retained,
+                             max_parents=limit)
+
     rows = ["max_parents\ttotal_score\tn_arcs"]
     best = []
-    full = build_cache(ds, _constraints_from_args(args, ds.names, args.max),
-                       method=args.method, jobs=args.jobs)
+    full = build_cache(ds, limited(args.max), method=args.method, jobs=args.jobs)
     for limit in range(1, args.max + 1):
-        cache = full.restrict(_constraints_from_args(args, ds.names, limit))
+        cache = full.restrict(limited(limit))
         table = best_parents_table(cache, StructuralPrior(args.prior), score_type=score)
         dag, _ = most_probable_dag(table)
         total = cache.dag_score(dag, score)
         best.append(total)
         rows.append(f"{limit}\t{total:.17g}\t{dag.n_arcs}")
         print(f"max_parents={limit}: total {score} = {total:.4f}, {dag.n_arcs} arcs")
-    _write(out, "sweep.tsv", "\n".join(rows) + "\n", manifest)
-    manifest["config"]["totals"] = best
-    return _finish(args, manifest, out, "sweep-parents")
+    run.write("sweep.tsv", "\n".join(rows) + "\n")
+    run.config["totals"] = best
+    return run.finish("sweep-parents")
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     if args.what == "dag":
         seed = _resolve_seed(args.seed)
+        run = _Run(args, what="dag", nodes=args.nodes,
+                   arc_probability=args.arc_probability, seed=seed)
         dag = simulate_dag(args.nodes, args.arc_probability, seed)
-        manifest = _manifest(args, what="dag", nodes=args.nodes,
-                             arc_probability=args.arc_probability, seed=seed)
-        _write(out, "dag.txt", dag_to_text(dag), manifest)
-        _write(out, "dag.dot", dag_to_dot(dag), manifest)
+        run.write("dag.txt", dag_to_text(dag))
+        run.write("dag.dot", dag_to_dot(dag))
         print(f"simulated DAG with {dag.n_arcs} arcs over {args.nodes} nodes")
-        return _finish(args, manifest, out, "simulate-dag")
-    _require_readable(args.spec)
-    spec = SimSpec.from_json(Path(args.spec).read_text())
+        return run.finish("simulate-dag")
+    run = _Run(args, what="data")
+    spec = SimSpec.from_json(Path(run.input(args.spec)).read_text())
     if args.seed is not None or args.n_obs is not None:
         spec = SimSpec(
             dag=spec.dag, families=spec.families, coefficients=spec.coefficients,
-            sd=spec.sd, n_obs=args.n_obs or spec.n_obs,
-            seed=args.seed if args.seed is not None else spec.seed,
+            sd=spec.sd, n_obs=spec.n_obs if args.n_obs is None else args.n_obs,
+            seed=spec.seed if args.seed is None else args.seed,
         )
     ds = simulate_data(spec)
-    manifest = _manifest(args, what="data", n_obs=spec.n_obs, seed=spec.seed)
-    _write(out, "data.csv", ds.to_csv(), manifest)
-    _write(out, "dists.txt", format_dist_spec(ds.dist_map()), manifest)
+    run.config.update(n_obs=spec.n_obs, seed=spec.seed)
+    run.write("data.csv", ds.to_csv())
+    run.write("dists.txt", format_dist_spec(ds.dist_map()))
     print(f"simulated {ds.n_obs} observations of {len(ds.names)} variables")
-    return _finish(args, manifest, out, "simulate-data")
+    return run.finish("simulate-data")
 
 
 def cmd_bootstrap(args) -> int:
-    ds, constraints = _load_inputs(args)
-    _require_readable(args.dag)
-    dag = dag_from_text(Path(args.dag).read_text())
-    seed = _resolve_seed(args.seed)
-    out = _out_dir(args)
-    manifest = _manifest(args, replicates=args.replicates, seed=seed,
-                         threshold=args.threshold, mode=args.mode,
-                         prior=args.prior, max_parents=args.max_parents,
-                         ban=args.ban, retain=args.retain)
+    run = _Run(args, replicates=args.replicates, threshold=args.threshold,
+               mode=args.mode, prior=args.prior, max_parents=args.max_parents,
+               ban=args.ban, retain=args.retain)
+    ds, constraints = run.data()
+    dag = run.dag(args.dag)
+    seed = run.config["seed"] = _resolve_seed(args.seed)
     fits = fit_dag(ds, dag, method="bayes")
     report = run_bootstrap(
         fits, dag, ds, constraints,
@@ -323,63 +305,48 @@ def cmd_bootstrap(args) -> int:
         structural_prior=args.prior, threshold=args.threshold, mode=args.mode,
         n_grid=args.n_grid, jobs=args.jobs,
     )
-    _write(out, "support.txt",
-           format_adjacency(ds.names, report.support, fmt=".17g"), manifest)
+    run.write("support.txt", format_adjacency(ds.names, report.support, fmt=".17g"))
     rows = ["replicate\tn_arcs\tscore"]
     for k, (arcs, sc) in enumerate(zip(report.arc_counts, report.replicate_scores)):
         rows.append(f"{k}\t{arcs}\t{sc:.17g}")
-    _write(out, "replicates.tsv", "\n".join(rows) + "\n", manifest)
-    _write(out, "pruned-dag.txt", dag_to_text(report.pruned), manifest)
-    _write(out, "pruned-dag.dot", dag_to_dot(report.pruned, ds.dist_map()), manifest)
+    run.write("replicates.tsv", "\n".join(rows) + "\n")
+    run.write("pruned-dag.txt", dag_to_text(report.pruned))
+    run.write("pruned-dag.dot", dag_to_dot(report.pruned, ds.dist_map()))
     if report.failures:
-        _write(out, "failures.tsv",
-               "\n".join(f"{k}\t{msg}" for k, msg in report.failures) + "\n", manifest)
+        run.write("failures.tsv",
+                  "\n".join(f"{k}\t{msg}" for k, msg in report.failures) + "\n")
     print(f"{len(report.replicate_dags)} replicates; original {dag.n_arcs} arcs, "
           f"median replicate {int(np.median(report.arc_counts))}, "
           f"pruned {report.pruned.n_arcs}")
-    return _finish(args, manifest, out, "bootstrap")
+    return run.finish("bootstrap")
 
 
 def cmd_strength(args) -> int:
-    ds, _ = _load_inputs(args)
-    _require_readable(args.dag)
-    dag = dag_from_text(Path(args.dag).read_text())
-    if dag.nodes != ds.names:
-        raise ConfigError("DAG nodes differ from data columns")
-    out = _out_dir(args)
-    manifest = _manifest(args, rule=args.rule, bins=args.bins)
+    run = _Run(args, rule=args.rule, bins=args.bins)
+    ds, _ = run.data()
+    dag = run.dag(args.dag, ds.names)
     disc = discretize(ds, rule=args.rule, fixed_k=args.bins)
     matrix = pls_matrix(dag, disc)
-    _write(out, "link-strength.txt",
-           format_adjacency(ds.names, matrix, fmt=".4g"), manifest)
-    _write(out, "dag-weighted.dot",
-           dag_to_dot(dag, ds.dist_map(), edge_weights=matrix), manifest)
+    run.write("link-strength.txt", format_adjacency(ds.names, matrix, fmt=".4g"))
+    run.write("dag-weighted.dot", dag_to_dot(dag, ds.dist_map(), edge_weights=matrix))
     print(format_adjacency(ds.names, np.round(matrix, 3), fmt=".3f"), end="")
-    return _finish(args, manifest, out, "strength")
+    return run.finish("strength")
 
 
 def cmd_compare(args) -> int:
-    _require_readable(args.reference, args.candidate)
-    ref = dag_from_text(Path(args.reference).read_text())
-    cand = dag_from_text(Path(args.candidate).read_text())
-    result = compare_dags(ref, cand)
-    out = _out_dir(args)
-    manifest = _manifest(args, reference=str(args.reference),
-                         candidate=str(args.candidate))
+    run = _Run(args, reference=str(args.reference), candidate=str(args.candidate))
+    result = compare_dags(run.dag(args.reference), run.dag(args.candidate))
     fields = ("tpr", "fpr", "accuracy", "g_measure", "f1", "ppv",
               "false_omission_rate", "hamming", "tp", "fp", "tn", "fn")
     lines = [f"{name}\t{getattr(result, name):.6g}" for name in fields]
-    _write(out, "comparison.tsv", "\n".join(lines) + "\n", manifest)
+    run.write("comparison.tsv", "\n".join(lines) + "\n")
     print("\n".join(lines))
-    return _finish(args, manifest, out, "compare")
+    return run.finish("compare")
 
 
 def cmd_info(args) -> int:
-    _require_readable(args.dag)
-    dag = dag_from_text(Path(args.dag).read_text())
-    metrics = info_metrics(dag)
-    out = _out_dir(args)
-    manifest = _manifest(args, dag=str(args.dag))
+    run = _Run(args, dag=str(args.dag))
+    metrics = info_metrics(run.dag(args.dag))
     lines = [
         f"n_nodes\t{metrics.n_nodes}",
         f"n_arcs\t{metrics.n_arcs}",
@@ -388,9 +355,9 @@ def cmd_info(args) -> int:
         f"avg_parents\t{metrics.avg_parents:.6g}",
         f"avg_children\t{metrics.avg_children:.6g}",
     ]
-    _write(out, "info.tsv", "\n".join(lines) + "\n", manifest)
+    run.write("info.tsv", "\n".join(lines) + "\n")
     print("\n".join(lines))
-    return _finish(args, manifest, out, "info")
+    return run.finish("info")
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .dag import Dag
 from .data import Dataset, DesignMatrix, build_design
 from .errors import (
     AllPredictorsDropped,
+    ConfigError,
     FitError,
     NoObservations,
     NonFiniteData,
@@ -348,35 +349,35 @@ def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, bool, bool]:
     return theta, False, True
 
 
-def _prune_order(design: DesignMatrix, fit_fn) -> tuple[DesignMatrix, list[str]]:
-    """Drop predictors until ``fit_fn`` succeeds.
+def _prune_order(design: DesignMatrix) -> tuple[DesignMatrix, list[str], tuple]:
+    """Drop predictors until the MLE fit succeeds: (kept design, dropped
+    labels, its ``_fit_mle_once`` result).
 
     Each round removes the predictor whose removal costs the least
-    log-likelihood (ties drop the lexicographically last name).
+    log-likelihood (ties drop the lexicographically last name); the round's
+    scan has already fitted the kept design.  When even the intercept-only
+    design fails, its fit's error propagates.
     """
     dropped: list[str] = []
     work = design
     while work.width > 1:
-        best_label, best_ll = None, -np.inf
+        best_label, best_ll, best_sub, best_fit = None, -np.inf, None, None
         for label in sorted(work.labels[1:]):
             sub = work.drop(label)
             try:
-                theta, _, _ = fit_fn(sub)
-                ll, _ = _mle_loglik(sub, theta)
+                fit = _fit_mle_once(sub)
+                ll, _ = _mle_loglik(sub, fit[0])
             except (FitError, np.linalg.LinAlgError):
-                ll = -np.inf
+                fit, ll = None, -np.inf
             if not math.isfinite(ll):
                 ll = -np.inf
             if ll >= best_ll:
-                best_label, best_ll = label, ll
-        work = work.drop(best_label)
+                best_label, best_ll, best_sub, best_fit = label, ll, sub, fit
+        work = best_sub
         dropped.append(best_label)
-        try:
-            fit_fn(work)
-            return work, dropped
-        except (FitError, np.linalg.LinAlgError):
-            continue
-    return work, dropped
+        if best_fit is not None:
+            return work, dropped, best_fit
+    return work, dropped, _fit_mle_once(work)
 
 
 def _fit_mle(design: DesignMatrix) -> FitResult:
@@ -385,8 +386,7 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
     try:
         theta, used_firth, converged = _fit_mle_once(work)
     except (_Diverged, np.linalg.LinAlgError):
-        work, dropped = _prune_order(design, _fit_mle_once)
-        theta, used_firth, converged = _fit_mle_once(work)
+        work, dropped, (theta, used_firth, converged) = _prune_order(design)
     ll, log_prec = _mle_loglik(work, theta)
     if dropped and work.width == 1 and not math.isfinite(ll):
         raise AllPredictorsDropped(
@@ -649,6 +649,8 @@ def marginal_densities(
     """
     if fit.method != "bayes":
         raise FitError("marginal_densities needs a bayes-mode fit")
+    if n_grid < 2:
+        raise ConfigError(f"a density grid needs at least 2 points, got {n_grid}")
     cov = np.linalg.inv(fit.neg_hessian)
     modes = list(fit.coefficients)
     labels = list(fit.labels)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cache import ScoreCache, parallel_map
 from .dag import Dag, dag_from_masks, find_cycle, row_masks
-from .errors import EmptyCache, NodeSetMismatch
+from .errors import ConfigError, EmptyCache, NodeSetMismatch
 from .exact import StructuralPrior, _node_entries
 
 Move = tuple[str, int, int]  # kind, child, parent
@@ -35,13 +35,13 @@ class HeuristicConfig:
 
     def __post_init__(self):
         if self.algorithm not in ("hill_climb", "tabu", "simulated_annealing"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.restarts < 1 or self.max_steps < 1 or self.tabu_length < 1:
-            raise ValueError("restarts, max_steps, tabu_length must be positive")
+            raise ConfigError("restarts, max_steps, tabu_length must be positive")
         if not 0 < self.cooling_factor < 1:
-            raise ValueError("cooling_factor must lie in (0, 1)")
+            raise ConfigError("cooling_factor must lie in (0, 1)")
         if self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+            raise ConfigError("initial_temperature must be positive")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dag import Dag
 from .data import Dataset
-from .errors import AbnError, UnknownName
+from .errors import AbnError, ConfigError, UnknownName
 
 RULES = ("fixed_k", "sturges", "scott", "freedman_diaconis")
 
@@ -64,6 +64,8 @@ def discretize(ds: Dataset, rule: str = "fixed_k", fixed_k: int = 8) -> Discreti
     """
     if rule not in RULES:
         raise AbnError(f"unknown discretization rule {rule!r}; expected one of {RULES}")
+    if rule == "fixed_k" and fixed_k < 1:
+        raise ConfigError(f"fixed_k needs at least one bin, got {fixed_k}")
     indices = np.zeros((ds.n_obs, len(ds.names)), dtype=np.int64)
     edges_out = []
     for j, (name, dist) in enumerate(zip(ds.names, ds.distributions)):

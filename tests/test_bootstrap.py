@@ -158,6 +158,37 @@ class TestRunBootstrap:
         g_row = report.support[ds.names.index("g")]
         assert np.all(g_row == 0.0)
 
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_replicates_follow_the_standardisation(self, monkeypatch, standardized):
+        """Replicates are standardised exactly when the original data are, so
+        their scores sit on the original model's scale."""
+        dag = dag_from_arcs(("g", "b"), (("g", "b"),))
+        spec = SimSpec(
+            dag=dag,
+            families={"g": "gaussian", "b": "binomial"},
+            coefficients={"g": {"(Intercept)": 50.0},
+                          "b": {"(Intercept)": -2.5, "g": 0.05}},
+            sd={"g": 10.0},
+            n_obs=200,
+            seed=8,
+        )
+        ds = simulate_data(spec)
+        if standardized:
+            ds = standardize(ds)
+        fits = fit_dag(ds, dag, method="bayes")
+        calls = []
+
+        def spy(replicate):
+            calls.append(replicate)
+            return standardize(replicate)
+
+        monkeypatch.setattr(abnkit.bootstrap, "standardize", spy)
+        report = run_bootstrap(fits, dag, ds, n_replicates=3, seed=4,
+                               structural_prior="uninformative", jobs=1)
+        assert len(calls) == (3 if standardized else 0)
+        total = sum(f.mlik for f in fits.values())
+        assert all(abs(s - total) < 0.25 * abs(total) for s in report.replicate_scores)
+
     def test_grid_posteriors_cover_all_parameters(self, small_model):
         dag, ds, fits = small_model
         grids = model_grid_posteriors(ds, dag, fits)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from abnkit.cli import build_parser, main
-from abnkit.dag import dag_from_text
+from abnkit.dag import dag_from_text, format_adjacency
 from abnkit.data import format_dist_spec
 from abnkit.simulate import SimSpec, simulate_data
 
@@ -273,3 +274,118 @@ class TestOtherCommands:
         text = capsys.readouterr().out
         assert "koivisto" in text
         assert "default 4" in text
+
+
+class TestRunRecord:
+    """Every command fingerprints exactly the files it reads and writes its
+    artifacts only when it succeeds."""
+
+    @pytest.fixture(scope="class")
+    def files(self, workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("run-inputs")
+        names = ("g", "b", "p")
+        ban = np.zeros((3, 3))
+        ban[0, 2] = 1  # p -> g
+        (root / "ban.txt").write_text(format_adjacency(names, ban))
+        assert run(["build-cache", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--max-parents", "2",
+                    "--out", root / "cache", "--jobs", "1"]) == 0
+        other = tmp_path_factory.mktemp("other") / "dag.txt"
+        other.write_text((workspace / "true-dag.txt").read_text())
+        return {
+            "data": workspace / "data.csv",
+            "dists": workspace / "dists.txt",
+            "dag": workspace / "true-dag.txt",
+            "spec": workspace / "simspec.json",
+            "ban": root / "ban.txt",
+            "cache": root / "cache" / "cache.txt",
+            "other": other,
+        }
+
+    # (argv with file keys in braces, keys of the files read, manifest name)
+    CASES = {
+        "build-cache": (["build-cache", "--data", "{data}", "--dists", "{dists}",
+                         "--max-parents", "2", "--ban", "{ban}"],
+                        ("data", "dists", "ban"), "build-cache"),
+        "search-exact": (["search", "exact", "--data", "{data}", "--dists", "{dists}",
+                          "--max-parents", "2", "--cache", "{cache}", "--retain", "~b|g"],
+                         ("data", "dists", "cache"), "search"),
+        "search-heuristic": (["search", "heuristic", "--data", "{data}", "--dists", "{dists}",
+                              "--max-parents", "1", "--ban", "{ban}", "--seed", "3"],
+                             ("data", "dists", "ban"), "search"),
+        "fit": (["fit", "--data", "{data}", "--dists", "{dists}", "--dag", "{dag}",
+                 "--method", "mle"],
+                ("data", "dists", "dag"), "fit"),
+        "sweep-parents": (["sweep-parents", "--data", "{data}", "--dists", "{dists}",
+                           "--max", "1", "--ban", "{ban}"],
+                          ("data", "dists", "ban"), "sweep-parents"),
+        "simulate-dag": (["simulate", "dag", "--nodes", "4", "--seed", "1"],
+                         (), "simulate-dag"),
+        "simulate-data": (["simulate", "data", "--spec", "{spec}", "--n-obs", "20"],
+                          ("spec",), "simulate-data"),
+        "bootstrap": (["bootstrap", "--data", "{data}", "--dists", "{dists}",
+                       "--dag", "{dag}", "--max-parents", "1", "--replicates", "2",
+                       "--seed", "2", "--n-grid", "100", "--ban", "{ban}"],
+                      ("data", "dists", "dag", "ban"), "bootstrap"),
+        "strength": (["strength", "--data", "{data}", "--dists", "{dists}", "--dag", "{dag}"],
+                     ("data", "dists", "dag"), "strength"),
+        "compare": (["compare", "{dag}", "{other}"], ("dag", "other"), "compare"),
+        "info": (["info", "{dag}"], ("dag",), "info"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_manifest_fingerprints_every_file_read(self, files, tmp_path, case):
+        argv, read, command = self.CASES[case]
+        out = tmp_path / "out"
+        assert run([a.format(**files) for a in argv] + ["--out", out, "--jobs", "1"]) == 0
+        manifest = json.loads((out / f"manifest-{command}.json").read_text())
+        assert manifest["inputs"] == {
+            str(files[key]): hashlib.sha256(files[key].read_bytes()).hexdigest()
+            for key in read
+        }
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["outputs"], f"manifest-{command}.json"])
+
+    def test_failed_command_writes_nothing(self, files, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["fit", "--data", files["data"], "--dists", files["dists"],
+                    "--dag", files["dag"], "--method", "mle", "--marginals",
+                    "--out", out, "--jobs", "1"])
+        assert code == 1
+        assert "--marginals requires --method bayes" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestOutOfRangeOptions:
+    """A numeric option outside its range ends in one error line."""
+
+    CASES = {
+        "restarts": ("search-heuristic", ["--restarts", "0"]),
+        "max-steps": ("search-heuristic", ["--max-steps", "0"]),
+        "tabu-length": ("search-heuristic", ["--tabu-length", "0"]),
+        "cooling": ("search-heuristic", ["--cooling", "1.5"]),
+        "temperature": ("search-heuristic", ["--temperature", "0"]),
+        "replicates-negative": ("bootstrap", ["--replicates", "-3"]),
+        "replicates-zero": ("bootstrap", ["--replicates", "0"]),
+        "n-grid": ("fit", ["--marginals", "--n-grid", "0"]),
+        "bins": ("strength", ["--bins", "0"]),
+        "n-obs": ("simulate-data", ["--n-obs", "0"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line(self, workspace, tmp_path, capsys, case):
+        command, flags = self.CASES[case]
+        data = ["--data", workspace / "data.csv", "--dists", workspace / "dists.txt"]
+        dag = ["--dag", workspace / "true-dag.txt"]
+        argv = {
+            "search-heuristic": ["search", "heuristic", *data, "--max-parents", "1",
+                                 "--seed", "1"],
+            "bootstrap": ["bootstrap", *data, *dag, "--max-parents", "1", "--seed", "1"],
+            "fit": ["fit", *data, *dag],
+            "strength": ["strength", *data, *dag],
+            "simulate-data": ["simulate", "data", "--spec", workspace / "simspec.json"],
+        }[command]
+        capsys.readouterr()
+        assert run([*argv, *flags, "--out", tmp_path / "out", "--jobs", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR "), err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import abnkit.glm
 from abnkit import families
 from abnkit.data import DesignMatrix, build_design
 from abnkit.errors import (
@@ -188,6 +189,28 @@ class TestFirthAndPruning:
         assert len(fit.dropped_predictors) == 1
         assert fit.dropped_predictors[0] in ("a", "b")
         assert np.all(np.isfinite(fit.coefficients))
+
+    def test_pruning_fits_the_kept_design_once(self, monkeypatch):
+        """The failed full fit plus one scan fit per candidate drop: the scan's
+        fit of the kept design is the result, not refitted."""
+        rng = np.random.default_rng(5)
+        x, z = rng.normal(size=(2, 50))
+        y = 1 + x + 0.5 * z + rng.normal(size=50)
+        X = np.column_stack([np.ones(50), x, x, z])
+        d = DesignMatrix(response=y, predictors=X, labels=("(Intercept)", "a", "b", "c"),
+                         child="y", family="gaussian")
+        fit_once = abnkit.glm._fit_mle_once
+        calls = []
+
+        def spy(design):
+            calls.append(design.labels)
+            return fit_once(design)
+
+        monkeypatch.setattr(abnkit.glm, "_fit_mle_once", spy)
+        fit = fit_node(d, method="mle")
+        assert len(calls) == 4
+        assert fit.dropped_predictors == ("b",)  # a tie with "a": the last name goes
+        assert np.array_equal(fit.coefficients, fit_once(d.drop("b"))[0])
 
     def test_exhausted_pruning_raises(self):
         # overflow-scale responses defeat even the intercept-only fallback
