@@ -27,7 +27,6 @@ from .glm import (
     PriorSpec,
     fit_node,
     frequentist_scores,
-    laplace_marginal_likelihood,
     marginal_densities,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "fit_node",
     "frequentist_scores",
     "info_metrics",
-    "laplace_marginal_likelihood",
     "load_dataset",
     "marginal_densities",
     "markov_blanket",

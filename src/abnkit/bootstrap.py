@@ -1,7 +1,8 @@
 """Parametric-bootstrap control of structure over-fitting.
 
-Given a fitted model, each replicate samples parameters from the grid
-posteriors, forward-simulates a dataset of the original size, re-learns the
+Given a fitted model, each replicate draws every parameter from its grid
+marginal density (:func:`abnkit.glm.marginal_densities` of the node's fit),
+forward-simulates a dataset of the original size, re-learns the
 optimal structure with the same constraints, and records the selected DAG.
 Aggregated arc support then prunes the original DAG: arcs recovered in fewer
 than the threshold fraction of replicates are treated as over-fitting.
@@ -16,12 +17,12 @@ import numpy as np
 
 from .cache import FIT_ERRORS, build_cache, parallel_map
 from .dag import ConstraintSet, Dag
-from .data import Dataset, build_design, standardize
+from .data import Dataset, standardize
 from .errors import AbnError, ConfigError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
-from .glm import FitResult, PriorSpec, marginal_densities
+from .glm import FitResult, ParamDensity, PriorSpec, marginal_densities
 from .heuristic import arc_frequency_matrix, arc_support
-from .simulate import GridPosterior, SimSpec, sample_posterior_params, simulate_data
+from .simulate import SimSpec, simulate_data
 
 MAX_FAILURE_FRACTION = 0.05
 
@@ -40,39 +41,25 @@ class BootstrapReport:
 
 
 def model_grid_posteriors(
-    ds: Dataset,
-    dag: Dag,
-    fits: dict[str, FitResult],
-    priors: PriorSpec | None = None,
-    n_grid: int = 1000,
-) -> dict[str, GridPosterior]:
-    """Discretized marginal posteriors for every parameter of every node."""
-    priors = priors or PriorSpec()
-    grids = {}
-    for node in dag.nodes:
-        fit = fits[node]
-        design = build_design(ds, node, dag.parents(node))
-        dens = marginal_densities(fit, design, priors, n_grid=n_grid)
-        grids[node] = GridPosterior(
-            node=node,
-            labels=tuple(d.label for d in dens),
-            grids=tuple(d.grid for d in dens),
-            probabilities=tuple(d.probabilities for d in dens),
-        )
-    return grids
+    dag: Dag, fits: dict[str, FitResult], n_grid: int = 1000
+) -> dict[str, list[ParamDensity]]:
+    """Grid marginal densities for every parameter of every node."""
+    return {node: marginal_densities(fits[node], n_grid=n_grid) for node in dag.nodes}
 
 
 def _draw_simspec(
     dag: Dag,
     families_map: dict[str, str],
-    grids: dict[str, GridPosterior],
+    grids: dict[str, list[ParamDensity]],
     n_obs: int,
     rng: np.random.Generator,
 ) -> SimSpec:
+    """One categorical draw per parameter from its grid, in grid order."""
     coefficients: dict[str, dict[str, float]] = {}
     sd: dict[str, float] = {}
     for node in dag.nodes:
-        draw = sample_posterior_params(grids[node], rng)
+        draw = {d.label: float(rng.choice(d.grid, p=d.probabilities))
+                for d in grids[node]}
         lam = draw.pop("log_precision", None)
         coefficients[node] = draw
         if families_map[node] == "gaussian":
@@ -136,10 +123,9 @@ def run_bootstrap(
         raise NodeSetMismatch("DAG node set differs from dataset columns")
     if n_replicates < 1:
         raise ConfigError(f"need at least one bootstrap replicate, got {n_replicates}")
-    priors = priors or PriorSpec()
     if constraints is None:
         constraints = ConstraintSet(ds.names)
-    grids = model_grid_posteriors(ds, dag, fits, priors, n_grid=n_grid)
+    grids = model_grid_posteriors(dag, fits, n_grid=n_grid)
     families_map = ds.dist_map()
     tasks = [
         (k, dag, families_map, grids, ds.n_obs, seed, constraints, priors,

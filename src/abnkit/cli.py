@@ -36,11 +36,11 @@ from .dag import (
     parse_adjacency,
     compare_dags,
 )
-from .data import Dataset, build_design, format_dist_spec, load_dataset, standardize
+from .data import Dataset, format_dist_spec, load_dataset, standardize
 from .errors import AbnError, ConfigError
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .formula import parse_formula
-from .glm import PriorSpec, fit_dag, marginal_densities
+from .glm import fit_dag, marginal_densities
 from .heuristic import HeuristicConfig, heuristic_search, majority_consensus, repair_to_dag
 from .simulate import SimSpec, simulate_dag, simulate_data
 from .strength import discretize, pls_matrix
@@ -148,8 +148,7 @@ def cmd_build_cache(args) -> int:
     run = _Run(args, method=args.method, max_parents=args.max_parents,
                ban=args.ban, retain=args.retain, standardize=not args.no_standardize)
     ds, constraints = run.data()
-    cache = build_cache(ds, constraints, method=args.method, priors=PriorSpec(),
-                        jobs=args.jobs)
+    cache = build_cache(ds, constraints, method=args.method, jobs=args.jobs)
     run.config["fingerprint"] = cache.fingerprint
     run.write("cache.txt", cache_to_text(cache))
     print(f"scored {cache.n_entries} parent sets over {cache.n_nodes} nodes "
@@ -160,6 +159,13 @@ def cmd_build_cache(args) -> int:
 def cmd_search(args) -> int:
     run = _Run(args, mode=args.mode, method=args.method, prior=args.prior,
                max_parents=args.max_parents, ban=args.ban, retain=args.retain)
+    if args.mode == "heuristic":
+        seed = run.config["seed"] = _resolve_seed(args.seed)
+        config = HeuristicConfig(
+            algorithm=args.algorithm, restarts=args.restarts, max_steps=args.max_steps,
+            tabu_length=args.tabu_length, initial_temperature=args.temperature,
+            cooling_factor=args.cooling, seed=seed,
+        )
     ds, constraints = run.data()
     score = run.config["score"] = _check_method_score(args.method, args.score)
     if args.cache:
@@ -181,12 +187,6 @@ def cmd_search(args) -> int:
             breakdown.append(f"{node}\t{parents}\t{cache.score(i, dag.parent_masks()[i], score):.17g}")
         run.write("scores.tsv", "\n".join(breakdown) + "\n")
     else:
-        seed = run.config["seed"] = _resolve_seed(args.seed)
-        config = HeuristicConfig(
-            algorithm=args.algorithm, restarts=args.restarts, max_steps=args.max_steps,
-            tabu_length=args.tabu_length, initial_temperature=args.temperature,
-            cooling_factor=args.cooling, seed=seed,
-        )
         trace = heuristic_search(cache, config, prior=prior, score_type=score,
                                  jobs=args.jobs)
         dag = trace.best().dag
@@ -212,6 +212,8 @@ def cmd_search(args) -> int:
 def cmd_fit(args) -> int:
     run = _Run(args, method=args.method, standardize=not args.no_standardize,
                n_grid=args.n_grid)
+    if args.marginals and args.method != "bayes":
+        raise ConfigError("--marginals requires --method bayes")
     ds, _ = run.data()
     dag = run.dag(args.dag, ds.names)
     fits = _fit_coefficients(run, ds, dag, args.method)
@@ -225,13 +227,9 @@ def cmd_fit(args) -> int:
               "node\tscore\n" + "\n".join(score_rows) + f"\ntotal\t{total:.17g}\n")
     run.config["total_" + ("mlik" if args.method == "bayes" else "loglik")] = total
     if args.marginals:
-        if args.method != "bayes":
-            raise ConfigError("--marginals requires --method bayes")
         rows = ["node\tparameter\tvalue\tdensity\tarea"]
         for node in dag.nodes:
-            design = build_design(ds, node, dag.parents(node))
-            for dens in marginal_densities(fits[node], design, PriorSpec(),
-                                           n_grid=args.n_grid):
+            for dens in marginal_densities(fits[node], n_grid=args.n_grid):
                 for g, d in zip(dens.grid, dens.density):
                     rows.append(f"{node}\t{dens.label}\t{g:.17g}\t{d:.17g}\t{dens.area:.6f}")
         run.write("marginals.tsv", "\n".join(rows) + "\n")

@@ -67,7 +67,12 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted node model: estimates, curvature and scores."""
+    """Fitted node model: estimates, curvature and scores.
+
+    ``neg_hessian`` is the curvature in the optimized parameters: the
+    coefficients, then the log-precision of a gaussian bayes fit whose
+    precision was not fixed.
+    """
 
     labels: tuple[str, ...]
     coefficients: np.ndarray
@@ -81,12 +86,6 @@ class FitResult:
     dropped_predictors: tuple[str, ...] = ()
     used_firth: bool = False
     converged: bool = True
-
-    @property
-    def n_params(self) -> int:
-        """Total optimized parameters (includes log-precision when present)."""
-        extra = 1 if self.gaussian_log_precision is not None else 0
-        return len(self.coefficients) + extra
 
     @property
     def precision(self) -> float | None:
@@ -201,12 +200,6 @@ class _Posterior:
         return grad, hess
 
 
-def log_joint(design: DesignMatrix, theta: np.ndarray, priors: PriorSpec,
-              log_precision: float | None = None) -> float:
-    """Log-likelihood plus log-prior with all normalizing constants."""
-    return _Posterior(design, priors).evaluate(theta, log_precision)[0]
-
-
 # --------------------------------------------------------------------------
 # maximum likelihood: IRLS + Firth + rank pruning
 # --------------------------------------------------------------------------
@@ -296,30 +289,21 @@ def _firth(design: DesignMatrix):
     return theta, False
 
 
-def _mle_loglik(design: DesignMatrix, theta: np.ndarray) -> tuple[float, float | None]:
-    """(log-likelihood, log_precision) at the MLE; gaussian profiles sigma^2."""
-    eta = design.predictors @ theta
+def _mle_summary(design: DesignMatrix, theta: np.ndarray):
+    """(log-likelihood, log-precision or None, observed information of the
+    coefficients) at the MLE; a gaussian node profiles sigma^2."""
+    X, y = design.predictors, design.response
+    eta = X @ theta
     if design.family == "gaussian":
-        rss = float(np.sum((design.response - eta) ** 2))
-        n = design.n_obs
-        sigma2 = max(rss / n, 1e-300)
-        tau = 1.0 / sigma2
-        ll = float(np.sum(families.loglik_terms("gaussian", design.response, eta, tau)))
-        return ll, float(np.log(tau))
-    ll = float(np.sum(families.loglik_terms(design.family, design.response, eta)))
-    return ll, None
-
-
-def _neg_hessian_loglik(design: DesignMatrix, theta: np.ndarray,
-                        log_precision: float | None) -> np.ndarray:
-    """Observed information of the log-likelihood at theta (coefficients only)."""
-    X = design.predictors
-    if design.family == "gaussian":
-        tau = math.exp(log_precision) if log_precision is not None else 1.0
-        return tau * (X.T @ X)
-    mu = families.mean(design.family, X @ theta)
-    w = families.irls_weights(design.family, mu)
-    return X.T @ (X * w[:, None])
+        rss = float(np.sum((y - eta) ** 2))
+        tau = 1.0 / max(rss / design.n_obs, 1e-300)
+        ll = float(np.sum(families.loglik_terms("gaussian", y, eta, tau)))
+        log_precision = float(np.log(tau))
+        # the information uses exp(log tau), the precision the fit reports
+        return ll, log_precision, math.exp(log_precision) * (X.T @ X)
+    ll = float(np.sum(families.loglik_terms(design.family, y, eta)))
+    w = families.irls_weights(design.family, families.mean(design.family, eta))
+    return ll, None, X.T @ (X * w[:, None])
 
 
 def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, bool, bool]:
@@ -366,7 +350,7 @@ def _prune_order(design: DesignMatrix) -> tuple[DesignMatrix, list[str], tuple]:
             sub = work.drop(label)
             try:
                 fit = _fit_mle_once(sub)
-                ll, _ = _mle_loglik(sub, fit[0])
+                ll = _mle_summary(sub, fit[0])[0]
             except (FitError, np.linalg.LinAlgError):
                 fit, ll = None, -np.inf
             if not math.isfinite(ll):
@@ -387,13 +371,12 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
         theta, used_firth, converged = _fit_mle_once(work)
     except (_Diverged, np.linalg.LinAlgError):
         work, dropped, (theta, used_firth, converged) = _prune_order(design)
-    ll, log_prec = _mle_loglik(work, theta)
+    ll, log_prec, neg_h = _mle_summary(work, theta)
     if dropped and work.width == 1 and not math.isfinite(ll):
         raise AllPredictorsDropped(
             f"node {design.child!r}: every predictor was removed and the "
             "intercept-only fallback is still non-finite"
         )
-    neg_h = _neg_hessian_loglik(work, theta, log_prec)
     return FitResult(
         labels=work.labels,
         coefficients=theta,
@@ -414,22 +397,14 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
 # --------------------------------------------------------------------------
 
 
-def _posterior_grad_hess(design: DesignMatrix, params: np.ndarray, priors: PriorSpec):
-    """Gradient and Hessian of the log joint in the optimized parameters."""
-    post = _Posterior(design, priors)
-    theta, _ = post.split(params)
-    return post.grad_hess(params, post.X @ theta)
-
-
-def _newton_mode(design: DesignMatrix, priors: PriorSpec):
+def _newton_mode(post: _Posterior):
     """Newton ascent with step halving to the posterior mode.
 
     Returns (params, negative Hessian, converged, log joint, log-likelihood,
     eta), the last three evaluated at ``params``.
     """
-    post = _Posterior(design, priors)
     X, y, p = post.X, post.y, post.width
-    fam = design.family
+    fam = post.family
 
     params = np.zeros(p + (1 if post.free_precision else 0))
     mean_y = float(np.mean(y))
@@ -481,18 +456,15 @@ def _newton_mode(design: DesignMatrix, priors: PriorSpec):
 
 
 def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    params, neg_h, converged, joint, ll, eta = _newton_mode(design, priors)
-    p = design.width
+    post = _Posterior(design, priors)
+    params, neg_h, converged, joint, ll, eta = _newton_mode(post)
+    theta, lam = post.split(params)
     fam = design.family
-    if fam == "gaussian" and priors.fixed_precision is None:
-        theta, lam = params[:p], float(params[p])
-    elif fam == "gaussian":
-        theta, lam = params, float(np.log(priors.fixed_precision))
+    if fam == "gaussian" and lam is None:
+        lam = float(np.log(priors.fixed_precision))
         # the reported likelihood uses exp(log tau), not tau itself
         ll = float(np.sum(families.loglik_terms(fam, design.response, eta,
                                                 math.exp(lam))))
-    else:
-        theta, lam = params, None
     return FitResult(
         labels=design.labels,
         coefficients=theta,
@@ -569,23 +541,6 @@ def _laplace(joint: float, n_params: int, neg_hessian: np.ndarray) -> float:
     return joint + 0.5 * n_params * np.log(2.0 * np.pi) - 0.5 * logdet
 
 
-def laplace_marginal_likelihood(
-    fit: FitResult, design: DesignMatrix, priors: PriorSpec
-) -> float:
-    """Laplace approximation of the log evidence at the posterior mode.
-
-    log m = log joint(mode) + (d/2) log 2pi - 0.5 logdet(negative Hessian),
-    with d counting every optimized parameter (the gaussian log-precision
-    included).
-    """
-    if fit.method != "bayes":
-        raise FitError("laplace_marginal_likelihood needs a bayes-mode fit")
-    d = fit.n_params if priors.fixed_precision is None else len(fit.coefficients)
-    joint, _, _ = _Posterior(design, priors).evaluate(
-        fit.coefficients, fit.gaussian_log_precision)
-    return _laplace(joint, d, fit.neg_hessian)
-
-
 @dataclass(frozen=True)
 class FrequentistScores:
     loglik: float
@@ -632,16 +587,14 @@ class ParamDensity:
 
 
 def marginal_densities(
-    fit: FitResult,
-    design: DesignMatrix,
-    priors: PriorSpec,
-    n_grid: int = 1000,
-    range_sd: float = 6.0,
+    fit: FitResult, n_grid: int = 1000, range_sd: float = 6.0
 ) -> list[ParamDensity]:
     """Gaussian Laplace marginals for every parameter of a bayes fit.
 
-    Each parameter gets a grid of ``n_grid`` points over mode +/- range_sd
-    posterior standard deviations.  The reported ``area`` is the raw
+    The parameters are the coefficients, then the gaussian log-precision
+    when the fit optimized it (its curvature then has one more row than
+    there are coefficients).  Each parameter gets a grid of ``n_grid``
+    points over mode +/- range_sd posterior standard deviations.  The reported ``area`` is the raw
     trapezoid integral (a diagnostic that should sit within 1 +/- 0.01 for an
     adequate range); ``probabilities`` renormalize the grid for categorical
     sampling.  Raises RangeTooNarrow when the boundary density exceeds 1e-3
@@ -654,7 +607,7 @@ def marginal_densities(
     cov = np.linalg.inv(fit.neg_hessian)
     modes = list(fit.coefficients)
     labels = list(fit.labels)
-    if fit.family == "gaussian" and priors.fixed_precision is None:
+    if len(fit.neg_hessian) > len(fit.coefficients):
         modes.append(fit.gaussian_log_precision)
         labels.append("log_precision")
     out = []

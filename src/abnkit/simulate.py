@@ -1,11 +1,10 @@
-"""Random DAG generation, grid-posterior sampling, and forward simulation.
+"""Random DAG generation and forward simulation.
 
 Data are simulated by ancestral sampling: nodes are visited in topological
 order and each draws from its family with linear predictor
-``intercept + sum(coef * parent value)`` on the link scale.  Parameter
-uncertainty enters through categorical draws from per-parameter posterior
-grids, which makes replicate draws exact and independent (no burn-in or
-thinning needed).
+``intercept + sum(coef * parent value)`` on the link scale.  A
+:class:`SimSpec` fixes every coefficient; the parametric bootstrap draws
+them from posterior grids before calling :func:`simulate_data`.
 """
 
 from __future__ import annotations
@@ -43,37 +42,6 @@ def simulate_dag(n_nodes: int, arc_probability: float, seed: int) -> Dag:
             if rng.random() < arc_probability:
                 adjacency[perm[later], perm[earlier]] = 1
     return Dag(names, adjacency)
-
-
-@dataclass(frozen=True)
-class GridPosterior:
-    """Discretized posteriors: per parameter a grid and its probabilities."""
-
-    node: str
-    labels: tuple[str, ...]
-    grids: tuple[np.ndarray, ...]
-    probabilities: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for label, probs in zip(self.labels, self.probabilities):
-            p = np.asarray(probs, dtype=float)
-            if np.any(p < 0) or not np.isclose(p.sum(), 1.0, atol=1e-8):
-                raise AbnError(f"grid probabilities of {label!r} must sum to 1")
-
-
-def sample_posterior_params(
-    grids: GridPosterior, seed: int | np.random.Generator
-) -> dict[str, float]:
-    """One independent categorical draw per parameter from its grid."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draw = {}
-    for label, grid, probs in zip(grids.labels, grids.grids, grids.probabilities):
-        grid = np.asarray(grid, dtype=float)
-        if len(grid) == 1:  # degenerate grid is legal: the draw is that point
-            draw[label] = float(grid[0])
-            continue
-        draw[label] = float(rng.choice(grid, p=np.asarray(probs, dtype=float)))
-    return draw
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ class TestCriterion3Irls:
             assert np.max(np.abs(fit.coefficients - ols)) < 1e-8
 
         # binomial/poisson analytic gradient vs central finite differences
-        from abnkit.glm import _posterior_grad_hess, log_joint
+        from abnkit.glm import _Posterior
 
         priors = PriorSpec()
         checked = 0
@@ -155,15 +155,16 @@ class TestCriterion3Irls:
             d = DesignMatrix(response=y, predictors=X,
                              labels=("(Intercept)", "a", "b"),
                              child="y", family=family)
+            post = _Posterior(d, priors)
             theta = rng.normal(scale=0.5, size=3)
-            grad, _ = _posterior_grad_hess(d, theta, priors)
+            grad, _ = post.grad_hess(theta, X @ theta)
             h = 1e-6
             numeric = np.empty(3)
             for k in range(3):
                 up, dn = theta.copy(), theta.copy()
                 up[k] += h
                 dn[k] -= h
-                numeric[k] = (log_joint(d, up, priors) - log_joint(d, dn, priors)) / (2 * h)
+                numeric[k] = (post.evaluate(up)[0] - post.evaluate(dn)[0]) / (2 * h)
             rel = np.max(np.abs(grad - numeric)) / max(1.0, np.max(np.abs(grad)))
             assert rel < 1e-4
             checked += 1
@@ -371,7 +372,7 @@ class TestCriterion10MarginalDensityAreas:
                                ("b", ["g", "p"]), ("p", ["g", "b"]), ("p", [])):
             design = build_design(ds, child, parents)
             fit = fit_node(design, method="bayes")
-            for dens in marginal_densities(fit, design, PriorSpec()):
+            for dens in marginal_densities(fit):
                 assert 0.99 <= dens.area <= 1.01
                 checked += 1
         assert checked >= 15

@@ -389,3 +389,23 @@ class TestOutOfRangeOptions:
         assert run([*argv, *flags, "--out", tmp_path / "out", "--jobs", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR "), err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "heuristic", "--max-parents", "1", "--seed", "1", "--restarts", "0"],
+        ["fit", "--dag", "true-dag.txt", "--method", "mle", "--marginals"],
+    ], ids=["restarts", "mle-marginals"])
+    def test_rejected_before_fitting(self, workspace, tmp_path, capsys, monkeypatch,
+                                     argv):
+        import abnkit.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("fitting reached before the option check")
+
+        monkeypatch.setattr(abnkit.cli, "build_cache", never)
+        monkeypatch.setattr(abnkit.cli, "fit_dag", never)
+        argv = [workspace / a if a.endswith(".txt") else a for a in argv]
+        data = ["--data", workspace / "data.csv", "--dists", workspace / "dists.txt"]
+        capsys.readouterr()
+        assert run([*argv, *data, "--out", tmp_path / "out", "--jobs", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR "), err

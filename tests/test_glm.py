@@ -17,11 +17,10 @@ from abnkit.errors import (
 from abnkit.glm import (
     PriorSpec,
     _irls,
-    _posterior_grad_hess,
+    _laplace,
+    _Posterior,
     fit_node,
     frequentist_scores,
-    laplace_marginal_likelihood,
-    log_joint,
     marginal_densities,
 )
 
@@ -92,15 +91,16 @@ class TestIrls:
         rng = np.random.default_rng(99)
         for seed in range(30):
             d = maker(40, 2, seed)
+            post = _Posterior(d, priors)
             theta = rng.normal(scale=0.5, size=d.width)
-            grad, _ = _posterior_grad_hess(d, theta, priors)
+            grad, _ = post.grad_hess(theta, d.predictors @ theta)
             h = 1e-6
             numeric = np.zeros_like(theta)
             for k in range(len(theta)):
                 up, dn = theta.copy(), theta.copy()
                 up[k] += h
                 dn[k] -= h
-                numeric[k] = (log_joint(d, up, priors) - log_joint(d, dn, priors)) / (2 * h)
+                numeric[k] = (post.evaluate(up)[0] - post.evaluate(dn)[0]) / (2 * h)
             denom = max(1.0, np.max(np.abs(grad)))
             assert np.max(np.abs(grad - numeric)) / denom < 1e-4
 
@@ -273,7 +273,7 @@ class TestBayes:
 
 
 class TestSharedArithmetic:
-    """The mode's own numbers are the ones the public wrappers recompute."""
+    """The fit's scores are the posterior's own numbers at the mode."""
 
     @pytest.mark.parametrize("family", ["binomial", "poisson", "gaussian"])
     @pytest.mark.parametrize("fixed", [None, 9.0])  # exp(log(9.0)) != 9.0
@@ -284,7 +284,9 @@ class TestSharedArithmetic:
         for seed in range(5):
             d = maker(80, 2, seed)
             fit = fit_node(d, method="bayes", priors=priors)
-            assert fit.mlik == laplace_marginal_likelihood(fit, d, priors)
+            joint = _Posterior(d, priors).evaluate(fit.coefficients,
+                                                   fit.gaussian_log_precision)[0]
+            assert fit.mlik == _laplace(joint, len(fit.neg_hessian), fit.neg_hessian)
             tau = (math.exp(fit.gaussian_log_precision) if family == "gaussian"
                    else None)
             eta = d.predictors @ fit.coefficients
@@ -343,8 +345,10 @@ class TestLaplace:
         from dataclasses import replace
 
         broken = replace(fit, neg_hessian=-np.eye(fit.neg_hessian.shape[0]))
+        joint = _Posterior(d, PriorSpec()).evaluate(broken.coefficients,
+                                                    broken.gaussian_log_precision)[0]
         with pytest.raises(NonPositiveDefiniteHessian):
-            laplace_marginal_likelihood(broken, d, PriorSpec())
+            _laplace(joint, len(broken.neg_hessian), broken.neg_hessian)
 
     def test_invariant_under_predictor_reordering(self):
         rng = np.random.default_rng(21)
@@ -420,7 +424,7 @@ class TestMarginalDensities:
         for child, parents in (("g", []), ("b", ["g"]), ("p", ["b", "g"])):
             d = build_design(ds, child, parents)
             fit = fit_node(d, method="bayes")
-            for dens in marginal_densities(fit, d, PriorSpec()):
+            for dens in marginal_densities(fit):
                 assert 0.99 <= dens.area <= 1.01
 
     def test_quadratic_posterior_matches_exact_gaussian(self):
@@ -428,7 +432,7 @@ class TestMarginalDensities:
         priors = PriorSpec(coef_variance=50.0, fixed_precision=2.0)
         fit = fit_node(d, method="bayes", priors=priors)
         cov = np.linalg.inv(fit.neg_hessian)
-        for k, dens in enumerate(marginal_densities(fit, d, priors)):
+        for k, dens in enumerate(marginal_densities(fit)):
             sd = math.sqrt(cov[k, k])
             exact = (np.exp(-0.5 * ((dens.grid - fit.coefficients[k]) / sd) ** 2)
                      / (sd * math.sqrt(2 * math.pi)))
@@ -438,13 +442,23 @@ class TestMarginalDensities:
         d = gaussian_design(60, 1, 8)
         fit = fit_node(d, method="bayes")
         with pytest.raises(RangeTooNarrow):
-            marginal_densities(fit, d, PriorSpec(), range_sd=1.5)
+            marginal_densities(fit, range_sd=1.5)
 
     def test_probabilities_sum_to_one(self):
         d = binomial_design(100, 1, 2)
         fit = fit_node(d, method="bayes")
-        for dens in marginal_densities(fit, d, PriorSpec()):
+        for dens in marginal_densities(fit):
             assert dens.probabilities.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fixed", [None, 2.0])
+    def test_parameters_follow_the_fit(self, fixed):
+        # the log-precision is a parameter exactly when the fit optimized it
+        d = gaussian_design(60, 1, 8)
+        fit = fit_node(d, method="bayes", priors=PriorSpec(fixed_precision=fixed))
+        labels = [dens.label for dens in marginal_densities(fit)]
+        extra = ["log_precision"] if fixed is None else []
+        assert labels == [*d.labels, *extra]
+        assert len(fit.neg_hessian) == len(labels)
 
 
 class TestFormatting:

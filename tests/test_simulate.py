@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
+from abnkit.bootstrap import _draw_simspec, model_grid_posteriors
 from abnkit.dag import info_metrics, topological_order, validate_acyclic
 from abnkit.data import build_design
 from abnkit.errors import AbnError, PoissonOverflow
-from abnkit.glm import PriorSpec, fit_node, marginal_densities
-from abnkit.simulate import (
-    GridPosterior,
-    SimSpec,
-    sample_posterior_params,
-    simulate_dag,
-    simulate_data,
-)
+from abnkit.glm import fit_dag, fit_node
+from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
 
 class TestSimulateDag:
@@ -59,36 +54,6 @@ class TestSimulateDag:
     def test_bad_probability(self):
         with pytest.raises(AbnError):
             simulate_dag(4, 1.5, seed=0)
-
-
-class TestGridSampling:
-    def test_two_point_grid_mean(self):
-        grid = GridPosterior(node="x", labels=("a",),
-                             grids=(np.array([0.0, 1.0]),),
-                             probabilities=(np.array([0.5, 0.5]),))
-        rng = np.random.default_rng(0)
-        draws = [sample_posterior_params(grid, rng)["a"] for _ in range(100_000)]
-        assert abs(np.mean(draws) - 0.5) < 0.01
-
-    def test_single_point_grid(self):
-        grid = GridPosterior(node="x", labels=("a",),
-                             grids=(np.array([2.5]),),
-                             probabilities=(np.array([1.0]),))
-        assert sample_posterior_params(grid, 0)["a"] == 2.5
-
-    def test_standard_normal_grid_sd(self):
-        pts = np.linspace(-6, 6, 2001)
-        dens = np.exp(-0.5 * pts**2)
-        grid = GridPosterior(node="x", labels=("a",),
-                             grids=(pts,), probabilities=(dens / dens.sum(),))
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_posterior_params(grid, rng)["a"] for _ in range(100_000)])
-        assert abs(draws.std() - 1.0) < 0.02
-
-    def test_probabilities_must_normalize(self):
-        with pytest.raises(AbnError):
-            GridPosterior(node="x", labels=("a",), grids=(np.array([0.0, 1.0]),),
-                          probabilities=(np.array([0.5, 0.6]),))
 
 
 class TestSimulateData:
@@ -178,19 +143,18 @@ class TestParameterRecovery:
 
 class TestGridPipeline:
     def test_density_grids_feed_sampler(self):
-        from conftest import mixed_dataset
+        from conftest import dag_from_arcs, mixed_dataset
 
         ds = mixed_dataset(400, 5)
-        d = build_design(ds, "b", ["g"])
-        fit = fit_node(d, method="bayes")
-        dens = marginal_densities(fit, d, PriorSpec())
-        grid = GridPosterior(
-            node="b", labels=tuple(x.label for x in dens),
-            grids=tuple(x.grid for x in dens),
-            probabilities=tuple(x.probabilities for x in dens),
-        )
+        dag = dag_from_arcs(ds.names, (("g", "b"),))
+        fits = fit_dag(ds, dag, method="bayes")
+        grids = model_grid_posteriors(dag, fits)
         rng = np.random.default_rng(2)
-        draws = np.array([sample_posterior_params(grid, rng)["g"] for _ in range(4000)])
+        draws = np.array([
+            _draw_simspec(dag, ds.dist_map(), grids, ds.n_obs, rng).coefficients["b"]["g"]
+            for _ in range(4000)
+        ])
+        fit = fits["b"]
         k = fit.labels.index("g")
         sd_k = np.sqrt(np.linalg.inv(fit.neg_hessian)[k, k])
         assert abs(draws.mean() - fit.coefficient("g")) < 0.1 * sd_k
