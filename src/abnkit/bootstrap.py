@@ -20,7 +20,7 @@ from .dag import ConstraintSet, Dag
 from .data import Dataset, standardize
 from .errors import AbnError, ConfigError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
-from .glm import FitResult, ParamDensity, PriorSpec, marginal_densities
+from .glm import FitResult, ParamDensity, marginal_densities
 from .heuristic import arc_frequency_matrix, arc_support
 from .simulate import SimSpec, simulate_data
 
@@ -29,15 +29,18 @@ MAX_FAILURE_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    n_replicates: int
     replicate_dags: tuple[Dag, ...]
     replicate_scores: tuple[float, ...]
     arc_counts: tuple[int, ...]
     support: np.ndarray = field(repr=False)
-    pruned: Dag = None
-    threshold: float = 0.5
-    mode: str = "directed"
+    pruned: Dag
     failures: tuple[tuple[int, str], ...] = ()
+
+
+def check_replicates(n_replicates: int) -> None:
+    """Raise ConfigError unless ``n_replicates`` is at least one."""
+    if n_replicates < 1:
+        raise ConfigError(f"need at least one bootstrap replicate, got {n_replicates}")
 
 
 def model_grid_posteriors(
@@ -74,8 +77,8 @@ def _draw_simspec(
     )
 
 
-def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, priors,
-                   prior_kind, standardized):
+def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, prior_kind,
+                   standardized):
     """Simulate, score and search replicate ``k``; its gaussian columns are
     standardised when the original dataset's were."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
@@ -84,7 +87,7 @@ def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, priors
         replicate = simulate_data(spec)
         if standardized:
             replicate = standardize(replicate)
-        cache = build_cache(replicate, constraints, method="bayes", priors=priors)
+        cache = build_cache(replicate, constraints, method="bayes")
         for i in range(cache.n_nodes):
             if not np.any(np.isfinite(cache.scores[i])):
                 raise AbnError(
@@ -105,7 +108,6 @@ def run_bootstrap(
     constraints: ConstraintSet | None = None,
     n_replicates: int = 200,
     seed: int = 0,
-    priors: PriorSpec | None = None,
     structural_prior: str = "koivisto",
     threshold: float = 0.5,
     mode: str = "directed",
@@ -121,15 +123,14 @@ def run_bootstrap(
     """
     if dag.nodes != ds.names:
         raise NodeSetMismatch("DAG node set differs from dataset columns")
-    if n_replicates < 1:
-        raise ConfigError(f"need at least one bootstrap replicate, got {n_replicates}")
+    check_replicates(n_replicates)
     if constraints is None:
         constraints = ConstraintSet(ds.names)
     grids = model_grid_posteriors(dag, fits, n_grid=n_grid)
     families_map = ds.dist_map()
     tasks = [
-        (k, dag, families_map, grids, ds.n_obs, seed, constraints, priors,
-         structural_prior, ds.standardized)
+        (k, dag, families_map, grids, ds.n_obs, seed, constraints, structural_prior,
+         ds.standardized)
         for k in range(n_replicates)
     ]
     results = parallel_map(_one_replicate, tasks, jobs)
@@ -151,14 +152,11 @@ def run_bootstrap(
     support = arc_frequency_matrix(dags)
     pruned = prune_by_support(dag, support, threshold=threshold, mode=mode)
     return BootstrapReport(
-        n_replicates=n_replicates,
         replicate_dags=tuple(dags),
         replicate_scores=tuple(scores),
         arc_counts=tuple(d.n_arcs for d in dags),
         support=support,
         pruned=pruned,
-        threshold=threshold,
-        mode=mode,
         failures=tuple(failures),
     )
 

@@ -18,14 +18,9 @@ import numpy as np
 
 from .dag import ConstraintSet, Dag
 from .data import Dataset, design_for_mask
-from .errors import (
-    AbnError,
-    CacheMismatch,
-    RetainedExceedsLimit,
-    UnenumeratedParentSet,
-)
+from .errors import AbnError, CacheMismatch, UnenumeratedParentSet
 from .formula import parse_formula, render_formula
-from .glm import PriorSpec, fit_node, frequentist_scores
+from .glm import fit_node, frequentist_scores
 
 BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
@@ -47,23 +42,19 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     return [fn(*task) for task in tasks]
 
 
-def enumerate_parent_sets(
-    node: int, constraints: ConstraintSet, n_nodes: int
-) -> list[int]:
+def enumerate_parent_sets(node: int, constraints: ConstraintSet) -> list[int]:
     """All constraint-valid parent sets of one node, as ascending bitmasks.
 
     Valid means: contains the retained parents, avoids banned parents and the
-    node itself, and stays within the node's cardinality limit.
+    node itself, and stays within the node's cardinality limit (which a
+    ConstraintSet guarantees the retained parents fit).
     """
+    n_nodes = constraints.n_nodes
     if n_nodes > 64:
         raise AbnError("parent-set bitmasks support at most 64 nodes")
     retained = constraints.retained[node].tolist()
     banned = constraints.banned[node].tolist()
     limit = constraints.max_parents[node]
-    if sum(retained) > limit:
-        raise RetainedExceedsLimit(
-            f"node {constraints.nodes[node]!r} retains more parents than allowed"
-        )
     base = sum(1 << j for j in range(n_nodes) if retained[j])
     free = [1 << j for j in range(n_nodes) if j != node and not banned[j] and not retained[j]]
     # the bits are disjoint, so a sum is their union
@@ -112,11 +103,8 @@ class ScoreCache:
                 f"score type {score_type!r} not in cache (has {self.score_types})"
             ) from None
 
-    def default_score_type(self) -> str:
-        return default_score_type(self.method)
-
     def score(self, node: int, mask: int, score_type: str | None = None) -> float:
-        st = self.score_index(score_type or self.default_score_type())
+        st = self.score_index(score_type or default_score_type(self.method))
         try:
             row = self._lookup[node][mask]
         except KeyError:
@@ -126,7 +114,7 @@ class ScoreCache:
         return float(self.scores[node][row, st])
 
     def score_vector(self, node: int, score_type: str | None = None) -> np.ndarray:
-        st = self.score_index(score_type or self.default_score_type())
+        st = self.score_index(score_type or default_score_type(self.method))
         return self.scores[node][:, st]
 
     def restrict(self, constraints: ConstraintSet) -> ScoreCache:
@@ -139,7 +127,7 @@ class ScoreCache:
             raise CacheMismatch("constraint node set differs from cache")
         masks, scores = [], []
         for i, lookup in enumerate(self._lookup):
-            wanted = enumerate_parent_sets(i, constraints, self.n_nodes)
+            wanted = enumerate_parent_sets(i, constraints)
             for mask in wanted:
                 if mask not in lookup:
                     parents = [name for j, name in enumerate(self.nodes) if mask >> j & 1]
@@ -179,7 +167,6 @@ def _score_one_node(
     node: int,
     node_masks: list[int],
     method: str,
-    priors: PriorSpec,
     score_types: tuple[str, ...],
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
     n_cand = len(ds.names) - 1
@@ -188,7 +175,7 @@ def _score_one_node(
     for k, mask in enumerate(node_masks):
         design = design_for_mask(ds, node, mask)
         try:
-            fit = fit_node(design, method=method, priors=priors)
+            fit = fit_node(design, method=method)
             if method == "bayes":
                 block[k, 0] = fit.mlik
             else:
@@ -207,7 +194,6 @@ def build_cache(
     ds: Dataset,
     constraints: ConstraintSet | None = None,
     method: str = "bayes",
-    priors: PriorSpec | None = None,
     jobs: int = 1,
 ) -> ScoreCache:
     """Score every constraint-valid (node, parent set) pair.
@@ -223,12 +209,11 @@ def build_cache(
         constraints = ConstraintSet(ds.names)
     if constraints.nodes != ds.names:
         raise CacheMismatch("constraint node set differs from dataset columns")
-    priors = priors or PriorSpec()
     score_types = BAYES_SCORES if method == "bayes" else MLE_SCORES
     n = len(ds.names)
-    all_masks = [enumerate_parent_sets(i, constraints, n) for i in range(n)]
+    all_masks = [enumerate_parent_sets(i, constraints) for i in range(n)]
 
-    tasks = [(ds, i, all_masks[i], method, priors, score_types) for i in range(n)]
+    tasks = [(ds, i, all_masks[i], method, score_types) for i in range(n)]
     results = parallel_map(_score_one_node, tasks, jobs)
 
     diagnostics: list[tuple[int, int, str]] = []

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import run_bootstrap
+from .bootstrap import check_replicates, run_bootstrap
 from .cache import MLE_SCORES, build_cache, cache_from_text, cache_to_text, default_score_type
 from .dag import (
     ConstraintSet,
@@ -40,7 +40,7 @@ from .data import Dataset, format_dist_spec, load_dataset, standardize
 from .errors import AbnError, ConfigError
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .formula import parse_formula
-from .glm import fit_dag, marginal_densities
+from .glm import check_grid_size, fit_dag, marginal_densities
 from .heuristic import HeuristicConfig, heuristic_search, majority_consensus, repair_to_dag
 from .simulate import SimSpec, simulate_dag, simulate_data
 from .strength import discretize, pls_matrix
@@ -212,8 +212,10 @@ def cmd_search(args) -> int:
 def cmd_fit(args) -> int:
     run = _Run(args, method=args.method, standardize=not args.no_standardize,
                n_grid=args.n_grid)
-    if args.marginals and args.method != "bayes":
-        raise ConfigError("--marginals requires --method bayes")
+    if args.marginals:
+        if args.method != "bayes":
+            raise ConfigError("--marginals requires --method bayes")
+        check_grid_size(args.n_grid)
     ds, _ = run.data()
     dag = run.dag(args.dag, ds.names)
     fits = _fit_coefficients(run, ds, dag, args.method)
@@ -293,6 +295,8 @@ def cmd_bootstrap(args) -> int:
     run = _Run(args, replicates=args.replicates, threshold=args.threshold,
                mode=args.mode, prior=args.prior, max_parents=args.max_parents,
                ban=args.ban, retain=args.retain)
+    check_replicates(args.replicates)
+    check_grid_size(args.n_grid)
     ds, constraints = run.data()
     dag = run.dag(args.dag)
     seed = run.config["seed"] = _resolve_seed(args.seed)

@@ -164,10 +164,6 @@ class Dag:
         i = self.index(node)
         return tuple(self.nodes[j] for j in np.flatnonzero(self.adjacency[i]))
 
-    def children(self, node: str) -> tuple[str, ...]:
-        j = self.index(node)
-        return tuple(self.nodes[i] for i in np.flatnonzero(self.adjacency[:, j]))
-
     def arcs(self) -> list[tuple[str, str]]:
         """All arcs as (parent, child) pairs in row-major matrix order."""
         out = []
@@ -449,6 +445,7 @@ def dag_from_text(text: str) -> Dag:
 # --- DOT export ------------------------------------------------------------
 
 _DOT_SHAPE = {"binomial": "box", "gaussian": "ellipse", "poisson": "diamond"}
+_MAX_PENWIDTH = 6.0  # penwidth of the strongest weighted arc
 
 
 def _dot_id(name: str) -> str:
@@ -460,7 +457,6 @@ def dag_to_dot(
     dag: Dag,
     distributions: dict[str, str] | None = None,
     edge_weights: np.ndarray | None = None,
-    max_penwidth: float = 6.0,
 ) -> str:
     """Graphviz DOT text for a DAG.
 
@@ -480,7 +476,7 @@ def dag_to_dot(
         attr = ""
         if weights is not None and top > 0:
             w = abs(float(weights[dag.index(child), dag.index(parent)]))
-            attr = f' [penwidth={max(0.5, max_penwidth * w / top):.3f}]'
+            attr = f' [penwidth={max(0.5, _MAX_PENWIDTH * w / top):.3f}]'
         lines.append(f"  {_dot_id(parent)} -> {_dot_id(child)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,8 +27,7 @@ from .errors import (
     UnknownName,
     ZeroVariance,
 )
-
-DISTRIBUTIONS = ("binomial", "gaussian", "poisson")
+from .families import FAMILIES
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "?"}
 
@@ -40,9 +39,6 @@ class Dataset:
     names: tuple[str, ...]
     columns: np.ndarray = field(repr=False)  # (n_obs, n_cols) float64
     distributions: tuple[str, ...]
-    group_var: str | None = None
-    group_values: tuple[str, ...] | None = None
-    transforms: dict = field(default_factory=dict)  # name -> (mean, sd)
     standardized: bool = False
 
     def __post_init__(self):
@@ -55,7 +51,7 @@ class Dataset:
         if not np.all(np.isfinite(cols)):
             raise MissingValue("dataset contains non-finite values")
         for j, (name, dist) in enumerate(zip(self.names, self.distributions)):
-            if dist not in DISTRIBUTIONS:
+            if dist not in FAMILIES:
                 raise DataError(f"unknown distribution {dist!r} for column {name!r}")
             col = cols[:, j]
             if dist == "binomial":
@@ -106,16 +102,10 @@ class Dataset:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        header = list(self.names)
-        if self.group_var is not None:
-            header.append(self.group_var)
-        writer.writerow(header)
+        writer.writerow(self.names)
         for r in range(self.n_obs):
-            row = [_format_cell(self.columns[r, j], self.distributions[j])
-                   for j in range(len(self.names))]
-            if self.group_var is not None:
-                row.append(self.group_values[r])
-            writer.writerow(row)
+            writer.writerow([_format_cell(self.columns[r, j], self.distributions[j])
+                             for j in range(len(self.names))])
         return buf.getvalue()
 
 
@@ -129,7 +119,7 @@ def parse_dist_spec(text: str) -> tuple[dict[str, str], str | None]:
     """Parse a ``column=distribution`` spec file.
 
     One assignment per line; ``#`` starts a comment; the reserved key
-    ``group_var`` names an optional grouping column carried as metadata.
+    ``group_var`` names an optional grouping column, which the loader skips.
     """
     dists: dict[str, str] = {}
     group_var = None
@@ -144,9 +134,9 @@ def parse_dist_spec(text: str) -> tuple[dict[str, str], str | None]:
         if key == "group_var":
             group_var = value if value else None
             continue
-        if value not in DISTRIBUTIONS:
+        if value not in FAMILIES:
             raise DataError(
-                f"dist spec line {lineno}: {value!r} is not one of {DISTRIBUTIONS}"
+                f"dist spec line {lineno}: {value!r} is not one of {FAMILIES}"
             )
         dists[key] = value
     if not dists:
@@ -154,11 +144,8 @@ def parse_dist_spec(text: str) -> tuple[dict[str, str], str | None]:
     return dists, group_var
 
 
-def format_dist_spec(dists: Mapping[str, str], group_var: str | None = None) -> str:
-    lines = [f"{k}={v}" for k, v in dists.items()]
-    if group_var:
-        lines.append(f"group_var={group_var}")
-    return "\n".join(lines) + "\n"
+def format_dist_spec(dists: Mapping[str, str]) -> str:
+    return "\n".join(f"{k}={v}" for k, v in dists.items()) + "\n"
 
 
 def load_dataset(
@@ -171,7 +158,8 @@ def load_dataset(
     ``dist_spec`` maps every modeled column to a distribution; it may also be
     the path of a spec file.  Two-level string columns declared binomial are
     mapped to {0, 1} with the lexicographically first level as 0.  The file
-    may contain the grouping column; any other undeclared column is an error.
+    may contain the grouping column ``group_var``, which is checked to exist
+    and then skipped; any other undeclared column is an error.
     """
     if isinstance(dist_spec, (str, Path)):
         dists, spec_group = parse_dist_spec(Path(dist_spec).read_text())
@@ -201,14 +189,11 @@ def load_dataset(
     col_pos = {c: header.index(c) for c in header}
     n_obs = len(rows) - 1
     raw: dict[str, list[str]] = {c: [] for c in names}
-    group_values: list[str] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
         for c in names:
             raw[c].append(row[col_pos[c]].strip())
-        if group_var is not None:
-            group_values.append(row[col_pos[group_var]].strip())
 
     columns = np.empty((n_obs, len(names)), dtype=float)
     for j, name in enumerate(names):
@@ -218,8 +203,6 @@ def load_dataset(
         names=names,
         columns=columns,
         distributions=tuple(dists[c] for c in names),
-        group_var=group_var,
-        group_values=tuple(group_values) if group_var is not None else None,
     )
 
 
@@ -254,22 +237,15 @@ def _decode_column(name: str, cells: list[str], dist: str) -> np.ndarray:
         return values
     if not numeric:
         raise DataError(f"column {name!r} declared {dist} but is not numeric")
-    if dist == "poisson":
-        if np.any(values < 0):
-            raise NegativeCount(f"poisson column {name!r} contains negative values")
-        if np.any(values != np.floor(values)):
-            raise NegativeCount(f"poisson column {name!r} contains non-integers")
     return values
 
 
 def standardize(ds: Dataset) -> Dataset:
     """Center and scale every gaussian column to mean 0, sd 1.
 
-    Other columns pass through bit-for-bit.  The (mean, sd) pair per column
-    is retained for mapping fitted coefficients back to the raw scale.
+    Other columns pass through bit-for-bit.
     """
     columns = np.array(ds.columns)
-    transforms = dict(ds.transforms)
     for j, (name, dist) in enumerate(zip(ds.names, ds.distributions)):
         if dist != "gaussian":
             continue
@@ -278,14 +254,10 @@ def standardize(ds: Dataset) -> Dataset:
         if sd == 0.0:
             raise ZeroVariance(f"gaussian column {name!r} is constant")
         columns[:, j] = (columns[:, j] - mean) / sd
-        transforms[name] = (mean, sd)
     return Dataset(
         names=ds.names,
         columns=columns,
         distributions=ds.distributions,
-        group_var=ds.group_var,
-        group_values=ds.group_values,
-        transforms=transforms,
         standardized=True,
     )
 

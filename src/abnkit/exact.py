@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln
 
-from .cache import ScoreCache
+from .cache import ScoreCache, default_score_type
 from .dag import Dag, dag_from_masks
 from .errors import AbnError, MemoryLimit
 
@@ -148,7 +148,7 @@ def best_parents_table(
     """
     n = cache.n_nodes
     _check_budget(n, memory_budget)
-    score_type = score_type or cache.default_score_type()
+    score_type = score_type or default_score_type(cache.method)
     rank_all, values_all, masks_all = [], [], []
     for i, (masks, values) in enumerate(_node_entries(cache, prior, score_type)):
         masks = np.concatenate(([0], masks)).astype(np.int32)

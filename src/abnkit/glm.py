@@ -40,29 +40,28 @@ IRLS_TOL = 1e-8
 UNBOUNDED_COEF = 500.0
 NEWTON_MAX_ITER = 200
 NEWTON_GRAD_TOL = 1e-8
+# Gamma(shape, rate) prior on a gaussian node's precision tau
+PRECISION_SHAPE = 0.001
+PRECISION_RATE = 0.001
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Parameter priors for the bayes fitting mode.
 
-    Every regression coefficient gets an independent gaussian prior; the
-    gaussian-node precision tau gets a Gamma(shape, rate) prior.  Setting
+    Every regression coefficient gets an independent N(0, coef_variance)
+    prior; the gaussian-node precision tau gets a Gamma(0.001, 0.001) prior
+    (shape, rate: ``PRECISION_SHAPE``, ``PRECISION_RATE``).  Setting
     ``fixed_precision`` removes tau from the parameter vector (used by the
     conjugate-evidence checks).
     """
 
-    coef_mean: float = 0.0
     coef_variance: float = 1000.0
-    precision_shape: float = 0.001
-    precision_rate: float = 0.001
     fixed_precision: float | None = None
 
     def __post_init__(self):
         if self.coef_variance <= 0:
             raise ValueError("coef_variance must be positive")
-        if self.precision_shape <= 0 or self.precision_rate <= 0:
-            raise ValueError("precision prior shape and rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,13 +113,12 @@ class FitResult:
 
 def _log_prior_coef(theta: np.ndarray, priors: PriorSpec) -> float:
     v = priors.coef_variance
-    dev = theta - priors.coef_mean
-    return float(-0.5 * len(theta) * np.log(2.0 * np.pi * v) - 0.5 * np.sum(dev**2) / v)
+    return float(-0.5 * len(theta) * np.log(2.0 * np.pi * v) - 0.5 * np.sum(theta**2) / v)
 
 
-def _log_prior_log_precision(lam: float, priors: PriorSpec) -> float:
+def _log_prior_log_precision(lam: float) -> float:
     # Gamma(a, rate b) on tau, transformed to lam = log tau (includes Jacobian)
-    a, b = priors.precision_shape, priors.precision_rate
+    a, b = PRECISION_SHAPE, PRECISION_RATE
     return a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
 
 
@@ -163,7 +161,7 @@ class _Posterior:
                                                 self.log_factorial)))
         joint = ll + _log_prior_coef(theta, priors)
         if self.free_precision:
-            joint += _log_prior_log_precision(log_precision, priors)
+            joint += _log_prior_log_precision(log_precision)
         return joint, ll, eta
 
     def grad_hess(self, params: np.ndarray, eta: np.ndarray):
@@ -177,12 +175,12 @@ class _Posterior:
             tau = math.exp(lam) if self.free_precision else priors.fixed_precision
             r = y - eta
             xr = X.T @ r
-            coef_grad = tau * xr - (theta - priors.coef_mean) / v
+            coef_grad = tau * xr - theta / v
             coef_hess = -tau * self.gram - self.prior_precision
             if not self.free_precision:
                 return coef_grad, coef_hess
             rr = float(r @ r)
-            a, b = priors.precision_shape, priors.precision_rate
+            a, b = PRECISION_SHAPE, PRECISION_RATE
             grad = np.empty(p + 1)
             grad[:p] = coef_grad
             grad[p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
@@ -195,7 +193,7 @@ class _Posterior:
             return grad, hess
         mu = families.mean(self.family, eta)
         w = families.irls_weights(self.family, mu)
-        grad = X.T @ (y - mu) - (params - priors.coef_mean) / v
+        grad = X.T @ (y - mu) - params / v
         hess = -(X.T @ (X * w[:, None])) - self.prior_precision
         return grad, hess
 
@@ -487,7 +485,7 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
 def fit_node(
     design: DesignMatrix,
     method: str = "bayes",
-    priors: PriorSpec | None = None,
+    priors: PriorSpec = PriorSpec(),
 ) -> FitResult:
     """Fit one node's regression, in the design's family, by the requested
     method.
@@ -506,22 +504,16 @@ def fit_node(
         if method == "mle":
             return _fit_mle(design)
         if method == "bayes":
-            return _fit_bayes(design, priors or PriorSpec())
+            return _fit_bayes(design, priors)
     raise ValueError(f"unknown method {method!r}; expected 'bayes' or 'mle'")
 
 
-def fit_dag(
-    ds: Dataset,
-    dag: Dag,
-    method: str = "bayes",
-    priors: PriorSpec | None = None,
-) -> dict[str, FitResult]:
+def fit_dag(ds: Dataset, dag: Dag, method: str = "bayes") -> dict[str, FitResult]:
     """Fit every node of a DAG against its parents; keyed by node name."""
     if dag.nodes != ds.names:
         raise FitError("DAG node set differs from dataset columns")
     return {
-        node: fit_node(build_design(ds, node, dag.parents(node)), method=method,
-                       priors=priors)
+        node: fit_node(build_design(ds, node, dag.parents(node)), method=method)
         for node in dag.nodes
     }
 
@@ -573,6 +565,12 @@ def frequentist_scores(
     return FrequentistScores(loglik=ll, aic=aic, bic=bic, mdl=bic - log_choose)
 
 
+def check_grid_size(n_grid: int) -> None:
+    """Raise ConfigError unless a density grid of ``n_grid`` points is usable."""
+    if n_grid < 2:
+        raise ConfigError(f"a density grid needs at least 2 points, got {n_grid}")
+
+
 @dataclass(frozen=True)
 class ParamDensity:
     """Marginal posterior density of one parameter on a finite grid."""
@@ -602,8 +600,7 @@ def marginal_densities(
     """
     if fit.method != "bayes":
         raise FitError("marginal_densities needs a bayes-mode fit")
-    if n_grid < 2:
-        raise ConfigError(f"a density grid needs at least 2 points, got {n_grid}")
+    check_grid_size(n_grid)
     cov = np.linalg.inv(fit.neg_hessian)
     modes = list(fit.coefficients)
     labels = list(fit.labels)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import ScoreCache, parallel_map
+from .cache import ScoreCache, default_score_type, parallel_map
 from .dag import Dag, dag_from_masks, find_cycle, row_masks
 from .errors import ConfigError, EmptyCache, NodeSetMismatch
 from .exact import StructuralPrior, _node_entries
@@ -228,7 +228,7 @@ def _run_restart(
 def heuristic_search(
     cache: ScoreCache,
     config: HeuristicConfig = HeuristicConfig(),
-    prior: StructuralPrior = StructuralPrior("uninformative"),
+    prior: StructuralPrior = StructuralPrior(),
     score_type: str | None = None,
     jobs: int = 1,
 ) -> SearchTrace:
@@ -242,7 +242,7 @@ def heuristic_search(
     """
     if cache.n_entries == 0:
         raise EmptyCache("score cache has no entries")
-    tables = objective_tables(cache, prior, score_type or cache.default_score_type())
+    tables = objective_tables(cache, prior, score_type or default_score_type(cache.method))
     tasks = [(cache, tables, config, k) for k in range(config.restarts)]
     return SearchTrace(restarts=tuple(parallel_map(_run_restart, tasks, jobs)))
 

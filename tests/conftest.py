@@ -135,7 +135,7 @@ def random_cache(
     constraints = ConstraintSet(nodes, retained=retained, max_parents=max_parents)
     masks, scores = [], []
     for i in range(n):
-        m = enumerate_parent_sets(i, constraints, n)
+        m = enumerate_parent_sets(i, constraints)
         masks.append(np.array(m, dtype=np.int64))
         scores.append(rng.uniform(low, high, size=(len(m), 1)))
     return ScoreCache(

@@ -20,7 +20,7 @@ from conftest import gaussian_chain_dataset, mixed_dataset
 class TestEnumerate:
     def test_unconstrained_count_matches_binomial_sum(self):
         cons = ConstraintSet(tuple(f"x{i}" for i in range(8)), max_parents=4)
-        masks = enumerate_parent_sets(0, cons, 8)
+        masks = enumerate_parent_sets(0, cons)
         assert len(masks) == sum(math.comb(7, k) for k in range(5))  # 99
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
@@ -29,38 +29,38 @@ class TestEnumerate:
         nodes = tuple(f"x{i}" for i in range(5))
         banned = parse_formula("~x0|.", nodes)
         cons = ConstraintSet(nodes, banned=banned, max_parents=3)
-        assert enumerate_parent_sets(0, cons, 5) == [0]
+        assert enumerate_parent_sets(0, cons) == [0]
         # other nodes are unrestricted (x0 may still be their parent)
-        assert len(enumerate_parent_sets(1, cons, 5)) == sum(math.comb(4, k) for k in range(4))
+        assert len(enumerate_parent_sets(1, cons)) == sum(math.comb(4, k) for k in range(4))
 
     def test_retained_with_limit_one(self):
         nodes = ("a", "b", "c")
         retained = parse_formula("~a|b", nodes)
         cons = ConstraintSet(nodes, retained=retained, max_parents=1)
-        masks = enumerate_parent_sets(0, cons, 3)
+        masks = enumerate_parent_sets(0, cons)
         assert masks == [0b010]
 
     def test_retained_always_subset(self):
         nodes = tuple(f"x{i}" for i in range(6))
         retained = parse_formula("~x0|x3", nodes)
         cons = ConstraintSet(nodes, retained=retained, max_parents=3)
-        for mask in enumerate_parent_sets(0, cons, 6):
+        for mask in enumerate_parent_sets(0, cons):
             assert mask & 0b001000
 
     def test_per_node_limits(self):
         nodes = ("a", "b", "c", "d")
         cons = ConstraintSet(nodes, max_parents=[0, 1, 2, 3])
-        assert len(enumerate_parent_sets(0, cons, 4)) == 1
-        assert len(enumerate_parent_sets(1, cons, 4)) == 4
-        assert len(enumerate_parent_sets(2, cons, 4)) == 7
-        assert len(enumerate_parent_sets(3, cons, 4)) == 8
+        assert len(enumerate_parent_sets(0, cons)) == 1
+        assert len(enumerate_parent_sets(1, cons)) == 4
+        assert len(enumerate_parent_sets(2, cons)) == 7
+        assert len(enumerate_parent_sets(3, cons)) == 8
 
     def test_monotone_in_max_parents(self):
         nodes = tuple(f"x{i}" for i in range(6))
         counts = []
         for limit in range(6):
             cons = ConstraintSet(nodes, max_parents=limit)
-            counts.append(len(enumerate_parent_sets(0, cons, 6)))
+            counts.append(len(enumerate_parent_sets(0, cons)))
         assert counts == sorted(counts)
         assert counts[-1] == 2**5  # saturation at n-1 parents
 

@@ -393,7 +393,10 @@ class TestOutOfRangeOptions:
     @pytest.mark.parametrize("argv", [
         ["search", "heuristic", "--max-parents", "1", "--seed", "1", "--restarts", "0"],
         ["fit", "--dag", "true-dag.txt", "--method", "mle", "--marginals"],
-    ], ids=["restarts", "mle-marginals"])
+        ["fit", "--dag", "true-dag.txt", "--marginals", "--n-grid", "1"],
+        ["bootstrap", "--dag", "true-dag.txt", "--seed", "1", "--replicates", "0"],
+        ["bootstrap", "--dag", "true-dag.txt", "--seed", "1", "--n-grid", "1"],
+    ], ids=["restarts", "mle-marginals", "fit-n-grid", "replicates", "bootstrap-n-grid"])
     def test_rejected_before_fitting(self, workspace, tmp_path, capsys, monkeypatch,
                                      argv):
         import abnkit.cli

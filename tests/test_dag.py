@@ -302,7 +302,7 @@ class TestNodeNames:
         assert dag_from_text(dag_to_text(dag)) == dag
 
         constraints = ConstraintSet(names, banned=chain.T, max_parents=1)
-        masks = [np.array(enumerate_parent_sets(i, constraints, n), dtype=np.int64)
+        masks = [np.array(enumerate_parent_sets(i, constraints), dtype=np.int64)
                  for i in range(n)]
         cache = ScoreCache(
             nodes=tuple(names), distributions=("gaussian",) * n, method="bayes",

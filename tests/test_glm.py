@@ -379,7 +379,7 @@ class TestLaplace:
         ss = np.array([[np.sum((y - b) ** 2) for _ in [0]] for b in betas])
         tau = np.exp(L)
         ll = 0.5 * n * L - 0.5 * n * np.log(2 * np.pi) - 0.5 * tau * ss
-        a, bb = priors.precision_shape, priors.precision_rate
+        a, bb = abnkit.glm.PRECISION_SHAPE, abnkit.glm.PRECISION_RATE
         lp = (-0.5 * np.log(2 * np.pi * 1000) - 0.5 * B**2 / 1000
               + a * np.log(bb) - math.lgamma(a) + a * L - bb * tau)
         log_m = ll + lp

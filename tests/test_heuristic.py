@@ -5,7 +5,7 @@ from abnkit.cache import build_cache
 from abnkit.dag import ConstraintSet, Dag, validate_acyclic
 from abnkit.data import standardize
 from abnkit.errors import NodeSetMismatch
-from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
+from abnkit.exact import StructuralPrior, best_parents_table, dag_objective, most_probable_dag
 from abnkit.heuristic import (
     HeuristicConfig,
     arc_frequency_matrix,
@@ -26,6 +26,13 @@ def chain_cache():
 
 
 class TestSearch:
+    def test_default_prior_is_the_exact_default(self, chain_cache):
+        # a one-parent set is where koivisto and uninformative priors differ
+        trace = heuristic_search(chain_cache)
+        best = trace.best()
+        assert 1 in [bin(m).count("1") for m in best.dag.parent_masks()]
+        assert best.score == dag_objective(chain_cache, best.dag)
+
     @pytest.mark.parametrize("algorithm", ["hill_climb", "tabu", "simulated_annealing"])
     def test_two_node_single_optimum(self, algorithm):
         rng = np.random.default_rng(0)
