@@ -21,7 +21,7 @@ from .data import Dataset, standardize
 from .errors import AbnError, ConfigError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .glm import FitResult, ParamDensity, marginal_densities
-from .heuristic import arc_frequency_matrix, arc_support
+from .heuristic import arc_frequency_matrix, arc_support, check_support_mode
 from .simulate import SimSpec, simulate_data
 
 MAX_FAILURE_FRACTION = 0.05
@@ -77,7 +77,7 @@ def _draw_simspec(
     )
 
 
-def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, prior_kind,
+def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, prior,
                    standardized):
     """Simulate, score and search replicate ``k``; its gaussian columns are
     standardised when the original dataset's were."""
@@ -93,7 +93,7 @@ def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, prior_
                 raise AbnError(
                     f"node {cache.nodes[i]!r} has -inf scores for every parent set"
                 )
-        table = best_parents_table(cache, StructuralPrior(prior_kind))
+        table = best_parents_table(cache, prior)
         selected, _ = most_probable_dag(table)
         score = cache.dag_score(selected)
         return k, selected.adjacency, score, None
@@ -124,12 +124,14 @@ def run_bootstrap(
     if dag.nodes != ds.names:
         raise NodeSetMismatch("DAG node set differs from dataset columns")
     check_replicates(n_replicates)
+    check_support_mode(mode)
+    prior = StructuralPrior(structural_prior)
     if constraints is None:
         constraints = ConstraintSet(ds.names)
     grids = model_grid_posteriors(dag, fits, n_grid=n_grid)
     families_map = ds.dist_map()
     tasks = [
-        (k, dag, families_map, grids, ds.n_obs, seed, constraints, structural_prior,
+        (k, dag, families_map, grids, ds.n_obs, seed, constraints, prior,
          ds.standardized)
         for k in range(n_replicates)
     ]

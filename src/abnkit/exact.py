@@ -7,15 +7,18 @@ nodes; a sink sweep then assembles the best node ordering, ``F(S) = max_j
 F(S \\ j) + bs(j, S \\ j)``, and backtracking recovers the
 maximum-a-posteriori DAG.
 
-The subset sweep is a running minimum over int32 ranks of the cached sets, and
-a table keeps only that rank, 4 * 2^(n-1) bytes per node, plus the short
-rank-ordered score and mask arrays it indexes; every cell still yields its
-winner's exact float64 score and int32 bitmask, so optimality checks against
-brute-force enumeration hold with exact float equality.  Everything the
-search allocates counts against the memory budget, which reaches past the
-method's practical ceiling (~25 nodes): a 24-node search needs 1.0 GiB of the
-default 4 GiB, and with at most two parents per node it took 14 s and 1.05 GiB
-peak RSS on a 2-vCPU host.
+The subset sweep is a running minimum over ranks of the cached sets, and a
+table keeps only that rank, 2^(n-1) cells per node in the narrowest unsigned
+integer type that holds the node's largest rank (one byte up to 255 cached
+sets, two up to 65 535), plus the short rank-ordered score and mask arrays it
+indexes; every cell still yields its winner's exact float64 score and int32
+bitmask, so optimality checks against brute-force enumeration hold with exact
+float equality.  Everything the search allocates counts against the memory
+budget, which reaches past the method's practical ceiling (~25 nodes): a
+24-node search with at most two parents per node (two-byte ranks) needs
+0.61 GiB of the default 4 GiB, and it took 11.7 s and 685 MiB peak RSS on a
+2-vCPU host; with every parent set cached, ranks take four bytes and the need
+is 0.99 GiB.
 """
 
 from __future__ import annotations
@@ -57,21 +60,31 @@ class StructuralPrior:
         )
 
 
-def _search_bytes(n: int) -> int:
-    """Peak bytes of an exact search over n nodes: the int32 rank tables, F
-    (float64) and the sink choices (int8) over all 2^n subsets, the uint8
-    popcounts of the 2^(n-1) cells and one layer's comparison mask, and at
-    most eight 8-byte arrays (cells, subsets, candidates, temporaries) over
-    the largest sink layer."""
+def _rank_dtype(entries: int) -> np.dtype:
+    """Narrowest integer type of the ranks 0..entries of a node's cached sets
+    and its virtual empty entry."""
+    return np.min_scalar_type(entries)
+
+
+def _search_bytes(entries: list[int]) -> int:
+    """Peak bytes of an exact search over nodes with ``entries[i]`` cached
+    sets: the rank tables (each node's in its ``_rank_dtype``), F (float64)
+    and the sink choices (int8) over all 2^n subsets, the uint8 popcounts of
+    the 2^(n-1) cells and one layer's comparison mask, and at most eight
+    8-byte arrays (cells, subsets, candidates, temporaries) over the largest
+    sink layer."""
+    n = len(entries)
     others = max(n - 1, 0)
     cells = 1 << others
-    return 4 * n * cells + 9 * (1 << n) + 2 * cells + 64 * comb(others, others // 2)
+    ranks = sum(_rank_dtype(e).itemsize for e in entries)
+    return ranks * cells + 9 * (1 << n) + 2 * cells + 64 * comb(others, others // 2)
 
 
-def _check_budget(n: int, budget: int) -> None:
+def _check_budget(entries: list[int], budget: int) -> None:
+    n = len(entries)
     if n > 31:
         raise MemoryLimit(f"{n} nodes: int32 parent-set masks hold at most 31")
-    need = _search_bytes(n)
+    need = _search_bytes(entries)
     if need > budget:
         raise MemoryLimit(
             f"{n} nodes need {need} bytes ({need / 2**30:.2f} GiB) for the exact "
@@ -107,9 +120,11 @@ def _subset_sweep(rank: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BestParentTable:
-    """Per node i: for every subset S of the other nodes, the int32 rank of
-    the best parent set inside S, stored at cell ``_squeeze(S, i)``, and the
-    rank-ordered scores (plus log-prior) and masks that the rank indexes."""
+    """Per node i: for every subset S of the other nodes, the rank of the
+    best parent set inside S, stored at cell ``_squeeze(S, i)`` in the
+    narrowest unsigned type that holds the node's ranks (uint8 up to 255
+    cached sets), and the rank-ordered scores (plus log-prior) and masks that
+    the rank indexes."""
 
     nodes: tuple[str, ...]
     score_type: str
@@ -143,20 +158,23 @@ def best_parents_table(
     Per node, the cached sets plus a virtual ``(-inf, empty set)`` entry for
     subsets with nothing cached are ranked once: higher score first, ties
     toward smaller cardinality, then smaller bitmask, so repeated runs agree
-    bit for bit.  An int32 running minimum of ranks over the subsets of the
-    other nodes picks each cell's winner: 4 bytes per node and cell.
+    bit for bit.  A running minimum of ranks over the subsets of the other
+    nodes picks each cell's winner; ranks take the narrowest integer type
+    that holds them, so a cell is one byte for a node with at most 255 cached
+    sets and two bytes up to 65 535.
     """
     n = cache.n_nodes
-    _check_budget(n, memory_budget)
+    _check_budget([len(masks) for masks in cache.masks], memory_budget)
     score_type = score_type or default_score_type(cache.method)
     rank_all, values_all, masks_all = [], [], []
     for i, (masks, values) in enumerate(_node_entries(cache, prior, score_type)):
         masks = np.concatenate(([0], masks)).astype(np.int32)
         values = np.concatenate(([-np.inf], values))
         order = np.lexsort((masks, np.bitwise_count(masks), -values))
-        position = np.empty(len(order), dtype=np.int32)
-        position[order] = np.arange(len(order), dtype=np.int32)
-        rank = np.full(1 << (n - 1), position[0], dtype=np.int32)
+        dtype = _rank_dtype(len(order) - 1)
+        position = np.empty(len(order), dtype=dtype)
+        position[order] = np.arange(len(order), dtype=dtype)
+        rank = np.full(1 << (n - 1), position[0], dtype=dtype)
         rank[_squeeze(masks[1:], i)] = position[1:]
         rank_all.append(_subset_sweep(rank))
         values_all.append(values[order])

@@ -57,7 +57,8 @@ class SearchTrace:
 
     def best(self) -> RestartTrace:
         """Highest-scoring restart; earliest index wins exact ties."""
-        return max(self.restarts, key=lambda r: (r.score, -self.restarts.index(r)))
+        _, best = max(enumerate(self.restarts), key=lambda kr: (kr[1].score, -kr[0]))
+        return best
 
 
 def objective_tables(
@@ -266,15 +267,18 @@ def arc_frequency_matrix(dags: list[Dag]) -> np.ndarray:
     return freq / len(dags)
 
 
+def check_support_mode(mode: str) -> None:
+    """Raise ConfigError unless ``mode`` is ``directed`` or ``undirected``."""
+    if mode not in ("directed", "undirected"):
+        raise ConfigError(f"unknown support mode {mode!r}")
+
+
 def arc_support(frequency, mode: str) -> np.ndarray:
     """Support of each arc: its own frequency (directed), or the frequency of
     both directions summed (undirected)."""
+    check_support_mode(mode)
     frequency = np.asarray(frequency, dtype=float)
-    if mode == "directed":
-        return frequency
-    if mode == "undirected":
-        return frequency + frequency.T
-    raise ValueError(f"unknown support mode {mode!r}")
+    return frequency if mode == "directed" else frequency + frequency.T
 
 
 def majority_consensus(

@@ -5,7 +5,7 @@ import abnkit.bootstrap
 from abnkit.bootstrap import model_grid_posteriors, prune_by_support, run_bootstrap
 from abnkit.dag import ConstraintSet, Dag, validate_acyclic
 from abnkit.data import standardize
-from abnkit.errors import NodeSetMismatch
+from abnkit.errors import AbnError, ConfigError, NodeSetMismatch
 from abnkit.glm import fit_dag
 from abnkit.heuristic import arc_frequency_matrix, arc_support
 from abnkit.simulate import SimSpec, simulate_data
@@ -49,6 +49,10 @@ class TestSupportMatrix:
     def test_mismatched_nodes(self, asia_dag):
         with pytest.raises(NodeSetMismatch):
             arc_frequency_matrix([asia_dag, Dag(("a", "b"))])
+
+    def test_unknown_mode(self, asia_dag):
+        with pytest.raises(ConfigError, match="unknown support mode 'bogus'"):
+            arc_support(arc_frequency_matrix([asia_dag]), "bogus")
 
 
 class TestPrune:
@@ -188,6 +192,16 @@ class TestRunBootstrap:
         assert len(calls) == (3 if standardized else 0)
         total = sum(f.mlik for f in fits.values())
         assert all(abs(s - total) < 0.25 * abs(total) for s in report.replicate_scores)
+
+    @pytest.mark.parametrize("bad", [dict(structural_prior="bogus"), dict(mode="bogus")])
+    def test_bad_options_fail_before_any_replicate(self, small_model, monkeypatch, bad):
+        dag, ds, fits = small_model
+        calls = []
+        monkeypatch.setattr(abnkit.bootstrap, "build_cache",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(AbnError, match="unknown .* 'bogus'"):
+            run_bootstrap(fits, dag, ds, n_replicates=3, seed=1, **bad)
+        assert calls == []
 
     def test_grid_posteriors_cover_all_parameters(self, small_model):
         dag, ds, fits = small_model

@@ -9,6 +9,7 @@ from abnkit.exact import (
     DEFAULT_MEMORY_BUDGET,
     StructuralPrior,
     _check_budget,
+    _rank_dtype,
     _search_bytes,
     best_parents_table,
     dag_objective,
@@ -116,29 +117,72 @@ class TestBestParentsTable:
                 scores[rng.random(len(scores)) < 0.2] = -np.inf
             table = best_parents_table(cache, prior)
             for i in range(n):
-                assert table.rank[i].dtype == np.int32
+                # at most 32 cached sets: one byte holds every rank
+                assert table.rank[i].dtype == np.uint8
                 assert table.rank[i].size == 1 << (n - 1)
                 assert table.masks[i].dtype == np.int32
                 for S in other_subsets(n, i):
                     assert table.cell(i, S) == oracle_table_cell(cache, prior, i, S)
 
+    def test_uint16_ranks_match_brute_force(self):
+        # ten nodes: x1 has 512 cached sets, x0 (which must keep parent x1)
+        # 256; with the virtual entry both need ranks past 255
+        rng = np.random.default_rng(51)
+        n = 10
+        retained = np.zeros((n, n), dtype=np.int8)
+        retained[0, 1] = 1
+        cache = random_cache(n, rng, retained=retained)
+        for scores in cache.scores:
+            scores[:] = rng.integers(-6, 0, size=scores.shape)  # exact ties
+            scores[rng.random(len(scores)) < 0.2] = -np.inf
+        prior = StructuralPrior("koivisto")
+        table = best_parents_table(cache, prior)
+        assert [len(m) for m in cache.masks[:2]] == [256, 512]
+        assert all(rank.dtype == np.uint16 for rank in table.rank)
+        for i in (0, 1):
+            for S in other_subsets(n, i):
+                assert table.cell(i, S) == oracle_table_cell(cache, prior, i, S)
+
+    def test_rank_dtype_is_the_narrowest(self):
+        # ranks run from 0 to the number of cached sets (the virtual entry)
+        assert _rank_dtype(255) == np.uint8
+        assert _rank_dtype(256) == np.uint16
+        assert _rank_dtype(65_535) == np.uint16
+        assert _rank_dtype(65_536) == np.uint32
+
     def test_memory_limit(self):
         rng = np.random.default_rng(4)
         cache = random_cache(6, rng)
-        with pytest.raises(MemoryLimit, match=f"need {_search_bytes(6)} bytes"):
+        need = _search_bytes([32] * 6)
+        with pytest.raises(MemoryLimit, match=f"need {need} bytes"):
             best_parents_table(cache, memory_budget=100)
 
+    def test_budget_counts_each_nodes_rank_width(self):
+        # 12 nodes with at most two parents: 67 cached sets each, so one-byte
+        # ranks; the search fits a budget that four-byte ranks would overrun
+        cache = random_cache(12, np.random.default_rng(5), max_parents=2)
+        need = _search_bytes([67] * 12)
+        assert need == 12 * 2**11 + 9 * 2**12 + 2 * 2**11 + 64 * 462
+        assert need + 3 * 12 * 2**11 == 168_832  # the same search in int32 ranks
+        best_parents_table(cache, memory_budget=100_000)
+        best_parents_table(cache, memory_budget=need)
+        with pytest.raises(MemoryLimit, match=f"12 nodes need {need} bytes"):
+            best_parents_table(cache, memory_budget=need - 1)
+
     def test_budget_counts_every_search_array(self):
-        # rank tables 4 * 24 * 2^23, F and choices 9 * 2^24, popcounts and
-        # their layer mask 2 * 2^23, eight 8-byte arrays over C(23, 11) cells
-        need = _search_bytes(24)
-        assert need == 805_306_368 + 150_994_944 + 16_777_216 + 64 * 1_352_078
+        # 24 nodes with at most two parents: 277 cached sets each, so rank
+        # tables 2 * 24 * 2^23; F and choices 9 * 2^24, popcounts and their
+        # layer mask 2 * 2^23, eight 8-byte arrays over C(23, 11) cells
+        need = _search_bytes([277] * 24)
+        assert need == 402_653_184 + 150_994_944 + 16_777_216 + 64 * 1_352_078
         assert need < DEFAULT_MEMORY_BUDGET
-        _check_budget(24, DEFAULT_MEMORY_BUDGET)
+        _check_budget([277] * 24, need)
         with pytest.raises(MemoryLimit, match=f"24 nodes need {need} bytes"):
-            _check_budget(24, need - 1)
+            _check_budget([277] * 24, need - 1)
+        # every parent set of 23 others: 2^23 sets need four-byte ranks
+        assert _search_bytes([2**23] * 24) - need == 2 * 24 * 2**23
         with pytest.raises(MemoryLimit, match="at most 31"):
-            _check_budget(32, 1 << 62)
+            _check_budget([1] * 32, 1 << 62)
 
 
 class TestMostProbable:

@@ -8,6 +8,8 @@ from abnkit.errors import NodeSetMismatch
 from abnkit.exact import StructuralPrior, best_parents_table, dag_objective, most_probable_dag
 from abnkit.heuristic import (
     HeuristicConfig,
+    RestartTrace,
+    SearchTrace,
     arc_frequency_matrix,
     heuristic_search,
     majority_consensus,
@@ -26,6 +28,16 @@ def chain_cache():
 
 
 class TestSearch:
+    def test_best_restart_earliest_wins_ties(self):
+        a = dag_from_arcs(("x", "y"), (("x", "y"),))
+        b = dag_from_arcs(("x", "y"), (("y", "x"),))
+        trace = SearchTrace(restarts=(
+            RestartTrace(Dag(("x", "y")), -3.0, (-3.0,)),
+            RestartTrace(a, -1.0, (-2.0, -1.0)),
+            RestartTrace(b, -1.0, (-1.5, -1.0)),
+        ))
+        assert trace.best() is trace.restarts[1]
+
     def test_default_prior_is_the_exact_default(self, chain_cache):
         # a one-parent set is where koivisto and uninformative priors differ
         trace = heuristic_search(chain_cache)
