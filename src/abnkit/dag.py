@@ -23,6 +23,7 @@ from .errors import (
 )
 
 RESERVED = set("~:|+.,")
+RESERVED_LABELS = ("(Intercept)", "log_precision")  # a fit's own parameter labels
 
 
 def check_node_names(names: Sequence[str]) -> None:
@@ -36,6 +37,8 @@ def check_node_names(names: Sequence[str]) -> None:
                 f"invalid node name {name!r}: must be nonempty and free of "
                 "'~ : | + . ,' and whitespace"
             )
+        if name in RESERVED_LABELS:
+            raise UnknownName(f"invalid node name {name!r}: reserved for a model parameter")
 
 
 def _as_binary_matrix(matrix, n: int) -> np.ndarray:

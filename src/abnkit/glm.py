@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from . import families
@@ -243,6 +242,7 @@ def _irls(design: DesignMatrix):
 
 def _firth(design: DesignMatrix):
     """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX)."""
+    from scipy.linalg import cho_factor, cho_solve  # ~6 MiB; only Firth fits need it
     X, y = design.predictors, design.response
     theta = np.zeros(X.shape[1])
 

@@ -4,6 +4,12 @@ All three algorithms walk the space of cache-backed DAGs with single-arc
 moves (add, delete, reverse).  A candidate move is admissible only when the
 resulting parent sets exist in the cache -- which is exactly how ban/retain
 and cardinality constraints propagate -- and the graph stays acyclic.
+
+Acyclicity is checked against descendant bitsets (:func:`descendants`),
+recomputed once per step rather than searched once per candidate: adding
+``parent -> child`` is admissible iff ``parent`` does not descend from
+``child``, and reversing it iff no other parent of ``child`` descends from
+``parent``.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ class _State:
     def valid_moves(self) -> list[tuple[Move, float]]:
         """All admissible single-arc moves with their score deltas, in the
         canonical order add < delete < reverse, then (child, parent)."""
+        desc = descendants(self.masks)
         adds, deletes, reverses = [], [], []
         for child in range(self.n):
             cur, table, here = self.masks[child], self.tables[child], self.node_scores[child]
@@ -92,9 +99,9 @@ class _State:
                 bit = 1 << parent
                 if not cur & bit:
                     new = cur | bit
-                    # the arc parent -> child must not close a cycle
-                    if (parent != child and new in table
-                            and not path_exists(self.masks, child, parent)):
+                    # parent -> child closes a cycle iff parent descends from
+                    # child (a node is its own descendant: no self-loops)
+                    if new in table and not desc[child] & bit:
                         adds.append((("add", child, parent), table[new] - here))
                     continue
                 new = cur & ~bit
@@ -102,13 +109,10 @@ class _State:
                     continue  # retained arcs have no cached subset
                 deletes.append((("delete", child, parent), table[new] - here))
                 parent_new = self.masks[parent] | (1 << child)
-                if parent_new not in self.tables[parent]:
-                    continue
-                # after dropping parent->child, child->parent must not close a cycle
-                self.masks[child] = new
-                closes = path_exists(self.masks, parent, child)
-                self.masks[child] = cur
-                if not closes:
+                # child -> parent closes a cycle iff another parent of child
+                # descends from parent: a path parent -> ... -> child that
+                # cannot pass through child, so not through the dropped arc
+                if parent_new in self.tables[parent] and not new & desc[parent]:
                     delta = (table[new] - here
                              + self.tables[parent][parent_new] - self.node_scores[parent])
                     reverses.append((("reverse", child, parent), delta))
@@ -132,32 +136,34 @@ def _inverse(move: Move) -> Move:
     return ("reverse", parent, child)
 
 
-def path_exists(masks: list[int], start: int, goal: int) -> bool:
-    """Directed path start -> ... -> goal, where ``masks[i]`` is node i's
-    parent bitmask."""
-    stack = [start]
-    seen = {start}
-    while stack:
-        cur = stack.pop()
-        if cur == goal:
-            return True
-        for child, mask in enumerate(masks):
-            if mask >> cur & 1 and child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return False
+def descendants(masks: list[int]) -> list[int]:
+    """Bitmask of the nodes reachable from each node, itself included, where
+    ``masks[i]`` is node i's parent bitmask.  Cycles are allowed."""
+    reach = [1 << i for i in range(len(masks))]
+    for child, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            reach[low.bit_length() - 1] |= 1 << child
+            mask ^= low
+    for k in range(len(reach)):  # Warshall's transitive closure over bitset rows
+        bit, via = 1 << k, reach[k]
+        if via != bit:  # a node without children extends no row
+            reach = [r | via if r & bit else r for r in reach]
+    return reach
 
 
 def _randomize_start(state: _State, rng: np.random.Generator) -> None:
     pairs = [(i, j) for i in range(state.n) for j in range(state.n) if i != j]
     order = rng.permutation(len(pairs))
+    desc = descendants(state.masks)
     for k in order:
         child, parent = pairs[k]
         if rng.random() >= INIT_DENSITY or state.masks[child] >> parent & 1:
             continue
         new = state.masks[child] | (1 << parent)
-        if new in state.tables[child] and not path_exists(state.masks, child, parent):
+        if new in state.tables[child] and not desc[child] >> parent & 1:
             state.apply(("add", child, parent))
+            desc = descendants(state.masks)
 
 
 def _run_restart(
@@ -321,8 +327,8 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
         m[child, parent] = 0
         if m[parent, child]:
             continue  # two-cycle: the higher-frequency direction survives
-        # reversal closes a cycle iff some path child -> ... -> parent remains
-        if not path_exists(row_masks(m), child, parent):
+        # the reversal child -> parent closes a cycle iff parent still reaches child
+        if not descendants(row_masks(m))[parent] >> child & 1:
             m[parent, child] = 1
     else:
         # safety: delete remaining cycle arcs outright

@@ -293,6 +293,11 @@ class TestNodeNames:
         with pytest.raises(UnknownName):
             check_node_names([name])
 
+    @pytest.mark.parametrize("name", ["(Intercept)", "log_precision"])
+    def test_parameter_labels_rejected(self, name):
+        with pytest.raises(UnknownName, match="reserved"):
+            Dag(("x", name), [[0, 1], [0, 0]])
+
     @settings(max_examples=60, deadline=None)
     @given(names=st.lists(valid_name, min_size=1, max_size=4, unique=True))
     def test_accepted_names_survive_text_formats(self, names):

@@ -85,6 +85,18 @@ class TestLoad:
         with pytest.raises(MissingColumn):
             load_dataset(csv_file("a,b\n1,2\n0,3\n"), {"a": "binomial"})
 
+    @pytest.mark.parametrize("name", ["(Intercept)", "log_precision"])
+    def test_parameter_label_rejected_as_column(self, csv_file, name):
+        with pytest.raises(UnknownName, match="reserved"):
+            load_dataset(csv_file(f"x,{name}\n0.5,1.5\n1.5,0.5\n"),
+                         {"x": "gaussian", name: "gaussian"})
+
+    @pytest.mark.parametrize("name", ["(Intercept)", "log_precision"])
+    def test_parameter_label_rejected_as_dataset_name(self, name):
+        with pytest.raises(UnknownName, match="reserved"):
+            Dataset(names=("x", name), columns=np.ones((2, 2)),
+                    distributions=("gaussian", "gaussian"))
+
     def test_parse_dist_spec_comments_and_group(self):
         dists, group = parse_dist_spec("# comment\na=binomial\nc = gaussian\ngroup_var=farm\n")
         assert dists == {"a": "binomial", "c": "gaussian"}

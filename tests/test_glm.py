@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +176,31 @@ class TestFirthAndPruning:
         assert fit.used_firth
         assert np.all(np.isfinite(fit.coefficients))
         assert np.max(np.abs(fit.coefficients)) < 20
+
+    def test_scipy_linalg_loaded_only_by_firth(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import abnkit.cli
+            from abnkit.data import DesignMatrix
+            from abnkit.glm import fit_node
+
+            x = np.linspace(-2, 2, 60)
+            X = np.column_stack([np.ones(60), x])
+            def design(y):
+                return DesignMatrix(response=y, predictors=X, labels=("(Intercept)", "x"),
+                                    child="y", family="binomial")
+            mixed = design((np.sin(7 * x) > 0).astype(float))
+            assert fit_node(mixed, method="bayes").converged
+            fit = fit_node(mixed, method="mle")
+            assert fit.converged and not fit.used_firth
+            assert "scipy.linalg" not in sys.modules
+            assert fit_node(design((x > 0).astype(float)), method="mle").used_firth
+            assert "scipy.linalg" in sys.modules
+        """)
+        src = str(Path(abnkit.glm.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_constant_response_finite_via_firth(self):
         d = DesignMatrix(response=np.ones(30), predictors=np.ones((30, 1)),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abnkit.cache import build_cache
-from abnkit.dag import ConstraintSet, Dag, validate_acyclic
+from abnkit.dag import ConstraintSet, Dag, row_masks, validate_acyclic
 from abnkit.data import standardize
 from abnkit.errors import NodeSetMismatch
 from abnkit.exact import StructuralPrior, best_parents_table, dag_objective, most_probable_dag
@@ -10,9 +12,12 @@ from abnkit.heuristic import (
     HeuristicConfig,
     RestartTrace,
     SearchTrace,
+    _State,
     arc_frequency_matrix,
+    descendants,
     heuristic_search,
     majority_consensus,
+    objective_tables,
     repair_to_dag,
 )
 
@@ -61,8 +66,6 @@ class TestSearch:
             seq = restart.best_scores
             assert all(b >= a for a, b in zip(seq, seq[1:]))
         # terminal state: no admissible single-arc move improves
-        from abnkit.heuristic import _State, objective_tables
-
         best = trace.best()
         state = _State(objective_tables(chain_cache, UNIF, "mlik"), best.dag.parent_masks())
         assert all(delta <= 1e-9 for _, delta in state.valid_moves())
@@ -108,6 +111,108 @@ class TestSearch:
         trace = heuristic_search(cache, config=config, prior=UNIF)
         for restart in trace.restarts:
             assert ("a", "b") in restart.dag.arcs()
+
+
+def dfs_path(masks, start, goal) -> bool:
+    """Directed path start -> ... -> goal by depth-first search; ``masks[i]``
+    is node i's parent bitmask."""
+    stack, seen = [start], {start}
+    while stack:
+        cur = stack.pop()
+        if cur == goal:
+            return True
+        for child, mask in enumerate(masks):
+            if mask >> cur & 1 and child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
+
+def oracle_moves(state):
+    """``_State.valid_moves`` written out plainly: one DFS per add and per
+    reverse candidate, the same order and the same delta arithmetic."""
+    adds, deletes, reverses = [], [], []
+    for child in range(state.n):
+        cur, table, here = state.masks[child], state.tables[child], state.node_scores[child]
+        for parent in range(state.n):
+            bit = 1 << parent
+            if not cur & bit:
+                new = cur | bit
+                if parent != child and new in table and not dfs_path(state.masks, child, parent):
+                    adds.append((("add", child, parent), table[new] - here))
+                continue
+            new = cur & ~bit
+            if new not in table:
+                continue
+            deletes.append((("delete", child, parent), table[new] - here))
+            parent_new = state.masks[parent] | (1 << child)
+            if parent_new not in state.tables[parent]:
+                continue
+            masks = list(state.masks)
+            masks[child] = new
+            if not dfs_path(masks, parent, child):
+                delta = (table[new] - here
+                         + state.tables[parent][parent_new] - state.node_scores[parent])
+                reverses.append((("reverse", child, parent), delta))
+    return adds + deletes + reverses
+
+
+def bits(moves):
+    return [(move, delta.hex()) for move, delta in moves]
+
+
+@st.composite
+def admissible_states(draw):
+    """A random cache (cardinality limit, retained arcs) and a random DAG whose
+    parent sets it holds: arcs only run forward in a random node order."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    max_parents = draw(st.none() | st.integers(0, n - 1))
+    limit = n if max_parents is None else max_parents
+    retained = np.zeros((n, n), dtype=np.int8)
+    masks = [0] * n
+    for later in range(n):
+        child = order[later]
+        for parent in order[:later]:
+            if bin(masks[child]).count("1") == limit:
+                break
+            kind = draw(st.sampled_from(("none", "arc", "retained")))
+            if kind != "none":
+                masks[child] |= 1 << parent
+                retained[child, parent] = kind == "retained"
+    seed = draw(st.integers(0, 2**32 - 1))
+    cache = random_cache(n, np.random.default_rng(seed), max_parents=max_parents,
+                         retained=retained)
+    return _State(objective_tables(cache, UNIF, "mlik"), masks)
+
+
+class TestMovesMatchDfsOracle:
+    def test_descendants_equal_dfs_reachability(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            m = (rng.random((n, n)) < rng.uniform(0.1, 0.5)).astype(np.int8)
+            np.fill_diagonal(m, 0)  # cycles stay: repair_to_dag reads cyclic graphs
+            masks = row_masks(m)
+            desc = descendants(masks)
+            assert [[bool(d >> j & 1) for j in range(n)] for d in desc] == \
+                [[dfs_path(masks, i, j) for j in range(n)] for i in range(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=admissible_states())
+    def test_valid_moves_equal_oracle(self, state):
+        assert bits(state.valid_moves()) == bits(oracle_moves(state))
+
+    @pytest.mark.parametrize("algorithm", ["hill_climb", "tabu", "simulated_annealing"])
+    def test_search_traces_equal_oracle_runs(self, algorithm, monkeypatch):
+        cache = random_cache(12, np.random.default_rng(12), max_parents=3)
+        config = HeuristicConfig(algorithm=algorithm, restarts=3, max_steps=80, seed=4)
+        fast = heuristic_search(cache, config=config)
+        monkeypatch.setattr(_State, "valid_moves", oracle_moves)
+        slow = heuristic_search(cache, config=config)
+        assert fast == slow
+        assert [r.best_scores for r in fast.restarts] == [r.best_scores for r in slow.restarts]
+        assert len(fast.restarts[0].best_scores) > 5
 
 
 class TestConsensus:
@@ -156,6 +261,27 @@ class TestRepair:
         out = repair_to_dag(m, freq, ("x", "y"))
         # arc with frequency 0.9 is y <- x (row y, column x)
         assert out.adjacency[1, 0] == 1 and out.adjacency[0, 1] == 0
+
+    @staticmethod
+    def repair(arcs, n):
+        """Repair a matrix given as (parent, child, frequency) arcs; returns
+        the sorted (parent, child) arcs of the result."""
+        m, freq = np.zeros((n, n), dtype=np.int8), np.zeros((n, n))
+        for parent, child, f in arcs:
+            m[child, parent], freq[child, parent] = 1, f
+        return sorted(repair_to_dag(m, freq, tuple(f"x{i}" for i in range(n))).arcs())
+
+    def test_weakest_arc_of_a_cycle_reversed(self):
+        # x0 -> x1 -> x2 -> x0: x1 -> x0 closes no cycle once x0 -> x1 is gone
+        arcs = ((0, 1, 0.1), (1, 2, 0.9), (2, 0, 0.9))
+        assert self.repair(arcs, 3) == [("x1", "x0"), ("x1", "x2"), ("x2", "x0")]
+
+    def test_reversal_closing_a_longer_cycle_deletes_the_arc(self):
+        # x0 -> x1 -> x2 -> x0 plus the detour x0 -> x3 -> x1: reversing the
+        # weakest arc x0 -> x1 would close x1 -> x0 -> x3 -> x1, so it is
+        # deleted; the detour's weakest arc x0 -> x3 then reverses freely
+        arcs = ((0, 1, 0.1), (1, 2, 0.9), (2, 0, 0.9), (0, 3, 0.7), (3, 1, 0.8))
+        assert self.repair(arcs, 4) == [("x1", "x2"), ("x2", "x0"), ("x3", "x0"), ("x3", "x1")]
 
     def test_random_cyclic_matrices_repaired(self):
         rng = np.random.default_rng(31)
