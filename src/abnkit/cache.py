@@ -34,8 +34,10 @@ def default_score_type(method: str) -> str:
 
 
 def parallel_map(fn, tasks, jobs: int) -> list:
-    """``[fn(*task) for task in tasks]``, run in ``jobs`` worker processes
-    when ``jobs > 1``; results keep the task order either way."""
+    """``[fn(*task) for task in tasks]``, run in ``min(jobs, len(tasks))``
+    worker processes when that is more than one; results keep the task order
+    either way."""
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, *zip(*tasks)))

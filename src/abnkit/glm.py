@@ -2,13 +2,19 @@
 
 Two fitting modes mirror the two scoring frameworks:
 
-* ``mle`` -- iteratively reweighted least squares.  Binomial models that
-  fail to converge (separation) are refit with Firth's bias-reducing
-  penalty; if estimates are still non-finite, predictors are removed one at
-  a time until the design is full rank.
+* ``mle`` -- iteratively reweighted least squares.  Binomial models whose
+  fit diverges or separates completely are refit with Firth's
+  bias-reducing penalty; when the fit still diverges, predictors are
+  removed one at a time until it succeeds.
 * ``bayes`` -- Newton optimization of log-likelihood plus log-prior to the
   posterior mode, with the gaussian precision handled on the log scale, and
   the model evidence approximated by Laplace's method at the mode.
+
+The bayes mode and Firth share one Newton ascent with step halving,
+:func:`_ascend`.  IRLS keeps its own loop because it is the separation
+detector: a separated design drives its coefficients past
+``UNBOUNDED_COEF`` or its deviance to zero, while a gradient rule would
+call the flat likelihood converged at a large finite slope.
 
 All scores are stored in larger-is-better orientation.
 """
@@ -198,12 +204,44 @@ class _Posterior:
 
 
 # --------------------------------------------------------------------------
-# maximum likelihood: IRLS + Firth + rank pruning
+# fitting: Newton ascent; mle by IRLS + Firth + pruning; bayes posterior mode
 # --------------------------------------------------------------------------
 
 
 class _Diverged(FitError):
     pass
+
+
+def _ascend(value, derivatives, params: np.ndarray):
+    """Newton ascent with step halving from ``params``: (params, objective,
+    state, Hessian, converged) at the final params.  ``value(params)``
+    returns ``(objective, state)``, ``derivatives(params, state)`` the
+    gradient and the Hessian or a negative definite stand-in.  Singular
+    curvature raises _Diverged."""
+    f_old, state = value(params)
+    for _ in range(NEWTON_MAX_ITER):
+        grad, hess = derivatives(params, state)
+        if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
+            return params, f_old, state, hess, True
+        try:
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            raise _Diverged("singular curvature")
+        scale = 1.0
+        for _ in range(40):
+            cand = params + scale * step
+            f_new, state_new = value(cand)
+            if math.isfinite(f_new) and f_new >= f_old - 1e-12:
+                break
+            scale /= 2.0
+        else:
+            break  # no ascent step: grad and hess are those of params
+        params, f_old, state = cand, f_new, state_new
+        if np.max(np.abs(scale * step)) < 1e-10:
+            return params, f_old, state, derivatives(params, state)[1], True
+    else:
+        grad, hess = derivatives(params, state)
+    return params, f_old, state, hess, bool(np.max(np.abs(grad)) < 1e-4)
 
 
 def _irls(design: DesignMatrix):
@@ -235,56 +273,40 @@ def _irls(design: DesignMatrix):
         if not math.isfinite(dev):
             raise _Diverged("non-finite deviance")
         if abs(dev - dev_old) / (abs(dev) + 0.1) < IRLS_TOL:
+            # no finite MLE fits every 0/1 response this closely
+            if fam == "binomial" and dev < 1e-6:
+                raise _Diverged("complete separation")
             return theta, True
         dev_old = dev
     return theta, False
 
 
 def _firth(design: DesignMatrix):
-    """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX)."""
-    from scipy.linalg import cho_factor, cho_solve  # ~6 MiB; only Firth fits need it
+    """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX) from
+    zero.  Returns (theta, converged)."""
     X, y = design.predictors, design.response
-    theta = np.zeros(X.shape[1])
 
-    def penalized(th):
-        eta = X @ th
+    def penalized(theta):
+        eta = X @ theta
         mu = families.mean("binomial", eta)
         w = families.irls_weights("binomial", mu)
         sign, logdet = np.linalg.slogdet(X.T @ (X * w[:, None]))
-        if sign <= 0:
-            return -np.inf, mu, w
         ll = float(np.sum(families.loglik_terms("binomial", y, eta)))
-        return ll + 0.5 * logdet, mu, w
+        return (ll + 0.5 * logdet if sign > 0 else -np.inf), (mu, w)
 
-    f_old, mu, w = penalized(theta)
-    for _ in range(IRLS_MAX_ITER):
+    def modified_score(theta, state):
+        mu, w = state
         wx = X * w[:, None]
         info = X.T @ wx
         try:
-            chol = cho_factor(info)
+            np.linalg.cholesky(info)
         except np.linalg.LinAlgError:
             raise _Diverged("singular information matrix in Firth fit")
-        h = np.einsum("ij,ji->i", X, cho_solve(chol, wx.T))
-        score = X.T @ (y - mu + h * (0.5 - mu))
-        step = cho_solve(chol, score)
-        # step halving keeps the penalized log-likelihood monotone
-        scale = 1.0
-        for _ in range(30):
-            cand = theta + scale * step
-            f_new, mu_new, w_new = penalized(cand)
-            if f_new >= f_old - 1e-12:
-                break
-            scale /= 2.0
-        else:
-            return theta, False
-        theta, mu, w = cand, mu_new, w_new
-        if not np.all(np.isfinite(theta)):
-            raise _Diverged("non-finite Firth estimates")
-        moved = abs(f_new - f_old) / (abs(f_new) + 0.1)
-        f_old = f_new
-        if moved < IRLS_TOL and np.max(np.abs(scale * step)) < 1e-6:
-            return theta, True
-    return theta, False
+        h = np.einsum("ij,ji->i", X, np.linalg.solve(info, wx.T))
+        return X.T @ (y - mu + h * (0.5 - mu)), -info
+
+    theta, _, _, _, converged = _ascend(penalized, modified_score, np.zeros(X.shape[1]))
+    return theta, converged
 
 
 def _mle_summary(design: DesignMatrix, theta: np.ndarray):
@@ -322,8 +344,6 @@ def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, bool, bool]:
         except _Diverged:
             pass
         theta, converged = _firth(design)  # may raise _Diverged
-        if not np.all(np.isfinite(theta)):
-            raise _Diverged("non-finite estimates after Firth")
         return theta, True, converged
     theta, converged = _irls(design)
     if not converged:
@@ -390,20 +410,10 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
     )
 
 
-# --------------------------------------------------------------------------
-# bayes: Newton to the posterior mode
-# --------------------------------------------------------------------------
-
-
-def _newton_mode(post: _Posterior):
-    """Newton ascent with step halving to the posterior mode.
-
-    Returns (params, negative Hessian, converged, log joint, log-likelihood,
-    eta), the last three evaluated at ``params``.
-    """
+def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
+    post = _Posterior(design, priors)
     X, y, p = post.X, post.y, post.width
-    fam = post.family
-
+    fam = design.family
     params = np.zeros(p + (1 if post.free_precision else 0))
     mean_y = float(np.mean(y))
     if fam == "binomial":
@@ -416,53 +426,18 @@ def _newton_mode(post: _Posterior):
             rss = float(np.sum((y - X @ params[:p]) ** 2))
             params[p] = math.log(len(y) / max(rss, 1e-12))
 
-    f_old, ll, eta = post.evaluate(*post.split(params))
-    derivatives = None
-    converged = False
-    for _ in range(NEWTON_MAX_ITER):
-        grad, hess = derivatives = post.grad_hess(params, eta)
-        if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
-            converged = True
-            break
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(-hess, grad, rcond=None)[0]
-        scale = 1.0
-        for _ in range(40):
-            cand = params + scale * step
-            f_new, ll_new, eta_new = post.evaluate(*post.split(cand))
-            if math.isfinite(f_new) and f_new >= f_old - 1e-12:
-                break
-            scale /= 2.0
-        else:
-            break
-        if not np.all(np.isfinite(cand)):
-            break
-        moved = np.max(np.abs(scale * step))
-        params, f_old, ll, eta = cand, f_new, ll_new, eta_new
-        derivatives = None
-        if moved < 1e-10:
-            converged = True
-            break
-    if derivatives is None:
-        derivatives = post.grad_hess(params, eta)
-    grad, hess = derivatives
-    if np.max(np.abs(grad)) < 1e-4:
-        converged = True
-    return params, -hess, converged, f_old, ll, eta
+    def log_joint(params):
+        joint, ll, eta = post.evaluate(*post.split(params))
+        return joint, (ll, eta)
 
-
-def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    post = _Posterior(design, priors)
-    params, neg_h, converged, joint, ll, eta = _newton_mode(post)
+    params, joint, (ll, eta), hess, converged = _ascend(
+        log_joint, lambda params, state: post.grad_hess(params, state[1]), params)
+    neg_h = -hess
     theta, lam = post.split(params)
-    fam = design.family
     if fam == "gaussian" and lam is None:
         lam = float(np.log(priors.fixed_precision))
         # the reported likelihood uses exp(log tau), not tau itself
-        ll = float(np.sum(families.loglik_terms(fam, design.response, eta,
-                                                math.exp(lam))))
+        ll = float(np.sum(families.loglik_terms(fam, y, eta, math.exp(lam))))
     return FitResult(
         labels=design.labels,
         coefficients=theta,

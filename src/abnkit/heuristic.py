@@ -312,11 +312,10 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
     """
     m = np.array(matrix, dtype=np.int8)
     freq = np.asarray(frequencies, dtype=float)
-    budget = 4 * int(m.sum()) + 4
-    for _ in range(budget):
-        cycle = find_cycle(m)
-        if cycle is None:
-            break
+    # each pass deletes an arc of a cycle and adds at most its reversal, which
+    # closes no cycle: fewer arcs lie on cycles after every pass, so the
+    # passes are at most the input arcs
+    while (cycle := find_cycle(m)) is not None:
         # path of child->parent hops; arcs point parent -> child
         arcs = []
         for k, child in enumerate(cycle):
@@ -330,10 +329,4 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
         # the reversal child -> parent closes a cycle iff parent still reaches child
         if not descendants(row_masks(m))[parent] >> child & 1:
             m[parent, child] = 1
-    else:
-        # safety: delete remaining cycle arcs outright
-        while (cycle := find_cycle(m)) is not None:
-            child = cycle[0]
-            parent = cycle[1 % len(cycle)]
-            m[child, parent] = 0
     return Dag(nodes, m)

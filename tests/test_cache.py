@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import abnkit.cache
 from abnkit.cache import (
     build_cache,
     cache_from_text,
     cache_to_text,
     enumerate_parent_sets,
+    parallel_map,
 )
 from abnkit.dag import ConstraintSet, Dag
 from abnkit.data import standardize
@@ -102,6 +104,14 @@ class TestBuildCache:
         serial = cache_to_text(build_cache(ds, cons, jobs=1))
         parallel = cache_to_text(build_cache(ds, cons, jobs=2))
         assert serial == parallel
+
+    def test_single_task_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one task")
+
+        monkeypatch.setattr(abnkit.cache, "ProcessPoolExecutor", no_pool)
+        assert parallel_map(math.hypot, [(3.0, 4.0)], jobs=4) == [5.0]
+        assert parallel_map(math.hypot, [], jobs=4) == []
 
     def test_unenumerated_lookup_fails_loudly(self):
         ds = mixed_dataset(60, 5)
