@@ -180,17 +180,18 @@ def cmd_search(args) -> int:
         table = best_parents_table(cache, prior, score_type=score)
         dag, total = most_probable_dag(table)
         run.config["total_objective"] = total
-        run.config["total_score"] = cache.dag_score(dag, score)
+        run.config["total_score"] = total_score = cache.dag_score(dag, score)
         breakdown = ["node\tparents\tscore"]
-        for i, node in enumerate(dag.nodes):
+        for i, (node, mask) in enumerate(zip(dag.nodes, dag.parent_masks())):
             parents = ":".join(sorted(dag.parents(node))) or "-"
-            breakdown.append(f"{node}\t{parents}\t{cache.score(i, dag.parent_masks()[i], score):.17g}")
+            breakdown.append(f"{node}\t{parents}\t{cache.score(i, mask, score):.17g}")
         run.write("scores.tsv", "\n".join(breakdown) + "\n")
     else:
         trace = heuristic_search(cache, config, prior=prior, score_type=score,
                                  jobs=args.jobs)
         dag = trace.best().dag
         run.config["total_objective"] = trace.best().score
+        total_score = cache.dag_score(dag, score)
         lines = ["restart\tstep\tbest_score"]
         for r, restart in enumerate(trace.restarts):
             for s, value in enumerate(restart.best_scores):
@@ -205,7 +206,7 @@ def cmd_search(args) -> int:
     run.write("dag.dot", dag_to_dot(dag, ds.dist_map()))
     _fit_coefficients(run, ds, dag, args.method)
     print(f"selected DAG with {dag.n_arcs} arcs; "
-          f"total {score} = {cache.dag_score(dag, score):.4f}")
+          f"total {score} = {total_score:.4f}")
     return run.finish("search")
 
 

@@ -13,12 +13,16 @@ integer type that holds the node's largest rank (one byte up to 255 cached
 sets, two up to 65 535), plus the short rank-ordered score and mask arrays it
 indexes; every cell still yields its winner's exact float64 score and int32
 bitmask, so optimality checks against brute-force enumeration hold with exact
-float equality.  Everything the search allocates counts against the memory
-budget, which reaches past the method's practical ceiling (~25 nodes): a
-24-node search with at most two parents per node (two-byte ranks) needs
-0.61 GiB of the default 4 GiB, and it took 11.7 s and 685 MiB peak RSS on a
-2-vCPU host; with every parent set cached, ranks take four bytes and the need
-is 0.99 GiB.
+float equality.  The sweep's five lowest bits run on a transposed copy of the
+table, so that every pass works on long contiguous rows.  The sink sweep
+keeps F alone: backtracking finds each subset's sink again as the first node,
+in index order, whose candidate equals F(S), so no per-subset choice is
+stored.  Everything the search allocates counts against the memory budget,
+which reaches past the method's practical ceiling (~25 nodes): a 24-node
+search with at most two parents per node (two-byte ranks) needs 0.61 GiB of
+the default 4 GiB, and it took 8.9 s and 665 MiB peak RSS on a 2-vCPU
+host; with every parent set cached, ranks take four bytes, the ranked scores
+and masks take 2.25 GiB, and the need is 3.75 GiB.
 """
 
 from __future__ import annotations
@@ -68,16 +72,27 @@ def _rank_dtype(entries: int) -> np.dtype:
 
 def _search_bytes(entries: list[int]) -> int:
     """Peak bytes of an exact search over nodes with ``entries[i]`` cached
-    sets: the rank tables (each node's in its ``_rank_dtype``), F (float64)
-    and the sink choices (int8) over all 2^n subsets, the uint8 popcounts of
-    the 2^(n-1) cells and one layer's comparison mask, and at most eight
-    8-byte arrays (cells, subsets, candidates, temporaries) over the largest
-    sink layer."""
+    sets, each phase's arrays summed:
+
+    - the rank tables over the 2^(n-1) cells, each node's in its
+      ``_rank_dtype``, and the subset sweep's transposed copy of one table;
+    - per ranked entry (the cached sets and the virtual one), its float64
+      value and int32 mask, plus at most eight 8-byte arrays over the largest
+      node's entries while that node is ranked;
+    - F (float64) over all 2^n subsets, the uint8 popcounts of the cells and
+      one layer's comparison mask, and at most eight 8-byte arrays (cells,
+      subsets, candidates, temporaries) over the largest sink layer.
+    """
     n = len(entries)
     others = max(n - 1, 0)
     cells = 1 << others
-    ranks = sum(_rank_dtype(e).itemsize for e in entries)
-    return ranks * cells + 9 * (1 << n) + 2 * cells + 64 * comb(others, others // 2)
+    widths = [_rank_dtype(e).itemsize for e in entries]
+    ranked = [e + 1 for e in entries]
+    return (
+        (sum(widths) + max(widths, default=0)) * cells
+        + 12 * sum(ranked) + 64 * max(ranked, default=0)
+        + 8 * (1 << n) + 2 * cells + 64 * comb(others, others // 2)
+    )
 
 
 def _check_budget(entries: list[int], budget: int) -> None:
@@ -110,9 +125,21 @@ def _subset_sweep(rank: np.ndarray) -> np.ndarray:
     """Running minimum over all subsets of every cell, in place.
 
     One pass per bit j: viewed as ``(-1, 2, 2^j)``, the cells with bit j set
-    absorb their partners without it, with no index arrays or temporaries.
+    absorb their partners without it.  A low bit's partners lie 1-16 cells
+    apart, which would make every pass a loop over runs that short, so the
+    low five bits are swept on a transposed copy, ``(32, size / 32)``, whose
+    rows hold each low-bit pattern contiguously; the high bits are swept in
+    place.  A minimum does not depend on the order of the passes.
     """
-    for j in range(rank.size.bit_length() - 1):
+    bits = rank.size.bit_length() - 1
+    low = min(5, bits)
+    blocks = rank.reshape(-1, 1 << low)
+    t = np.ascontiguousarray(blocks.T)
+    for j in range(low):
+        r = t.reshape(-1, 2, 1 << j, t.shape[1])
+        np.minimum(r[:, 1], r[:, 0], out=r[:, 1])
+    blocks[...] = t.T
+    for j in range(low, bits):
         r = rank.reshape(-1, 2, 1 << j)
         np.minimum(r[:, 1, :], r[:, 0, :], out=r[:, 1, :])
     return rank
@@ -194,35 +221,35 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     """MAP DAG by the sink recursion, plus its total objective.
 
     Layer k holds every subset of k nodes: for each sink j in index order, its
-    cells of popcount k - 1 give the subsets without j, ``F`` of each subset
-    with j takes a strictly better candidate, and backtracking reads the n
-    winning masks.  The total is recomputed from the cache entries of the
-    selected parent sets (score plus structural log-prior, summed in node
-    index order) so it satisfies the decomposability identity exactly.
+    cells of popcount k - 1 give the subsets without j, and ``F`` of each
+    subset with j keeps the larger of itself and the candidate.  No sink
+    choice is stored: backtracking takes, at each subset S, the first j in
+    index order whose candidate ``F(S \\ j) + bs(j, S \\ j)`` equals ``F(S)``,
+    the same float64 addition on the same operands, so it is the sink that a
+    strictly-better update in sink order would have kept.  The total is
+    recomputed from the cache entries of the selected parent sets (score plus
+    structural log-prior, summed in node index order) so it satisfies the
+    decomposability identity exactly.
     """
     n = table.n_nodes
-    size = 1 << n
-    F = np.full(size, -np.inf)
+    F = np.full(1 << n, -np.inf)
     F[0] = 0.0
-    choice = np.full(size, -1, dtype=np.int8)
     pc = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int32))  # uint8
     for k in range(n):
         cells = np.flatnonzero(pc == k)
         for j in range(n):
             sub = cells + (cells & -(1 << j))  # bit j inserted: the high bits move up one
             with_j = sub + (1 << j)
-            cand = F[sub] + table.values[j][table.rank[j][cells]]
-            upd = cand > F[with_j]
-            won = with_j[upd]
-            F[won] = cand[upd]
-            choice[won] = j
-    full = size - 1
-    if not np.isfinite(F[full]):
+            cand = F.take(sub)
+            cand += table.values[j].take(table.rank[j].take(cells))
+            F[with_j] = np.fmax(F.take(with_j), cand)  # a NaN candidate never wins
+    S = (1 << n) - 1
+    if not np.isfinite(F[S]):
         raise AbnError("no constraint-satisfying DAG exists for this cache")
     masks = [0] * n
-    S = full
     while S:
-        j = int(choice[S])
+        j = next(j for j in range(n) if S >> j & 1
+                 and F[S ^ 1 << j] + table.cell(j, S ^ 1 << j)[0] == F[S])
         S ^= 1 << j
         masks[j] = table.cell(j, S)[1]
     dag = dag_from_masks(table.nodes, masks)

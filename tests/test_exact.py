@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from abnkit.cache import build_cache
-from abnkit.dag import ConstraintSet, validate_acyclic
+from abnkit.dag import ConstraintSet, dag_from_masks, validate_acyclic
 from abnkit.data import standardize
 from abnkit.errors import AbnError, MemoryLimit
 from abnkit.exact import (
@@ -11,6 +13,7 @@ from abnkit.exact import (
     _check_budget,
     _rank_dtype,
     _search_bytes,
+    _subset_sweep,
     best_parents_table,
     dag_objective,
     most_probable_dag,
@@ -44,6 +47,39 @@ def oracle_table_cell(cache, prior, i, S):
         if m & ~S == 0
     ]
     return max(items, key=lambda item: (item[0], -bin(item[1]).count("1"), -item[1]))
+
+
+def oracle_most_probable_dag(table):
+    """The sink recursion with a choice array: per (layer, sink) a candidate
+    replaces ``F`` only when strictly better, and backtracking follows the
+    stored sinks."""
+    n = table.n_nodes
+    size = 1 << n
+    F = np.full(size, -np.inf)
+    F[0] = 0.0
+    choice = np.full(size, -1, dtype=np.int8)
+    pc = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int32))
+    for k in range(n):
+        cells = np.flatnonzero(pc == k)
+        for j in range(n):
+            sub = cells + (cells & -(1 << j))
+            with_j = sub + (1 << j)
+            cand = F[sub] + table.values[j][table.rank[j][cells]]
+            upd = cand > F[with_j]
+            won = with_j[upd]
+            F[won] = cand[upd]
+            choice[won] = j
+    full = size - 1
+    if not np.isfinite(F[full]):
+        raise AbnError("no constraint-satisfying DAG exists for this cache")
+    masks = [0] * n
+    S = full
+    while S:
+        j = int(choice[S])
+        S ^= 1 << j
+        masks[j] = table.cell(j, S)[1]
+    dag = dag_from_masks(table.nodes, masks)
+    return dag, dag_objective(table.cache, dag, table.prior, table.score_type)
 
 
 def other_subsets(n, i):
@@ -143,6 +179,21 @@ class TestBestParentsTable:
             for S in other_subsets(n, i):
                 assert table.cell(i, S) == oracle_table_cell(cache, prior, i, S)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_subset_sweep_equals_submask_minimum(self, dtype):
+        # 0-10 bits: tables of one cell, fewer than the 32 cells of the five
+        # transposed low bits, and more, with high bits swept in place
+        rng = np.random.default_rng(52)
+        for bits in range(11):
+            cells = np.arange(1 << bits)
+            for _ in range(3):
+                rank = rng.integers(0, np.iinfo(dtype).max, size=1 << bits,
+                                    endpoint=True).astype(dtype)
+                expected = [rank[(cells & ~S) == 0].min() for S in cells]
+                swept = _subset_sweep(rank.copy())
+                assert swept.dtype == dtype
+                assert swept.tolist() == expected
+
     def test_rank_dtype_is_the_narrowest(self):
         # ranks run from 0 to the number of cached sets (the virtual entry)
         assert _rank_dtype(255) == np.uint8
@@ -162,27 +213,47 @@ class TestBestParentsTable:
         # ranks; the search fits a budget that four-byte ranks would overrun
         cache = random_cache(12, np.random.default_rng(5), max_parents=2)
         need = _search_bytes([67] * 12)
-        assert need == 12 * 2**11 + 9 * 2**12 + 2 * 2**11 + 64 * 462
-        assert need + 3 * 12 * 2**11 == 168_832  # the same search in int32 ranks
-        best_parents_table(cache, memory_budget=100_000)
+        assert need == (13 * 2**11 + 12 * 12 * 68 + 64 * 68
+                        + 8 * 2**12 + 2 * 2**11 + 64 * 462)
+        assert need + 3 * 13 * 2**11 == 187_072  # the same search in int32 ranks
+        best_parents_table(cache, memory_budget=120_000)
         best_parents_table(cache, memory_budget=need)
         with pytest.raises(MemoryLimit, match=f"12 nodes need {need} bytes"):
             best_parents_table(cache, memory_budget=need - 1)
 
     def test_budget_counts_every_search_array(self):
         # 24 nodes with at most two parents: 277 cached sets each, so rank
-        # tables 2 * 24 * 2^23; F and choices 9 * 2^24, popcounts and their
-        # layer mask 2 * 2^23, eight 8-byte arrays over C(23, 11) cells
+        # tables and the sweep's transposed copy (2 * 24 + 2) * 2^23; 278
+        # ranked values and masks per node, and one node's ranking arrays;
+        # F 8 * 2^24, popcounts and their layer mask 2 * 2^23, eight 8-byte
+        # arrays over C(23, 11) cells
         need = _search_bytes([277] * 24)
-        assert need == 402_653_184 + 150_994_944 + 16_777_216 + 64 * 1_352_078
+        assert need == (419_430_400 + 12 * 24 * 278 + 64 * 278
+                        + 134_217_728 + 16_777_216 + 64 * 1_352_078)
         assert need < DEFAULT_MEMORY_BUDGET
         _check_budget([277] * 24, need)
         with pytest.raises(MemoryLimit, match=f"24 nodes need {need} bytes"):
             _check_budget([277] * 24, need - 1)
         # every parent set of 23 others: 2^23 sets need four-byte ranks
-        assert _search_bytes([2**23] * 24) - need == 2 * 24 * 2**23
+        entries = 2**23 + 1 - 278
+        assert _search_bytes([2**23] * 24) - need == (
+            2 * 25 * 2**23 + 12 * 24 * entries + 64 * entries)
+        assert _search_bytes([2**23] * 24) < DEFAULT_MEMORY_BUDGET
         with pytest.raises(MemoryLimit, match="at most 31"):
             _check_budget([1] * 32, 1 << 62)
+
+    @pytest.mark.parametrize("max_parents", [2, None])
+    def test_budget_bounds_the_traced_peak(self, max_parents):
+        # 14 nodes: 92 cached sets per node (one-byte ranks), or all 8192
+        # (two-byte ranks, and ranked values that outweigh the tables)
+        cache = random_cache(14, np.random.default_rng(14), max_parents=max_parents)
+        tracemalloc.start()
+        try:
+            most_probable_dag(best_parents_table(cache))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _search_bytes([len(masks) for masks in cache.masks])
 
 
 class TestMostProbable:
@@ -199,6 +270,24 @@ class TestMostProbable:
                 dag, total = most_probable_dag(table)
                 assert total == oracle_best(cache, prior, dag_masks)
                 assert total == dag_objective(cache, dag, prior)
+
+    @pytest.mark.parametrize("prior_kind", ["uninformative", "koivisto"])
+    def test_first_maximum_sink_equals_choice_oracle(self, prior_kind):
+        # integer scores make exact ties between sinks, and between whole
+        # orderings, common
+        rng = np.random.default_rng(70)
+        prior = StructuralPrior(prior_kind)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            max_parents = [None, *range(n)][int(rng.integers(0, n + 1))]
+            cache = random_cache(n, rng, max_parents=max_parents, low=-4.0)
+            for scores in cache.scores:
+                np.floor(scores, out=scores)
+            table = best_parents_table(cache, prior)
+            dag, total = most_probable_dag(table)
+            oracle_dag, oracle_total = oracle_most_probable_dag(table)
+            assert np.array_equal(dag.adjacency, oracle_dag.adjacency)
+            assert total == oracle_total
 
     def test_output_satisfies_constraints(self):
         rng = np.random.default_rng(20)
