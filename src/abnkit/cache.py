@@ -178,7 +178,10 @@ def _score_one_node(
         design = design_for_mask(ds, node, mask)
         try:
             fit = fit_node(design, method=method)
-            if method == "bayes":
+            if fit.dropped_predictors:
+                # the kept design's score is not this parent set's
+                notes.append((node, mask, "pruned:" + ",".join(fit.dropped_predictors)))
+            elif method == "bayes":
                 block[k, 0] = fit.mlik
             else:
                 fs = frequentist_scores(fit, ds.n_obs, n_cand)

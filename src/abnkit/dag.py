@@ -429,7 +429,10 @@ def parse_adjacency(text: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise ConstraintError(f"row {r} named {row[0]!r}, expected {names[r]!r}")
         if len(row) - 1 != n:
             raise ConstraintError(f"row {row[0]!r} has {len(row) - 1} entries, expected {n}")
-        matrix[r] = [float(v) for v in row[1:]]
+        try:
+            matrix[r] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ConstraintError(f"row {row[0]!r} has a non-numeric entry") from None
     return names, matrix
 
 

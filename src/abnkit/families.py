@@ -1,13 +1,14 @@
 """Canonical-link exponential family machinery shared by fitting and simulation.
 
 Three families are supported, each with its canonical link: binomial-logit,
-gaussian-identity, poisson-log.  Functions are vectorized over observations
-and return per-observation values unless noted.
+gaussian-identity, poisson-log.  This module holds the mean and link, the
+Newton (IRLS) weights and the per-observation log-likelihood; the fits
+themselves, including the MLE objective, live in :mod:`abnkit.glm`.
+Functions are vectorized over observations and return per-observation
+values.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -79,39 +80,3 @@ def loglik_terms(family: str, y: np.ndarray, eta: np.ndarray,
         raise ValueError("gaussian log-likelihood needs a precision")
     resid = y - eta
     return 0.5 * (np.log(precision) - np.log(2.0 * np.pi)) - 0.5 * precision * resid**2
-
-
-def _sum_xlogx(v: np.ndarray) -> float:
-    """sum(v * log v) over the entries of ``v`` whose term is not 0."""
-    v = v[(v > 0) & (v != 1)]
-    return float(v @ np.log(v))
-
-
-def saturated_deviance_term(family: str, y: np.ndarray) -> float:
-    """The response-only half of the binomial or poisson deviance (the
-    saturated model's log-likelihood kernel); 0 for 0/1 binomial responses."""
-    y = np.asarray(y, dtype=float)
-    if family == "binomial":
-        return _sum_xlogx(y) + _sum_xlogx(1.0 - y)
-    return _sum_xlogx(y) - float(np.sum(y))
-
-
-def deviance(family: str, y: np.ndarray, mu: np.ndarray, saturated: float) -> float:
-    """Binomial or poisson deviance, ``2 * (saturated - fitted)``, where
-    ``saturated = saturated_deviance_term(family, y)`` is computed once per
-    response and ``fitted`` holds the y-weighted log terms of ``mu``.
-
-    Binomial ``mu`` must lie strictly inside (0, 1).  A poisson ``y == 0``
-    term counts 0 even where ``mu`` underflows to 0.
-    """
-    y = np.asarray(y, dtype=float)
-    if family == "binomial":
-        fitted = y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu)
-        return float(2.0 * (saturated - fitted))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mu = np.log(mu)
-        fitted = y @ log_mu
-        if math.isnan(fitted):  # 0 * log(0) where a mean underflowed
-            log_mu[y == 0] = 0.0
-            fitted = y @ log_mu
-    return float(2.0 * (saturated - (fitted - np.sum(mu))))

@@ -2,19 +2,17 @@
 
 Two fitting modes mirror the two scoring frameworks:
 
-* ``mle`` -- iteratively reweighted least squares.  Binomial models whose
-  fit diverges or separates completely are refit with Firth's
-  bias-reducing penalty; when the fit still diverges, predictors are
-  removed one at a time until it succeeds.
+* ``mle`` -- Newton ascent of the log-likelihood (IRLS, for canonical links)
+  from IRLS's first weighted least-squares step.  Binomial models whose fit
+  diverges or separates completely (an iterate classifies every response)
+  are refit with Firth's bias-reducing penalty; when the fit still
+  diverges, predictors are removed one at a time until it succeeds.
 * ``bayes`` -- Newton optimization of log-likelihood plus log-prior to the
   posterior mode, with the gaussian precision handled on the log scale, and
   the model evidence approximated by Laplace's method at the mode.
 
-The bayes mode and Firth share one Newton ascent with step halving,
-:func:`_ascend`.  IRLS keeps its own loop because it is the separation
-detector: a separated design drives its coefficients past
-``UNBOUNDED_COEF`` or its deviance to zero, while a gradient rule would
-call the flat likelihood converged at a large finite slope.
+The MLE, Firth and bayes fits share one Newton ascent with step halving,
+:func:`_ascend`; its final curvature is each fit's information.
 
 All scores are stored in larger-is-better orientation.
 """
@@ -40,8 +38,6 @@ from .errors import (
     RangeTooNarrow,
 )
 
-IRLS_MAX_ITER = 100
-IRLS_TOL = 1e-8
 UNBOUNDED_COEF = 500.0
 NEWTON_MAX_ITER = 200
 NEWTON_GRAD_TOL = 1e-8
@@ -204,7 +200,7 @@ class _Posterior:
 
 
 # --------------------------------------------------------------------------
-# fitting: Newton ascent; mle by IRLS + Firth + pruning; bayes posterior mode
+# fitting: Newton ascent; mle with Firth + pruning; bayes posterior mode
 # --------------------------------------------------------------------------
 
 
@@ -245,45 +241,47 @@ def _ascend(value, derivatives, params: np.ndarray):
 
 
 def _irls(design: DesignMatrix):
-    """Plain IRLS for binomial/poisson.  Returns (theta, converged)."""
+    """Binomial or poisson MLE by Newton ascent, which for the canonical links
+    is IRLS: (theta, converged, information).  Raises _Diverged."""
     X, y = design.predictors, design.response
-    fam = design.family
-    mu = (y + 0.5) / 2.0 if fam == "binomial" else y + 0.5
-    eta = families.link(fam, mu)
-    saturated = families.saturated_deviance_term(fam, y)
-    dev_old = np.inf
-    theta = np.zeros(X.shape[1])
-    for _ in range(IRLS_MAX_ITER):
-        w = families.irls_weights(fam, mu)
-        z = eta + (y - mu) / w
-        wx = X * w[:, None]
-        try:
-            theta = np.linalg.solve(X.T @ wx, wx.T @ z)
-        except np.linalg.LinAlgError:
-            raise _Diverged("singular weighted design")
-        if not np.all(np.isfinite(theta)):
-            raise _Diverged("non-finite estimates")
-        if np.max(np.abs(theta)) > UNBOUNDED_COEF:
-            raise _Diverged("unbounded estimates")
+    binomial = design.family == "binomial"
+    sign = 2.0 * y - 1.0
+
+    def loglik(theta):
+        # up to a constant in theta; binomial means are clipped as IRLS clips them
         eta = X @ theta
-        mu = families.mean(fam, eta)
-        if fam == "binomial":
+        mu = families.mean(design.family, eta)
+        if binomial:
             mu = np.clip(mu, 1e-12, 1 - 1e-12)
-        dev = families.deviance(fam, y, mu, saturated)
-        if not math.isfinite(dev):
-            raise _Diverged("non-finite deviance")
-        if abs(dev - dev_old) / (abs(dev) + 0.1) < IRLS_TOL:
-            # no finite MLE fits every 0/1 response this closely
-            if fam == "binomial" and dev < 1e-6:
-                raise _Diverged("complete separation")
-            return theta, True
-        dev_old = dev
-    return theta, False
+            return float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu)), (mu, eta)
+        return float(y @ eta - np.sum(mu)), (mu, eta)
+
+    def score(theta, state):
+        mu, eta = state
+        # an iterate that classifies every 0/1 response certifies that no finite MLE exists
+        if binomial and np.all(sign * eta > 0):
+            raise _Diverged("complete separation")
+        w = families.irls_weights(design.family, mu)
+        return X.T @ (y - mu), -(X.T @ (X * w[:, None]))
+
+    # start from the first IRLS step: weighted least squares at mu0
+    mu = (y + 0.5) / 2.0 if binomial else y + 0.5
+    w = families.irls_weights(design.family, mu)
+    wx = X * w[:, None]
+    z = families.link(design.family, mu) + (y - mu) / w
+    try:
+        theta = np.linalg.solve(X.T @ wx, wx.T @ z)
+    except np.linalg.LinAlgError:
+        raise _Diverged("singular weighted design")
+    theta, _, _, hess, converged = _ascend(loglik, score, theta)
+    if not np.all(np.abs(theta) <= UNBOUNDED_COEF):  # NaN fails too
+        raise _Diverged("non-finite or unbounded estimates")
+    return theta, converged, -hess
 
 
 def _firth(design: DesignMatrix):
     """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX) from
-    zero.  Returns (theta, converged)."""
+    zero.  Returns (theta, converged, information)."""
     X, y = design.predictors, design.response
 
     def penalized(theta):
@@ -305,29 +303,25 @@ def _firth(design: DesignMatrix):
         h = np.einsum("ij,ji->i", X, np.linalg.solve(info, wx.T))
         return X.T @ (y - mu + h * (0.5 - mu)), -info
 
-    theta, _, _, _, converged = _ascend(penalized, modified_score, np.zeros(X.shape[1]))
-    return theta, converged
+    theta, _, _, hess, converged = _ascend(penalized, modified_score, np.zeros(X.shape[1]))
+    return theta, converged, -hess
 
 
 def _mle_summary(design: DesignMatrix, theta: np.ndarray):
-    """(log-likelihood, log-precision or None, observed information of the
-    coefficients) at the MLE; a gaussian node profiles sigma^2."""
+    """(log-likelihood, log-precision or None) at the MLE; gaussian profiles sigma^2."""
     X, y = design.predictors, design.response
     eta = X @ theta
     if design.family == "gaussian":
         rss = float(np.sum((y - eta) ** 2))
         tau = 1.0 / max(rss / design.n_obs, 1e-300)
         ll = float(np.sum(families.loglik_terms("gaussian", y, eta, tau)))
-        log_precision = float(np.log(tau))
-        # the information uses exp(log tau), the precision the fit reports
-        return ll, log_precision, math.exp(log_precision) * (X.T @ X)
-    ll = float(np.sum(families.loglik_terms(design.family, y, eta)))
-    w = families.irls_weights(design.family, families.mean(design.family, eta))
-    return ll, None, X.T @ (X * w[:, None])
+        return ll, float(np.log(tau))
+    return float(np.sum(families.loglik_terms(design.family, y, eta))), None
 
 
-def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, bool, bool]:
-    """One MLE attempt: (theta, used_firth, converged).  Raises _Diverged."""
+def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray | None, bool, bool]:
+    """One MLE attempt: (theta, information or None, used_firth, converged);
+    raises _Diverged."""
     fam = design.family
     if fam == "gaussian":
         theta, _, rank, _ = np.linalg.lstsq(design.predictors, design.response, rcond=None)
@@ -335,20 +329,20 @@ def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, bool, bool]:
             raise _Diverged("rank-deficient design")
         if not np.all(np.isfinite(theta)):
             raise _Diverged("non-finite least-squares solution")
-        return theta, False, True
+        return theta, None, False, True
     if fam == "binomial":
         try:
-            theta, converged = _irls(design)
+            theta, converged, info = _irls(design)
             if converged:
-                return theta, False, True
+                return theta, info, False, True
         except _Diverged:
             pass
-        theta, converged = _firth(design)  # may raise _Diverged
-        return theta, True, converged
-    theta, converged = _irls(design)
+        theta, converged, info = _firth(design)  # may raise _Diverged
+        return theta, info, True, converged
+    theta, converged, info = _irls(design)
     if not converged:
-        raise _Diverged("IRLS did not converge")
-    return theta, False, True
+        raise _Diverged("Newton ascent did not converge")
+    return theta, info, False, True
 
 
 def _prune_order(design: DesignMatrix) -> tuple[DesignMatrix, list[str], tuple]:
@@ -386,10 +380,13 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
     dropped: list[str] = []
     work = design
     try:
-        theta, used_firth, converged = _fit_mle_once(work)
+        theta, info, used_firth, converged = _fit_mle_once(work)
     except (_Diverged, np.linalg.LinAlgError):
-        work, dropped, (theta, used_firth, converged) = _prune_order(design)
-    ll, log_prec, neg_h = _mle_summary(work, theta)
+        work, dropped, (theta, info, used_firth, converged) = _prune_order(design)
+    ll, log_prec = _mle_summary(work, theta)
+    if log_prec is not None:
+        # the information uses exp(log tau), the precision the fit reports
+        info = math.exp(log_prec) * (work.predictors.T @ work.predictors)
     if dropped and work.width == 1 and not math.isfinite(ll):
         raise AllPredictorsDropped(
             f"node {design.child!r}: every predictor was removed and the "
@@ -402,7 +399,7 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
         method="mle",
         n_obs=work.n_obs,
         log_likelihood=ll,
-        neg_hessian=neg_h,
+        neg_hessian=info,
         gaussian_log_precision=log_prec,
         dropped_predictors=tuple(dropped),
         used_firth=used_firth,

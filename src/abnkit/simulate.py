@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from .dag import Dag, topological_order
 from .data import Dataset
-from .errors import AbnError, PoissonOverflow
+from .errors import AbnError, ConfigError, PoissonOverflow
 from .families import check_family
 
 POISSON_MEAN_GUARD = 1e9
@@ -30,6 +30,8 @@ def simulate_dag(n_nodes: int, arc_probability: float, seed: int) -> Dag:
     Acyclic by construction; the label permutation ensures node order
     carries no information about the topology.
     """
+    if n_nodes < 1:
+        raise ConfigError(f"a DAG needs at least 1 node, got {n_nodes}")
     if not 0.0 <= arc_probability <= 1.0:
         raise AbnError("arc_probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -91,18 +93,23 @@ class SimSpec:
 
     @staticmethod
     def from_json(text: str) -> "SimSpec":
-        raw = json.loads(text)
-        return SimSpec(
-            dag=Dag(raw["nodes"], np.array(raw["adjacency"], dtype=np.int8)),
-            families={k: str(v) for k, v in raw["families"].items()},
-            coefficients={
-                node: {k: float(v) for k, v in coefs.items()}
-                for node, coefs in raw["coefficients"].items()
-            },
-            sd={k: float(v) for k, v in raw.get("sd", {}).items()},
-            n_obs=int(raw["n_obs"]),
-            seed=int(raw["seed"]),
-        )
+        try:
+            raw = json.loads(text)
+            return SimSpec(
+                dag=Dag(raw["nodes"], np.array(raw["adjacency"], dtype=np.int8)),
+                families={k: str(v) for k, v in raw["families"].items()},
+                coefficients={
+                    node: {k: float(v) for k, v in coefs.items()}
+                    for node, coefs in raw["coefficients"].items()
+                },
+                sd={k: float(v) for k, v in raw.get("sd", {}).items()},
+                n_obs=int(raw["n_obs"]),
+                seed=int(raw["seed"]),
+            )
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"simulation spec is not JSON: {exc}") from None
+        except KeyError as exc:
+            raise ConfigError(f"simulation spec lacks the key {exc}") from None
 
 
 def simulate_data(spec: SimSpec) -> Dataset:

@@ -14,6 +14,7 @@ from abnkit.cache import (
 from abnkit.dag import ConstraintSet, Dag
 from abnkit.data import standardize
 from abnkit.errors import CacheMismatch, UnenumeratedParentSet
+from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
 
 from conftest import gaussian_chain_dataset, mixed_dataset
@@ -133,6 +134,30 @@ class TestBuildCache:
         cache = build_cache(ds, method="mle")
         assert len(cache.diagnostics) > 0
         assert cache.score(0, 0, "loglik") == -np.inf
+
+    def test_pruned_fit_is_a_failed_entry(self):
+        """A fit that drops a predictor scores the kept design, not the parent
+        set: the entry is -inf with a ``pruned:`` note, so an exact search
+        cannot pick the larger set for its smaller koivisto penalty."""
+        from abnkit.data import Dataset
+
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=300)
+        y = (rng.random(300) < 1 / (1 + np.exp(-(0.2 + a)))).astype(float)
+        nodes = ("a", "b", "y")
+        ds = Dataset(names=nodes, columns=np.column_stack([a, a, y]),
+                     distributions=("gaussian", "gaussian", "binomial"))
+        cons = ConstraintSet(nodes, banned=parse_formula("~a|b:y + b|a:y", nodes),
+                             max_parents=2)
+        cache = build_cache(ds, cons, method="mle")
+        both = 0b011
+        assert cache.score(2, both) == -np.inf
+        assert (2, both, "pruned:b") in cache.diagnostics
+        assert cache_from_text(cache_to_text(cache)).diagnostics == cache.diagnostics
+        table = best_parents_table(cache, StructuralPrior("koivisto"))
+        dag, total = most_probable_dag(table)
+        assert len(dag.parents("y")) == 1
+        assert math.isfinite(total)
 
 
 class TestSerialization:

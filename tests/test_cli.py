@@ -174,6 +174,36 @@ class TestCacheConstraints:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR CacheMismatch")
 
+    def test_non_numeric_matrix_cell_is_one_error_line(self, workspace, tmp_path, capsys):
+        lines = (workspace / "true-dag.txt").read_text().splitlines()
+        lines[2] = lines[2].rsplit(None, 1)[0] + " x"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        data = ["--data", workspace / "data.csv", "--dists", workspace / "dists.txt"]
+        for argv in (["fit", *data, "--dag", bad],
+                     ["search", "exact", *data, "--max-parents", "1", "--ban", bad]):
+            capsys.readouterr()
+            assert run([*argv, "--out", tmp_path / "out", "--jobs", "1"]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"ERROR ConstraintError: row {lines[2].split()[0]!r} has a "
+                           "non-numeric entry"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[:-3], "simulation spec is not JSON"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "adjacency"}),
+         "simulation spec lacks the key 'adjacency'"),
+    ], ids=["not-json", "no-adjacency"])
+    def test_malformed_spec_is_one_error_line(self, workspace, tmp_path, capsys,
+                                              edit, message):
+        bad = tmp_path / "spec.json"
+        bad.write_text(edit((workspace / "simspec.json").read_text()))
+        capsys.readouterr()
+        assert run(["simulate", "data", "--spec", bad, "--out", tmp_path / "out",
+                    "--jobs", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR ConfigError: {message}"), err
+
 
 class TestOtherCommands:
     def test_fit_with_marginals(self, workspace, tmp_path):
@@ -370,6 +400,7 @@ class TestOutOfRangeOptions:
         "n-grid": ("fit", ["--marginals", "--n-grid", "0"]),
         "bins": ("strength", ["--bins", "0"]),
         "n-obs": ("simulate-data", ["--n-obs", "0"]),
+        "nodes": ("simulate-dag", ["--nodes", "-1"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -384,6 +415,7 @@ class TestOutOfRangeOptions:
             "fit": ["fit", *data, *dag],
             "strength": ["strength", *data, *dag],
             "simulate-data": ["simulate", "data", "--spec", workspace / "simspec.json"],
+            "simulate-dag": ["simulate", "dag", "--seed", "1"],
         }[command]
         capsys.readouterr()
         assert run([*argv, *flags, "--out", tmp_path / "out", "--jobs", "1"]) == 1
