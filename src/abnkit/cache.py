@@ -72,7 +72,9 @@ class ScoreCache:
 
     ``masks[i]`` lists node i's enumerated parent sets in ascending bitmask
     order; ``scores[i]`` is the aligned (n_sets, n_score_types) block.
-    Failed fits carry -inf scores and a diagnostic message.
+    Failed fits carry -inf scores and a diagnostic message.  A finite entry
+    whose fit used Firth's penalty or did not converge carries the status
+    message ``firth`` or ``unconverged``.
     """
 
     nodes: tuple[str, ...]
@@ -96,6 +98,11 @@ class ScoreCache:
     @property
     def n_entries(self) -> int:
         return sum(len(m) for m in self.masks)
+
+    @property
+    def n_failed(self) -> int:
+        """Entries whose scores are -inf."""
+        return sum(int(np.isneginf(s[:, 0]).sum()) for s in self.scores)
 
     def score_index(self, score_type: str) -> int:
         try:
@@ -181,17 +188,24 @@ def _score_one_node(
             if fit.dropped_predictors:
                 # the kept design's score is not this parent set's
                 notes.append((node, mask, "pruned:" + ",".join(fit.dropped_predictors)))
-            elif method == "bayes":
+                continue
+            if method == "bayes":
                 block[k, 0] = fit.mlik
             else:
                 fs = frequentist_scores(fit, ds.n_obs, n_cand)
                 block[k] = (fs.loglik, fs.aic, fs.bic, fs.mdl)
         except FIT_ERRORS as exc:
             notes.append((node, mask, f"{type(exc).__name__}: {exc}"))
+            continue
         if not np.all(np.isfinite(block[k])):
             block[k] = -np.inf
-            if not notes or notes[-1][:2] != (node, mask):
-                notes.append((node, mask, "non-finite score"))
+            notes.append((node, mask, "non-finite score"))
+            continue
+        # a finite entry's degraded fit is flagged, not failed
+        if fit.used_firth:
+            notes.append((node, mask, "firth"))
+        if not fit.converged:
+            notes.append((node, mask, "unconverged"))
     return block, notes
 
 
@@ -206,7 +220,7 @@ def build_cache(
     The build is embarrassingly parallel across nodes; output ordering is
     fixed by the enumeration, not by worker scheduling, so repeated builds
     are byte-identical.  Individual fit failures are recorded as -inf scores
-    and never abort the build.
+    and never abort the build; finite entries from degraded fits are noted.
     """
     if method not in ("bayes", "mle"):
         raise AbnError(f"unknown method {method!r}")

@@ -152,7 +152,7 @@ def cmd_build_cache(args) -> int:
     run.config["fingerprint"] = cache.fingerprint
     run.write("cache.txt", cache_to_text(cache))
     print(f"scored {cache.n_entries} parent sets over {cache.n_nodes} nodes "
-          f"({len(cache.diagnostics)} failures)")
+          f"({cache.n_failed} failures)")
     return run.finish("build-cache")
 
 

@@ -6,13 +6,19 @@ Two fitting modes mirror the two scoring frameworks:
   from IRLS's first weighted least-squares step.  Binomial models whose fit
   diverges or separates completely (an iterate classifies every response)
   are refit with Firth's bias-reducing penalty; when the fit still
-  diverges, predictors are removed one at a time until it succeeds.
+  diverges, predictors are removed one at a time until it succeeds.  A
+  poisson model of an all-zero response has no finite MLE and fails.
 * ``bayes`` -- Newton optimization of log-likelihood plus log-prior to the
   posterior mode, with the gaussian precision handled on the log scale, and
   the model evidence approximated by Laplace's method at the mode.
 
 The MLE, Firth and bayes fits share one Newton ascent with step halving,
-:func:`_ascend`; its final curvature is each fit's information.
+:func:`_ascend`; its final curvature is each fit's information.  A
+binomial or poisson objective evaluation also yields the means, from
+:func:`families.loglik_mean`'s one ``exp``, and passes them on to the
+derivatives of the same iterate, so an accepted iterate costs one ``exp``.
+Binomial and poisson designs are column-major and gaussian ones row-major
+(see :func:`abnkit.data.build_design`).
 
 All scores are stored in larger-is-better orientation.
 """
@@ -41,6 +47,8 @@ from .errors import (
 UNBOUNDED_COEF = 500.0
 NEWTON_MAX_ITER = 200
 NEWTON_GRAD_TOL = 1e-8
+# logit(1 - 1e-12): the MLE objective's binomial means stay within [1e-12, 1 - 1e-12]
+LOGIT_CLIP = math.log((1.0 - 1e-12) / 1e-12)
 # Gamma(shape, rate) prior on a gaussian node's precision tau
 PRECISION_SHAPE = 0.001
 PRECISION_RATE = 0.001
@@ -150,24 +158,28 @@ class _Posterior:
         return params, None
 
     def evaluate(self, theta: np.ndarray, log_precision: float | None = None):
-        """(log joint, log-likelihood, eta) at ``theta``; ``log_precision``
-        is read only for a gaussian node with a free precision."""
+        """(log joint, log-likelihood, eta, mean) at ``theta``; the mean is
+        None for a gaussian node.  ``log_precision`` is read only for a
+        gaussian node with a free precision."""
         priors = self.priors
         eta = self.X @ theta
-        tau = None
+        mu = None
         if self.family == "gaussian":
             tau = (priors.fixed_precision if priors.fixed_precision is not None
                    else math.exp(log_precision))
-        ll = float(np.sum(families.loglik_terms(self.family, self.y, eta, tau,
-                                                self.log_factorial)))
+            terms = families.loglik_terms("gaussian", self.y, eta, tau)
+        else:
+            terms, mu = families.loglik_mean(self.family, self.y, eta, self.log_factorial)
+        ll = float(terms.sum())
         joint = ll + _log_prior_coef(theta, priors)
         if self.free_precision:
             joint += _log_prior_log_precision(log_precision)
-        return joint, ll, eta
+        return joint, ll, eta, mu
 
-    def grad_hess(self, params: np.ndarray, eta: np.ndarray):
+    def grad_hess(self, params: np.ndarray, eta: np.ndarray, mu: np.ndarray | None = None):
         """Gradient and Hessian of the log joint at ``params``, whose linear
-        predictor is ``eta``."""
+        predictor is ``eta``; a binomial or poisson caller that has the mean
+        at ``eta`` from :meth:`evaluate` passes it as ``mu``."""
         X, y, p = self.X, self.y, self.width
         priors = self.priors
         v = priors.coef_variance
@@ -192,7 +204,8 @@ class _Posterior:
             hess[p, :p] = cross
             hess[p, p] = -0.5 * tau * rr - b * tau
             return grad, hess
-        mu = families.mean(self.family, eta)
+        if mu is None:
+            mu = families.mean(self.family, eta)
         w = families.irls_weights(self.family, mu)
         grad = X.T @ (y - mu) - params / v
         hess = -(X.T @ (X * w[:, None])) - self.prior_precision
@@ -217,7 +230,7 @@ def _ascend(value, derivatives, params: np.ndarray):
     f_old, state = value(params)
     for _ in range(NEWTON_MAX_ITER):
         grad, hess = derivatives(params, state)
-        if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
+        if np.abs(grad).max() < NEWTON_GRAD_TOL:
             return params, f_old, state, hess, True
         try:
             step = np.linalg.solve(-hess, grad)
@@ -233,11 +246,11 @@ def _ascend(value, derivatives, params: np.ndarray):
         else:
             break  # no ascent step: grad and hess are those of params
         params, f_old, state = cand, f_new, state_new
-        if np.max(np.abs(scale * step)) < 1e-10:
+        if np.abs(scale * step).max() < 1e-10:
             return params, f_old, state, derivatives(params, state)[1], True
     else:
         grad, hess = derivatives(params, state)
-    return params, f_old, state, hess, bool(np.max(np.abs(grad)) < 1e-4)
+    return params, f_old, state, hess, bool(np.abs(grad).max() < 1e-4)
 
 
 def _irls(design: DesignMatrix):
@@ -245,16 +258,21 @@ def _irls(design: DesignMatrix):
     is IRLS: (theta, converged, information).  Raises _Diverged."""
     X, y = design.predictors, design.response
     binomial = design.family == "binomial"
+    if not binomial and not np.any(y):
+        # sum(-exp(eta)) rises toward 0 as the intercept falls: no finite MLE
+        raise _Diverged("all-zero poisson response")
     sign = 2.0 * y - 1.0
 
     def loglik(theta):
-        # up to a constant in theta; binomial means are clipped as IRLS clips them
+        # up to a constant in theta; binomial means are clipped as IRLS clips
+        # them, by clipping the linear predictor at LOGIT_CLIP
         eta = X @ theta
-        mu = families.mean(design.family, eta)
         if binomial:
-            mu = np.clip(mu, 1e-12, 1 - 1e-12)
-            return float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu)), (mu, eta)
-        return float(y @ eta - np.sum(mu)), (mu, eta)
+            terms, mu = families.loglik_mean(
+                "binomial", y, np.clip(eta, -LOGIT_CLIP, LOGIT_CLIP))
+            return float(terms.sum()), (mu, eta)
+        mu = families.mean("poisson", eta)
+        return float(y @ eta - mu.sum()), (mu, eta)
 
     def score(theta, state):
         mu, eta = state
@@ -285,11 +303,10 @@ def _firth(design: DesignMatrix):
     X, y = design.predictors, design.response
 
     def penalized(theta):
-        eta = X @ theta
-        mu = families.mean("binomial", eta)
+        terms, mu = families.loglik_mean("binomial", y, X @ theta)
         w = families.irls_weights("binomial", mu)
         sign, logdet = np.linalg.slogdet(X.T @ (X * w[:, None]))
-        ll = float(np.sum(families.loglik_terms("binomial", y, eta)))
+        ll = float(terms.sum())
         return (ll + 0.5 * logdet if sign > 0 else -np.inf), (mu, w)
 
     def modified_score(theta, state):
@@ -424,11 +441,11 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
             params[p] = math.log(len(y) / max(rss, 1e-12))
 
     def log_joint(params):
-        joint, ll, eta = post.evaluate(*post.split(params))
-        return joint, (ll, eta)
+        joint, *state = post.evaluate(*post.split(params))
+        return joint, state  # log-likelihood, eta, mean
 
-    params, joint, (ll, eta), hess, converged = _ascend(
-        log_joint, lambda params, state: post.grad_hess(params, state[1]), params)
+    params, joint, (ll, eta, _), hess, converged = _ascend(
+        log_joint, lambda params, state: post.grad_hess(params, *state[1:]), params)
     neg_h = -hess
     theta, lam = post.split(params)
     if fam == "gaussian" and lam is None:

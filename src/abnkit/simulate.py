@@ -13,12 +13,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from . import families
 from .dag import Dag, topological_order
 from .data import Dataset
 from .errors import AbnError, ConfigError, PoissonOverflow
-from .families import check_family
 
 POISSON_MEAN_GUARD = 1e9
 
@@ -63,7 +62,7 @@ class SimSpec:
 
     def __post_init__(self):
         for node in self.dag.nodes:
-            fam = check_family(self.families[node])
+            fam = families.check_family(self.families[node])
             coefs = self.coefficients[node]
             expected = {"(Intercept)", *self.dag.parents(node)}
             if set(coefs) != expected:
@@ -130,10 +129,9 @@ def simulate_data(spec: SimSpec) -> Dataset:
             eta += coefs[parent] * values[:, dag.index(parent)]
         fam = spec.families[node]
         if fam == "binomial":
-            values[:, i] = rng.random(spec.n_obs) < expit(eta)
+            values[:, i] = rng.random(spec.n_obs) < families.mean(fam, eta)
         elif fam == "poisson":
-            with np.errstate(over="ignore"):
-                mean = np.exp(eta)
+            mean = families.mean(fam, eta)
             if np.any(~np.isfinite(mean)) or np.any(mean > POISSON_MEAN_GUARD):
                 raise PoissonOverflow(
                     f"poisson node {node!r} has mean beyond {POISSON_MEAN_GUARD:g}; "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import abnkit.cache
+import abnkit.glm
 from abnkit.cache import (
     build_cache,
     cache_from_text,
@@ -12,7 +13,7 @@ from abnkit.cache import (
     parallel_map,
 )
 from abnkit.dag import ConstraintSet, Dag
-from abnkit.data import standardize
+from abnkit.data import Dataset, standardize
 from abnkit.errors import CacheMismatch, UnenumeratedParentSet
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
@@ -126,8 +127,6 @@ class TestBuildCache:
     def test_failed_fit_recorded_not_fatal(self):
         # magnitudes around 1e160 overflow the profiled variance: the node is
         # unscoreable, recorded as -inf, and the build completes anyway
-        from abnkit.data import Dataset
-
         cols = np.column_stack([np.tile([0.0, 1e160], 20), np.tile([1e160, 0.0], 20)])
         ds = Dataset(names=("a", "b"), columns=cols,
                      distributions=("gaussian", "gaussian"))
@@ -139,8 +138,6 @@ class TestBuildCache:
         """A fit that drops a predictor scores the kept design, not the parent
         set: the entry is -inf with a ``pruned:`` note, so an exact search
         cannot pick the larger set for its smaller koivisto penalty."""
-        from abnkit.data import Dataset
-
         rng = np.random.default_rng(4)
         a = rng.normal(size=300)
         y = (rng.random(300) < 1 / (1 + np.exp(-(0.2 + a)))).astype(float)
@@ -158,6 +155,49 @@ class TestBuildCache:
         dag, total = most_probable_dag(table)
         assert len(dag.parents("y")) == 1
         assert math.isfinite(total)
+
+
+class TestFitStatus:
+    """Finite entries from degraded fits carry a status note; failures are -inf."""
+
+    @staticmethod
+    def separated_dataset():
+        # y is 1 exactly where x > 0: the MLE of y|{x} needs Firth's penalty
+        x = np.linspace(-2.0, 2.0, 60)
+        rng = np.random.default_rng(3)
+        cols = np.column_stack([x, (x > 0).astype(float), rng.normal(size=60)])
+        return Dataset(names=("x", "y", "z"), columns=cols,
+                       distributions=("gaussian", "binomial", "gaussian"))
+
+    def test_firth_entry_is_finite_and_noted(self):
+        ds = self.separated_dataset()
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1), method="mle")
+        x_only = 0b001
+        assert math.isfinite(cache.score(1, x_only, "bic"))
+        assert (1, x_only, "firth") in cache.diagnostics
+        assert cache.n_failed == 0
+        assert cache_from_text(cache_to_text(cache)).diagnostics == cache.diagnostics
+
+    def test_unconverged_entry_is_finite_and_noted(self, monkeypatch):
+        # no Newton step: a fit ends at its start, far from the mode
+        monkeypatch.setattr(abnkit.glm, "NEWTON_MAX_ITER", 0)
+        ds = mixed_dataset(100, 6)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1))
+        noted = {(node, mask) for node, mask, msg in cache.diagnostics if msg == "unconverged"}
+        assert (1, 0b001) in noted and (2, 0b010) in noted  # b|{g}, p|{b}
+        assert all(math.isfinite(cache.score(node, mask)) for node, mask in noted)
+        assert cache.n_failed == 0
+
+    def test_all_zero_poisson_response_is_a_failed_entry(self):
+        cols = np.column_stack([np.zeros(30), np.arange(30, dtype=float)])
+        ds = Dataset(names=("p", "g"), columns=cols, distributions=("poisson", "gaussian"))
+        cache = build_cache(ds, method="mle")
+        assert cache.score(0, 0, "loglik") == -np.inf
+        assert (0, 0, "_Diverged: all-zero poisson response") in cache.diagnostics
+        # p|{}, p|{g} and the pruned g|{p}, whose all-zero parent is collinear
+        # with the intercept; g|{} stays finite
+        assert cache.n_failed == 3
+        assert math.isfinite(cache.score(1, 0, "bic"))
 
 
 class TestSerialization:
@@ -202,8 +242,6 @@ class TestSerialization:
         assert cache_from_text(with_score(body[1], "-inf")).scores[0][1, 0] == -np.inf
 
     def test_diagnostics_survive_round_trip(self):
-        from abnkit.data import Dataset
-
         cols = np.column_stack([np.zeros(30), np.arange(30, dtype=float)])
         ds = Dataset(names=("p", "g"), columns=cols,
                      distributions=("poisson", "gaussian"))
@@ -215,8 +253,6 @@ class TestSerialization:
 def _overflow_dataset():
     """Four gaussian columns; fits involving the 1e160 columns a and b fail,
     so the cache mixes finite and -inf entries with diagnostics."""
-    from abnkit.data import Dataset
-
     rng = np.random.default_rng(0)
     cols = np.column_stack([np.tile([0.0, 1e160], 20), np.tile([1e160, 0.0], 20),
                             rng.normal(size=40), rng.normal(size=40)])

@@ -6,7 +6,7 @@ import pytest
 
 from abnkit.cli import build_parser, main
 from abnkit.dag import dag_from_text, format_adjacency
-from abnkit.data import format_dist_spec
+from abnkit.data import Dataset, format_dist_spec
 from abnkit.simulate import SimSpec, simulate_data
 
 from conftest import dag_from_arcs
@@ -107,6 +107,21 @@ class TestCacheReuse:
                     "--cache", cache_dir / "cache.txt", "--out", out,
                     "--jobs", "1"]) == 0
 
+    def test_failures_count_only_failed_entries(self, tmp_path, capsys):
+        # y|{x} is separated: its Firth fit is a finite entry with a status
+        # note, not a failure
+        x = np.linspace(-2.0, 2.0, 60)
+        ds = Dataset(names=("x", "y"), columns=np.column_stack([x, (x > 0).astype(float)]),
+                     distributions=("gaussian", "binomial"))
+        (tmp_path / "data.csv").write_text(ds.to_csv())
+        (tmp_path / "dists.txt").write_text(format_dist_spec(ds.dist_map()))
+        capsys.readouterr()
+        assert run(["build-cache", "--data", tmp_path / "data.csv",
+                    "--dists", tmp_path / "dists.txt", "--method", "mle",
+                    "--max-parents", "1", "--out", tmp_path / "c", "--jobs", "1"]) == 0
+        assert "(0 failures)" in capsys.readouterr().out
+        assert "# diag\t1\t1\tfirth" in (tmp_path / "c" / "cache.txt").read_text()
+
     def test_stale_cache_is_hard_error(self, workspace, tmp_path, capsys):
         cache_dir = tmp_path / "c2"
         run(["build-cache", "--data", workspace / "data.csv",
@@ -193,7 +208,9 @@ class TestCacheConstraints:
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                   if k != "adjacency"}),
          "simulation spec lacks the key 'adjacency'"),
-    ], ids=["not-json", "no-adjacency"])
+        (lambda text: text.replace('"poisson"', '"weibull"'),
+         "unknown family 'weibull'"),
+    ], ids=["not-json", "no-adjacency", "unknown-family"])
     def test_malformed_spec_is_one_error_line(self, workspace, tmp_path, capsys,
                                               edit, message):
         bad = tmp_path / "spec.json"

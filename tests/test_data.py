@@ -149,6 +149,21 @@ class TestDesign:
         assert d.labels == ("(Intercept)", "a", "m")
         assert np.array_equal(d.predictors[:, 1], ds.column("a"))
 
+    @pytest.mark.parametrize("family, contiguous", [
+        ("binomial", "F_CONTIGUOUS"), ("poisson", "F_CONTIGUOUS"), ("gaussian", "C_CONTIGUOUS"),
+    ])
+    def test_layout_follows_the_child_family(self, family, contiguous):
+        # column-major speeds up the binomial and poisson Newton products;
+        # gaussian blocks stay row-major so their scores keep every last bit
+        rng = np.random.default_rng(2)
+        cols = np.column_stack([[0, 1, 1, 0, 1, 0], rng.normal(size=(6, 2))])
+        ds = Dataset(names=("y", "a", "b"), columns=cols,
+                     distributions=(family, "gaussian", "gaussian"))
+        d = build_design(ds, "y", ["b", "a"])
+        assert d.predictors.flags[contiguous]
+        assert np.array_equal(d.predictors, np.column_stack([np.ones(6), ds.column("a"),
+                                                             ds.column("b")]))
+
     def test_self_parent_rejected(self):
         ds = Dataset(names=("a", "b"), columns=np.zeros((3, 2)),
                      distributions=("gaussian", "gaussian"))

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, gammaln
 
 import abnkit.glm
 from abnkit import families
 from abnkit.data import DesignMatrix, build_design
 from abnkit.errors import (
     AllPredictorsDropped,
+    FitError,
     NoObservations,
     NonFiniteData,
     NonPositiveDefiniteHessian,
@@ -143,6 +144,46 @@ class TestIrls:
         assert fit.converged and fit.dropped_predictors == ()
 
 
+class TestFamilyKernels:
+    """The fast family kernels against SciPy's and NumPy's own functions."""
+
+    ETA = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 36.8, -36.8, 709.0, -709.0,
+                    800.0, -800.0, 1e308, -1e308])
+
+    @staticmethod
+    def ulps(got, want):
+        return np.abs(got - want) / np.spacing(np.maximum(np.abs(want), 1e-300))
+
+    def test_agrees_with_expit_and_logaddexp_without_warnings(self):
+        with np.errstate(all="raise"):
+            mu = families.mean("binomial", self.ETA)
+            softplus = -families.loglik_terms("binomial", np.zeros_like(self.ETA), self.ETA)
+        with np.errstate(under="ignore"):  # logaddexp itself underflows here
+            want_mu, want_softplus = expit(self.ETA), np.logaddexp(0.0, self.ETA)
+        assert np.max(self.ulps(mu, want_mu)) <= 4
+        assert np.max(self.ulps(softplus, want_softplus)) <= 4
+
+    def test_loglik_and_mean_share_one_kernel(self):
+        rng = np.random.default_rng(3)
+        eta = rng.normal(scale=5.0, size=200)
+        y = (rng.random(200) < 0.5).astype(float)
+        terms, mu = families.loglik_mean("binomial", y, eta)
+        assert np.array_equal(mu, families.mean("binomial", eta))
+        assert np.array_equal(terms, families.loglik_terms("binomial", y, eta))
+
+    @pytest.mark.parametrize("y", [
+        np.random.default_rng(0).poisson(3.0, size=500).astype(float),  # looked up
+        np.array([0.0, 1e6, 2.0]),  # a count beyond the lookup
+        np.array([0.5, 2.0, 1.0]),  # not counts
+    ])
+    def test_log_y_factorial_is_gammaln(self, y):
+        assert np.array_equal(families.log_y_factorial(y), gammaln(y + 1.0))
+
+    def test_scalar_linear_predictor(self):
+        assert families.mean("binomial", 0.0) == 0.5
+        assert families.loglik_terms("binomial", 1.0, 0.0) == -math.log(2.0)
+
+
 class TestFirthAndPruning:
     def test_separated_data_triggers_firth(self):
         x = np.linspace(-2, 2, 60)
@@ -257,6 +298,15 @@ class TestFirthAndPruning:
                          child="y", family="gaussian")
         with pytest.raises(AllPredictorsDropped):
             fit_node(d, method="mle")
+
+    def test_all_zero_poisson_response_diverges(self):
+        # sum(-exp(eta)) rises toward 0 without bound on the intercept: no
+        # finite MLE, so no fit is reported converged at a stopping-rule value
+        d = DesignMatrix(response=np.zeros(30), predictors=np.ones((30, 1)),
+                         labels=("(Intercept)",), child="y", family="poisson")
+        with pytest.raises(FitError, match="all-zero poisson response"):
+            fit_node(d, method="mle")
+        assert fit_node(d, method="bayes").converged  # the prior bounds the mode
 
     def test_firth_suite_always_finite(self):
         rng = np.random.default_rng(7)
