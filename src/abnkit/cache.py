@@ -185,9 +185,10 @@ def _score_one_node(
         design = design_for_mask(ds, node, mask)
         try:
             fit = fit_node(design, method=method)
+            status = fit.status()
             if fit.dropped_predictors:
                 # the kept design's score is not this parent set's
-                notes.append((node, mask, "pruned:" + ",".join(fit.dropped_predictors)))
+                notes.append((node, mask, status[0]))
                 continue
             if method == "bayes":
                 block[k, 0] = fit.mlik
@@ -202,10 +203,7 @@ def _score_one_node(
             notes.append((node, mask, "non-finite score"))
             continue
         # a finite entry's degraded fit is flagged, not failed
-        if fit.used_firth:
-            notes.append((node, mask, "firth"))
-        if not fit.converged:
-            notes.append((node, mask, "unconverged"))
+        notes.extend((node, mask, word) for word in status)
     return block, notes
 
 
@@ -340,13 +338,17 @@ def cache_from_text(text: str) -> ScoreCache:
         if st not in score_types:
             raise CacheMismatch(f"score type {st!r} is not in the header's score_types "
                                 f"in line {line!r}")
+        entry = per_node[node].setdefault(mask, {})
+        if st in entry:
+            raise CacheMismatch(f"second {st} score of node {node} parent mask {mask} "
+                                f"in line {line!r}")
         try:
             score = float(value)
         except ValueError:
             score = math.nan
         if not (math.isfinite(score) or score == -math.inf):
             raise CacheMismatch(f"score {value!r} is neither finite nor -inf in line {line!r}")
-        per_node[node].setdefault(mask, {})[st] = score
+        entry[st] = score
     masks = []
     scores = []
     for i in range(len(nodes)):

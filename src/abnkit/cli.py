@@ -220,14 +220,14 @@ def cmd_fit(args) -> int:
     ds, _ = run.data()
     dag = run.dag(args.dag, ds.names)
     fits = _fit_coefficients(run, ds, dag, args.method)
-    if args.method == "bayes":
-        total = sum(f.mlik for f in fits.values())
-        score_rows = [f"{node}\t{fits[node].mlik:.17g}" for node in dag.nodes]
-    else:
-        total = sum(f.log_likelihood for f in fits.values())
-        score_rows = [f"{node}\t{fits[node].log_likelihood:.17g}" for node in dag.nodes]
-    run.write("node-scores.tsv",
-              "node\tscore\n" + "\n".join(score_rows) + f"\ntotal\t{total:.17g}\n")
+    scores = {node: fit.mlik if args.method == "bayes" else fit.log_likelihood
+              for node, fit in fits.items()}
+    total = sum(scores.values())
+    # a degraded fit says so: pruned predictors, Firth's penalty, no convergence
+    score_rows = [f"{node}\t{scores[node]:.17g}\t{' '.join(fits[node].status()) or '-'}"
+                  for node in dag.nodes]
+    run.write("node-scores.tsv", "node\tscore\tstatus\n" + "\n".join(score_rows)
+              + f"\ntotal\t{total:.17g}\n")
     run.config["total_" + ("mlik" if args.method == "bayes" else "loglik")] = total
     if args.marginals:
         rows = ["node\tparameter\tvalue\tdensity\tarea"]

@@ -3,7 +3,7 @@
 Three families are supported, each with its canonical link: binomial-logit,
 gaussian-identity, poisson-log.  This module holds the mean and link, the
 Newton (IRLS) weights and the per-observation log-likelihood; the fits
-themselves, including the MLE objective, live in :mod:`abnkit.glm`.
+themselves, and the one objective they ascend, live in :mod:`abnkit.glm`.
 Functions are vectorized over observations and return per-observation
 values.
 

@@ -3,7 +3,8 @@
 Two fitting modes mirror the two scoring frameworks:
 
 * ``mle`` -- Newton ascent of the log-likelihood (IRLS, for canonical links)
-  from IRLS's first weighted least-squares step.  Binomial models whose fit
+  from IRLS's first weighted least-squares step; gaussian models are least
+  squares with the precision profiled out.  Binomial models whose fit
   diverges or separates completely (an iterate classifies every response)
   are refit with Firth's bias-reducing penalty; when the fit still
   diverges, predictors are removed one at a time until it succeeds.  A
@@ -12,13 +13,14 @@ Two fitting modes mirror the two scoring frameworks:
   posterior mode, with the gaussian precision handled on the log scale, and
   the model evidence approximated by Laplace's method at the mode.
 
-The MLE, Firth and bayes fits share one Newton ascent with step halving,
-:func:`_ascend`; its final curvature is each fit's information.  A
-binomial or poisson objective evaluation also yields the means, from
-:func:`families.loglik_mean`'s one ``exp``, and passes them on to the
-derivatives of the same iterate, so an accepted iterate costs one ``exp``.
-Binomial and poisson designs are column-major and gaussian ones row-major
-(see :func:`abnkit.data.build_design`).
+One objective, :class:`_Objective`, is a design's unclipped log-likelihood
+(plus the log-prior of a bayes fit) with its derivatives.  The MLE, Firth
+and bayes fits share one Newton ascent with step halving, :func:`_ascend`,
+whose final state holds the log-likelihood and whose final curvature is the
+information.  A binomial or poisson evaluation's means, from
+:func:`families.loglik_mean`'s one ``exp``, pass on to the derivatives of
+the same iterate.  Binomial and poisson designs are column-major and
+gaussian ones row-major (see :func:`abnkit.data.build_design`).
 
 All scores are stored in larger-is-better orientation.
 """
@@ -26,7 +28,7 @@ All scores are stored in larger-is-better orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,8 +49,6 @@ from .errors import (
 UNBOUNDED_COEF = 500.0
 NEWTON_MAX_ITER = 200
 NEWTON_GRAD_TOL = 1e-8
-# logit(1 - 1e-12): the MLE objective's binomial means stay within [1e-12, 1 - 1e-12]
-LOGIT_CLIP = math.log((1.0 - 1e-12) / 1e-12)
 # Gamma(shape, rate) prior on a gaussian node's precision tau
 PRECISION_SHAPE = 0.001
 PRECISION_RATE = 0.001
@@ -101,6 +101,16 @@ class FitResult:
             return None
         return float(np.exp(self.gaussian_log_precision))
 
+    def status(self) -> list[str]:
+        """How the fit is degraded, in words: ``pruned:<dropped names>``,
+        ``firth``, ``unconverged``, in that order; none for a clean fit."""
+        words = ["pruned:" + ",".join(self.dropped_predictors)] if self.dropped_predictors else []
+        if self.used_firth:
+            words.append("firth")
+        if not self.converged:
+            words.append("unconverged")
+        return words
+
     def coefficient(self, label: str) -> float:
         return float(self.coefficients[self.labels.index(label)])
 
@@ -116,7 +126,7 @@ class FitResult:
 
 
 # --------------------------------------------------------------------------
-# priors
+# priors and the one objective
 # --------------------------------------------------------------------------
 
 
@@ -131,22 +141,31 @@ def _log_prior_log_precision(lam: float) -> float:
     return a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
 
 
-class _Posterior:
-    """Log joint of one bayes fit and its derivatives.
+class _Objective:
+    """Log-likelihood of one design, plus the log-prior of a bayes fit, and
+    its derivatives; ``priors=None`` gives an MLE fit's objective, the
+    log-likelihood alone.
 
     The per-fit constants (prior precision matrix, gaussian ``X'X``, poisson
     ``log y!``) are built once.  ``params`` is the optimized vector: the
     coefficients, then the gaussian log-precision unless it is fixed.
     """
 
-    def __init__(self, design: DesignMatrix, priors: PriorSpec):
+    def __init__(self, design: DesignMatrix, priors: PriorSpec | None = None):
         self.X, self.y = design.predictors, design.response
         self.family = design.family
         self.priors = priors
         self.width = design.width
         gaussian = self.family == "gaussian"
-        self.free_precision = gaussian and priors.fixed_precision is None
-        self.prior_precision = np.eye(self.width) / priors.coef_variance
+        self.fixed_precision = None if priors is None else priors.fixed_precision
+        self.free_precision = gaussian and self.fixed_precision is None
+        if priors is None:  # the derivatives' prior terms are zeros
+            self.coef_variance, self.prior_precision = math.inf, 0.0
+            self.shape = self.rate = 0.0
+        else:
+            self.coef_variance = priors.coef_variance
+            self.prior_precision = np.eye(self.width) / priors.coef_variance
+            self.shape, self.rate = PRECISION_SHAPE, PRECISION_RATE
         self.gram = self.X.T @ self.X if gaussian else None
         self.log_factorial = (families.log_y_factorial(self.y)
                               if self.family == "poisson" else None)
@@ -157,35 +176,36 @@ class _Posterior:
             return params[:self.width], float(params[self.width])
         return params, None
 
-    def evaluate(self, theta: np.ndarray, log_precision: float | None = None):
-        """(log joint, log-likelihood, eta, mean) at ``theta``; the mean is
-        None for a gaussian node.  ``log_precision`` is read only for a
-        gaussian node with a free precision."""
-        priors = self.priors
+    def evaluate(self, params: np.ndarray):
+        """(objective, state) at ``params``, as :func:`_ascend` takes them;
+        the state is (log-likelihood, eta, mean), the mean None for a
+        gaussian node."""
+        theta, log_precision = self.split(params)
         eta = self.X @ theta
         mu = None
         if self.family == "gaussian":
-            tau = (priors.fixed_precision if priors.fixed_precision is not None
+            tau = (self.fixed_precision if self.fixed_precision is not None
                    else math.exp(log_precision))
             terms = families.loglik_terms("gaussian", self.y, eta, tau)
         else:
             terms, mu = families.loglik_mean(self.family, self.y, eta, self.log_factorial)
         ll = float(terms.sum())
-        joint = ll + _log_prior_coef(theta, priors)
-        if self.free_precision:
-            joint += _log_prior_log_precision(log_precision)
-        return joint, ll, eta, mu
+        joint = ll
+        if self.priors is not None:
+            joint += _log_prior_coef(theta, self.priors)
+            if self.free_precision:
+                joint += _log_prior_log_precision(log_precision)
+        return joint, (ll, eta, mu)
 
-    def grad_hess(self, params: np.ndarray, eta: np.ndarray, mu: np.ndarray | None = None):
-        """Gradient and Hessian of the log joint at ``params``, whose linear
-        predictor is ``eta``; a binomial or poisson caller that has the mean
-        at ``eta`` from :meth:`evaluate` passes it as ``mu``."""
+    def grad_hess(self, params: np.ndarray, state):
+        """Gradient and Hessian of the objective at ``params``, whose
+        :meth:`evaluate` state is ``state``."""
         X, y, p = self.X, self.y, self.width
-        priors = self.priors
-        v = priors.coef_variance
+        _, eta, mu = state
+        v = self.coef_variance
         if self.family == "gaussian":
             theta, lam = self.split(params)
-            tau = math.exp(lam) if self.free_precision else priors.fixed_precision
+            tau = math.exp(lam) if self.free_precision else self.fixed_precision
             r = y - eta
             xr = X.T @ r
             coef_grad = tau * xr - theta / v
@@ -193,7 +213,7 @@ class _Posterior:
             if not self.free_precision:
                 return coef_grad, coef_hess
             rr = float(r @ r)
-            a, b = PRECISION_SHAPE, PRECISION_RATE
+            a, b = self.shape, self.rate
             grad = np.empty(p + 1)
             grad[:p] = coef_grad
             grad[p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
@@ -204,8 +224,6 @@ class _Posterior:
             hess[p, :p] = cross
             hess[p, p] = -0.5 * tau * rr - b * tau
             return grad, hess
-        if mu is None:
-            mu = families.mean(self.family, eta)
         w = families.irls_weights(self.family, mu)
         grad = X.T @ (y - mu) - params / v
         hess = -(X.T @ (X * w[:, None])) - self.prior_precision
@@ -254,33 +272,22 @@ def _ascend(value, derivatives, params: np.ndarray):
 
 
 def _irls(design: DesignMatrix):
-    """Binomial or poisson MLE by Newton ascent, which for the canonical links
-    is IRLS: (theta, converged, information).  Raises _Diverged."""
-    X, y = design.predictors, design.response
+    """Binomial or poisson MLE by Newton ascent of the log-likelihood, which
+    for the canonical links is IRLS: (theta, log-likelihood, converged,
+    information).  Raises _Diverged."""
+    obj = _Objective(design)
+    X, y = obj.X, obj.y
     binomial = design.family == "binomial"
     if not binomial and not np.any(y):
         # sum(-exp(eta)) rises toward 0 as the intercept falls: no finite MLE
         raise _Diverged("all-zero poisson response")
     sign = 2.0 * y - 1.0
 
-    def loglik(theta):
-        # up to a constant in theta; binomial means are clipped as IRLS clips
-        # them, by clipping the linear predictor at LOGIT_CLIP
-        eta = X @ theta
-        if binomial:
-            terms, mu = families.loglik_mean(
-                "binomial", y, np.clip(eta, -LOGIT_CLIP, LOGIT_CLIP))
-            return float(terms.sum()), (mu, eta)
-        mu = families.mean("poisson", eta)
-        return float(y @ eta - mu.sum()), (mu, eta)
-
     def score(theta, state):
-        mu, eta = state
         # an iterate that classifies every 0/1 response certifies that no finite MLE exists
-        if binomial and np.all(sign * eta > 0):
+        if binomial and np.all(sign * state[1] > 0):
             raise _Diverged("complete separation")
-        w = families.irls_weights(design.family, mu)
-        return X.T @ (y - mu), -(X.T @ (X * w[:, None]))
+        return obj.grad_hess(theta, state)
 
     # start from the first IRLS step: weighted least squares at mu0
     mu = (y + 0.5) / 2.0 if binomial else y + 0.5
@@ -291,28 +298,27 @@ def _irls(design: DesignMatrix):
         theta = np.linalg.solve(X.T @ wx, wx.T @ z)
     except np.linalg.LinAlgError:
         raise _Diverged("singular weighted design")
-    theta, _, _, hess, converged = _ascend(loglik, score, theta)
+    theta, ll, _, hess, converged = _ascend(obj.evaluate, score, theta)
     if not np.all(np.abs(theta) <= UNBOUNDED_COEF):  # NaN fails too
         raise _Diverged("non-finite or unbounded estimates")
-    return theta, converged, -hess
+    return theta, ll, converged, -hess
 
 
 def _firth(design: DesignMatrix):
     """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX) from
-    zero.  Returns (theta, converged, information)."""
-    X, y = design.predictors, design.response
+    zero.  Returns (theta, log-likelihood, converged, information)."""
+    obj = _Objective(design)
+    X, y = obj.X, obj.y
 
     def penalized(theta):
-        terms, mu = families.loglik_mean("binomial", y, X @ theta)
-        w = families.irls_weights("binomial", mu)
-        sign, logdet = np.linalg.slogdet(X.T @ (X * w[:, None]))
-        ll = float(terms.sum())
-        return (ll + 0.5 * logdet if sign > 0 else -np.inf), (mu, w)
+        ll, (_, _, mu) = obj.evaluate(theta)
+        wx = X * families.irls_weights("binomial", mu)[:, None]
+        info = X.T @ wx
+        sign, logdet = np.linalg.slogdet(info)
+        return (ll + 0.5 * logdet if sign > 0 else -np.inf), (ll, mu, wx, info)
 
     def modified_score(theta, state):
-        mu, w = state
-        wx = X * w[:, None]
-        info = X.T @ wx
+        _, mu, wx, info = state
         try:
             np.linalg.cholesky(info)
         except np.linalg.LinAlgError:
@@ -320,112 +326,90 @@ def _firth(design: DesignMatrix):
         h = np.einsum("ij,ji->i", X, np.linalg.solve(info, wx.T))
         return X.T @ (y - mu + h * (0.5 - mu)), -info
 
-    theta, _, _, hess, converged = _ascend(penalized, modified_score, np.zeros(X.shape[1]))
-    return theta, converged, -hess
+    theta, _, (ll, *_), hess, converged = _ascend(
+        penalized, modified_score, np.zeros(X.shape[1]))
+    return theta, ll, converged, -hess
 
 
-def _mle_summary(design: DesignMatrix, theta: np.ndarray):
-    """(log-likelihood, log-precision or None) at the MLE; gaussian profiles sigma^2."""
-    X, y = design.predictors, design.response
-    eta = X @ theta
-    if design.family == "gaussian":
-        rss = float(np.sum((y - eta) ** 2))
-        tau = 1.0 / max(rss / design.n_obs, 1e-300)
-        ll = float(np.sum(families.loglik_terms("gaussian", y, eta, tau)))
-        return ll, float(np.log(tau))
-    return float(np.sum(families.loglik_terms(design.family, y, eta))), None
-
-
-def _fit_mle_once(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray | None, bool, bool]:
-    """One MLE attempt: (theta, information or None, used_firth, converged);
-    raises _Diverged."""
+def _fit_mle_once(design: DesignMatrix) -> FitResult:
+    """One MLE fit of the whole design; raises _Diverged."""
     fam = design.family
+    log_prec, used_firth, converged = None, False, True
     if fam == "gaussian":
-        theta, _, rank, _ = np.linalg.lstsq(design.predictors, design.response, rcond=None)
+        X, y = design.predictors, design.response
+        theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         if rank < design.width:
             raise _Diverged("rank-deficient design")
         if not np.all(np.isfinite(theta)):
             raise _Diverged("non-finite least-squares solution")
-        return theta, None, False, True
-    if fam == "binomial":
+        # the precision is profiled out at n / RSS
+        eta = X @ theta
+        tau = 1.0 / max(float(np.sum((y - eta) ** 2)) / design.n_obs, 1e-300)
+        ll = float(np.sum(families.loglik_terms("gaussian", y, eta, tau)))
+        log_prec = float(np.log(tau))
+        # the information uses exp(log tau), the precision the fit reports
+        info = math.exp(log_prec) * (X.T @ X)
+    elif fam == "binomial":
         try:
-            theta, converged, info = _irls(design)
-            if converged:
-                return theta, info, False, True
+            theta, ll, converged, info = _irls(design)
         except _Diverged:
-            pass
-        theta, converged, info = _firth(design)  # may raise _Diverged
-        return theta, info, True, converged
-    theta, converged, info = _irls(design)
-    if not converged:
-        raise _Diverged("Newton ascent did not converge")
-    return theta, info, False, True
+            converged = False
+        if not converged:
+            theta, ll, converged, info = _firth(design)  # may raise _Diverged
+            used_firth = True
+    else:
+        theta, ll, converged, info = _irls(design)
+        if not converged:
+            raise _Diverged("Newton ascent did not converge")
+    return FitResult(labels=design.labels, coefficients=theta, family=fam, method="mle",
+                     n_obs=design.n_obs, log_likelihood=ll, neg_hessian=info,
+                     gaussian_log_precision=log_prec, used_firth=used_firth,
+                     converged=converged)
 
 
-def _prune_order(design: DesignMatrix) -> tuple[DesignMatrix, list[str], tuple]:
-    """Drop predictors until the MLE fit succeeds: (kept design, dropped
-    labels, its ``_fit_mle_once`` result).
+def _fit_mle(design: DesignMatrix) -> FitResult:
+    """The MLE fit of ``design``, or of what is left after dropping
+    predictors until the fit succeeds.
 
     Each round removes the predictor whose removal costs the least
     log-likelihood (ties drop the lexicographically last name); the round's
     scan has already fitted the kept design.  When even the intercept-only
     design fails, its fit's error propagates.
     """
+    try:
+        return _fit_mle_once(design)
+    except (_Diverged, np.linalg.LinAlgError):
+        if design.width == 1:
+            raise
     dropped: list[str] = []
-    work = design
-    while work.width > 1:
-        best_label, best_ll, best_sub, best_fit = None, -np.inf, None, None
-        for label in sorted(work.labels[1:]):
-            sub = work.drop(label)
+    fit = None
+    while fit is None:
+        best_ll, best = -np.inf, None
+        for label in sorted(design.labels[1:]):
+            sub = design.drop(label)
             try:
-                fit = _fit_mle_once(sub)
-                ll = _mle_summary(sub, fit[0])[0]
+                sub_fit = _fit_mle_once(sub)
+                ll = sub_fit.log_likelihood
             except (FitError, np.linalg.LinAlgError):
-                fit, ll = None, -np.inf
+                if sub.width == 1:
+                    raise
+                sub_fit, ll = None, -np.inf
             if not math.isfinite(ll):
                 ll = -np.inf
             if ll >= best_ll:
-                best_label, best_ll, best_sub, best_fit = label, ll, sub, fit
-        work = best_sub
-        dropped.append(best_label)
-        if best_fit is not None:
-            return work, dropped, best_fit
-    return work, dropped, _fit_mle_once(work)
-
-
-def _fit_mle(design: DesignMatrix) -> FitResult:
-    dropped: list[str] = []
-    work = design
-    try:
-        theta, info, used_firth, converged = _fit_mle_once(work)
-    except (_Diverged, np.linalg.LinAlgError):
-        work, dropped, (theta, info, used_firth, converged) = _prune_order(design)
-    ll, log_prec = _mle_summary(work, theta)
-    if log_prec is not None:
-        # the information uses exp(log tau), the precision the fit reports
-        info = math.exp(log_prec) * (work.predictors.T @ work.predictors)
-    if dropped and work.width == 1 and not math.isfinite(ll):
+                best_ll, best = ll, (label, sub, sub_fit)
+        label, design, fit = best
+        dropped.append(label)
+    if design.width == 1 and not math.isfinite(fit.log_likelihood):
         raise AllPredictorsDropped(
             f"node {design.child!r}: every predictor was removed and the "
             "intercept-only fallback is still non-finite"
         )
-    return FitResult(
-        labels=work.labels,
-        coefficients=theta,
-        family=work.family,
-        method="mle",
-        n_obs=work.n_obs,
-        log_likelihood=ll,
-        neg_hessian=info,
-        gaussian_log_precision=log_prec,
-        dropped_predictors=tuple(dropped),
-        used_firth=used_firth,
-        converged=converged,
-    )
+    return replace(fit, dropped_predictors=tuple(dropped))
 
 
 def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    post = _Posterior(design, priors)
+    post = _Objective(design, priors)
     X, y, p = post.X, post.y, post.width
     fam = design.family
     params = np.zeros(p + (1 if post.free_precision else 0))
@@ -440,12 +424,7 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
             rss = float(np.sum((y - X @ params[:p]) ** 2))
             params[p] = math.log(len(y) / max(rss, 1e-12))
 
-    def log_joint(params):
-        joint, *state = post.evaluate(*post.split(params))
-        return joint, state  # log-likelihood, eta, mean
-
-    params, joint, (ll, eta, _), hess, converged = _ascend(
-        log_joint, lambda params, state: post.grad_hess(params, *state[1:]), params)
+    params, joint, (ll, eta, _), hess, converged = _ascend(post.evaluate, post.grad_hess, params)
     neg_h = -hess
     theta, lam = post.split(params)
     if fam == "gaussian" and lam is None:

@@ -139,7 +139,7 @@ class TestCriterion3Irls:
             assert np.max(np.abs(fit.coefficients - ols)) < 1e-8
 
         # binomial/poisson analytic gradient vs central finite differences
-        from abnkit.glm import _Posterior
+        from abnkit.glm import _Objective
 
         priors = PriorSpec()
         checked = 0
@@ -155,9 +155,9 @@ class TestCriterion3Irls:
             d = DesignMatrix(response=y, predictors=X,
                              labels=("(Intercept)", "a", "b"),
                              child="y", family=family)
-            post = _Posterior(d, priors)
+            post = _Objective(d, priors)
             theta = rng.normal(scale=0.5, size=3)
-            grad, _ = post.grad_hess(theta, X @ theta)
+            grad, _ = post.grad_hess(theta, post.evaluate(theta)[1])
             h = 1e-6
             numeric = np.empty(3)
             for k in range(3):

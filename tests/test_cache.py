@@ -315,6 +315,7 @@ class TestMalformedText:
         lambda line: line.replace("\t", "\t0x", 1),     # non-integer mask
         lambda line: line.replace("\t", "\t64", 1),     # mask beyond the nodes
         lambda line: line.rpartition("\t")[0] + "\tbig",  # non-numeric score
+        lambda line: line + "\n" + line.rpartition("\t")[0] + "\t12.5",  # a second score
     ])
     def test_bad_body_line(self, lines, edit):
         body = next(k for k, line in enumerate(lines) if line[:1].isdigit())

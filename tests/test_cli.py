@@ -236,6 +236,28 @@ class TestOtherCommands:
         scores = (out / "node-scores.tsv").read_text()
         assert scores.splitlines()[-1].startswith("total\t")
 
+    def test_fit_names_the_predictors_it_dropped(self, tmp_path):
+        # b is a copy of a, so y ~ a + b has no unique MLE and one copy goes
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=50)
+        y = (rng.random(50) < 1.0 / (1.0 + np.exp(-a))).astype(float)
+        ds = Dataset(("a", "b", "y"), np.column_stack([a, a, y]),
+                     ("gaussian", "gaussian", "binomial"))
+        (tmp_path / "data.csv").write_text(ds.to_csv())
+        (tmp_path / "dists.txt").write_text(format_dist_spec(ds.dist_map()))
+        dag = dag_from_arcs(ds.names, (("a", "y"), ("b", "y")))
+        (tmp_path / "dag.txt").write_text(format_adjacency(dag.nodes, dag.adjacency))
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", tmp_path / "data.csv", "--dists", tmp_path / "dists.txt",
+                    "--dag", tmp_path / "dag.txt", "--method", "mle", "--out", out,
+                    "--jobs", "1"]) == 0
+        rows = [line.split("\t") for line in (out / "node-scores.tsv").read_text().splitlines()]
+        assert rows[0] == ["node", "score", "status"]
+        assert [(row[0], row[2]) for row in rows[1:-1]] == [("a", "-"), ("b", "-"),
+                                                             ("y", "pruned:b")]
+        coefficients = (out / "coefficients.txt").read_text()
+        assert "y|a" in coefficients and "y|b" not in coefficients
+
     def test_sweep_parents_monotone(self, workspace, tmp_path):
         out = tmp_path / "sweep"
         code = run(["sweep-parents", "--data", workspace / "data.csv",

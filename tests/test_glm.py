@@ -24,7 +24,7 @@ from abnkit.glm import (
     PriorSpec,
     _irls,
     _laplace,
-    _Posterior,
+    _Objective,
     fit_node,
     frequentist_scores,
     marginal_densities,
@@ -93,22 +93,24 @@ class TestIrls:
     def test_gradient_matches_finite_differences(self, family):
         maker = {"binomial": binomial_design, "poisson": poisson_design,
                  "gaussian": gaussian_design}[family]
-        priors = PriorSpec(fixed_precision=1.0 if family == "gaussian" else None)
         rng = np.random.default_rng(99)
-        for seed in range(30):
-            d = maker(40, 2, seed)
-            post = _Posterior(d, priors)
-            theta = rng.normal(scale=0.5, size=d.width)
-            grad, _ = post.grad_hess(theta, d.predictors @ theta)
-            h = 1e-6
-            numeric = np.zeros_like(theta)
-            for k in range(len(theta)):
-                up, dn = theta.copy(), theta.copy()
-                up[k] += h
-                dn[k] -= h
-                numeric[k] = (post.evaluate(up)[0] - post.evaluate(dn)[0]) / (2 * h)
-            denom = max(1.0, np.max(np.abs(grad)))
-            assert np.max(np.abs(grad - numeric)) / denom < 1e-4
+        # the bayes log joint, and the MLE's log-likelihood alone (a gaussian
+        # one with its log-precision as a parameter)
+        for priors in (PriorSpec(fixed_precision=1.0 if family == "gaussian" else None), None):
+            for seed in range(30):
+                d = maker(40, 2, seed)
+                obj = _Objective(d, priors)
+                params = rng.normal(scale=0.5, size=d.width + obj.free_precision)
+                grad, _ = obj.grad_hess(params, obj.evaluate(params)[1])
+                h = 1e-6
+                numeric = np.zeros_like(params)
+                for k in range(len(params)):
+                    up, dn = params.copy(), params.copy()
+                    up[k] += h
+                    dn[k] -= h
+                    numeric[k] = (obj.evaluate(up)[0] - obj.evaluate(dn)[0]) / (2 * h)
+                denom = max(1.0, np.max(np.abs(grad)))
+                assert np.max(np.abs(grad - numeric)) / denom < 1e-4, (priors, seed)
 
     def test_no_observations(self):
         d = DesignMatrix(response=np.zeros(0), predictors=np.ones((0, 1)),
@@ -135,7 +137,7 @@ class TestIrls:
         d = DesignMatrix(response=np.append(y, 0.0), predictors=X,
                          labels=("(Intercept)", "x"), child="y", family="poisson")
         with np.errstate(all="ignore"):
-            theta, converged, _ = _irls(d)
+            theta, _, converged, _ = _irls(d)
             mu = np.exp(X @ theta)
         assert converged and mu[-1] == 0.0
         np.testing.assert_allclose(theta, [0.1513626643965747, 0.7129195051298354],
@@ -288,7 +290,7 @@ class TestFirthAndPruning:
         fit = fit_node(d, method="mle")
         assert len(calls) == 4
         assert fit.dropped_predictors == ("b",)  # a tie with "a": the last name goes
-        assert np.array_equal(fit.coefficients, fit_once(d.drop("b"))[0])
+        assert np.array_equal(fit.coefficients, fit_once(d.drop("b")).coefficients)
 
     def test_exhausted_pruning_raises(self):
         # overflow-scale responses defeat even the intercept-only fallback
@@ -372,14 +374,34 @@ class TestSharedArithmetic:
         for seed in range(5):
             d = maker(80, 2, seed)
             fit = fit_node(d, method="bayes", priors=priors)
-            joint = _Posterior(d, priors).evaluate(fit.coefficients,
-                                                   fit.gaussian_log_precision)[0]
+            params = fit.coefficients
+            if len(fit.neg_hessian) > len(params):
+                params = np.append(params, fit.gaussian_log_precision)
+            joint = _Objective(d, priors).evaluate(params)[0]
             assert fit.mlik == _laplace(joint, len(fit.neg_hessian), fit.neg_hessian)
             tau = (math.exp(fit.gaussian_log_precision) if family == "gaussian"
                    else None)
             eta = d.predictors @ fit.coefficients
             ll = float(np.sum(families.loglik_terms(family, d.response, eta, tau)))
             assert fit.log_likelihood == ll
+
+
+    @pytest.mark.parametrize("kind", ["binomial", "poisson", "firth"])
+    def test_mle_log_likelihood_is_the_family_sum(self, kind):
+        for seed in range(5):
+            if kind == "poisson":
+                d = poisson_design(80, 2, seed)
+            else:
+                d = binomial_design(80, 2, seed)
+                if kind == "firth":  # separated on x0
+                    y = (d.predictors[:, 1] > 0).astype(float)
+                    d = DesignMatrix(response=y, predictors=d.predictors, labels=d.labels,
+                                     child="y", family="binomial")
+            fit = fit_node(d, method="mle")
+            assert fit.used_firth == (kind == "firth") and fit.status() == (
+                ["firth"] if kind == "firth" else [])
+            eta = d.predictors @ fit.coefficients
+            assert fit.log_likelihood == np.sum(families.loglik_terms(d.family, d.response, eta))
 
 
 class TestLaplace:
@@ -433,8 +455,8 @@ class TestLaplace:
         from dataclasses import replace
 
         broken = replace(fit, neg_hessian=-np.eye(fit.neg_hessian.shape[0]))
-        joint = _Posterior(d, PriorSpec()).evaluate(broken.coefficients,
-                                                    broken.gaussian_log_precision)[0]
+        params = np.append(broken.coefficients, broken.gaussian_log_precision)
+        joint = _Objective(d, PriorSpec()).evaluate(params)[0]
         with pytest.raises(NonPositiveDefiniteHessian):
             _laplace(joint, len(broken.neg_hessian), broken.neg_hessian)
 
