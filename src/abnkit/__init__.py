@@ -18,7 +18,6 @@ from .dag import (
     info_metrics,
     markov_blanket,
     topological_order,
-    validate_acyclic,
 )
 from .data import Dataset, DesignMatrix, build_design, load_dataset, standardize
 from .formula import parse_formula, render_formula
@@ -51,5 +50,4 @@ __all__ = [
     "render_formula",
     "standardize",
     "topological_order",
-    "validate_acyclic",
 ]

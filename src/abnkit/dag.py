@@ -8,7 +8,6 @@ orientation.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,71 +53,50 @@ def row_masks(matrix) -> list[int]:
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in np.asarray(matrix)]
 
 
-def _kahn_order(adj: np.ndarray, keys: Sequence) -> list[int]:
-    """Kahn's algorithm, always placing the ready node with the smallest key.
+def descendants(masks: list[int]) -> list[int]:
+    """Bitmask of the nodes reachable from each node, itself included, where
+    ``masks[i]`` is node i's parent bitmask.  Cycles are allowed."""
+    reach = [1 << i for i in range(len(masks))]
+    for child, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            reach[low.bit_length() - 1] |= 1 << child
+            mask ^= low
+    for k in range(len(reach)):  # Warshall's transitive closure over bitset rows
+        bit, via = 1 << k, reach[k]
+        if via != bit:  # a node without children extends no row
+            reach = [r | via if r & bit else r for r in reach]
+    return reach
 
-    Returns the placed node indices in order.  Nodes on or downstream of a
-    cycle are never ready, so they are exactly the ones left out.
-    """
-    n_parents = np.count_nonzero(adj, axis=1).tolist()  # row = child
-    children = [np.flatnonzero(col).tolist() for col in adj.T]
-    ready = [(keys[i], i) for i, k in enumerate(n_parents) if k == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, node = heapq.heappop(ready)
-        order.append(node)
-        for child in children[node]:
-            n_parents[child] -= 1
-            if n_parents[child] == 0:
-                heapq.heappush(ready, (keys[child], child))
-    return order
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def find_cycle(adjacency: np.ndarray) -> list[int] | None:
     """Return a list of node indices forming a directed cycle, or None.
 
-    Kahn peeling: whatever cannot be topologically ordered lies on or feeds a
-    cycle; the cycle itself is then recovered by walking parent links inside
-    the leftover set.
+    A node lies on a cycle iff it reaches one of its parents, and whatever
+    such nodes reach is exactly what no topological order can place.  The
+    cycle is recovered by walking from the smallest node of that set to the
+    smallest parent inside it until a node repeats.
     """
     adj = np.asarray(adjacency)
-    n = adj.shape[0]
     loops = np.flatnonzero(np.diag(adj))
     if loops.size:
         return [int(loops[0])]
-    remaining = set(range(n)).difference(_kahn_order(adj, range(n)))
-    if not remaining:
+    masks = row_masks(adj)
+    stuck = 0
+    for reach, mask in zip(descendants(masks), masks):
+        if reach & mask:
+            stuck |= reach
+    if not stuck:
         return None
-    # every leftover node has a parent in `remaining`; walk until repeat
-    start = min(remaining)
-    path = [start]
-    seen = {start}
-    cur = start
-    while True:
-        parents = [int(p) for p in np.flatnonzero(adj[cur]) if int(p) in remaining]
-        cur = min(parents)
-        if cur in seen:
-            return path[path.index(cur):]
-        seen.add(cur)
-        path.append(cur)
-
-
-def validate_acyclic(adjacency) -> tuple[bool, list[int]]:
-    """Check a square binary matrix for cycles.
-
-    Returns ``(True, topological_certificate)`` where the certificate is a
-    node-index order in which every parent precedes its children (smallest
-    index first on ties), or ``(False, cycle)`` with the indices of one
-    directed cycle.  A cycle is a result here, not an error.
-    """
-    adj = np.asarray(adjacency)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ConstraintError(f"adjacency must be square, got {adj.shape}")
-    order = _kahn_order(adj, range(adj.shape[0]))
-    if len(order) == adj.shape[0]:
-        return True, order
-    return False, find_cycle(adj)
+    # every stuck node has a parent inside the set; walk until repeat
+    path = [_lowest(stuck)]
+    while (node := _lowest(masks[path[-1]] & stuck)) not in path:
+        path.append(node)
+    return path[path.index(node):]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +174,18 @@ def dag_from_masks(nodes: Sequence[str], masks: Sequence[int]) -> Dag:
 def topological_order(dag: Dag) -> list[str]:
     """Node names ordered so every parent precedes its children.
 
-    Ties are broken by node-name lexicographic order so the result is
-    reproducible across runs regardless of input column order.
+    Each step places the smallest-named node whose parents are all placed,
+    so the result is reproducible across runs regardless of input column
+    order.
     """
-    return [dag.nodes[i] for i in _kahn_order(dag.adjacency, dag.nodes)]
+    masks = dag.parent_masks()
+    by_name = sorted(range(dag.n_nodes), key=dag.nodes.__getitem__)
+    placed, order = 0, []
+    while len(order) < dag.n_nodes:
+        node = next(i for i in by_name if not placed >> i & 1 and not masks[i] & ~placed)
+        placed |= 1 << node
+        order.append(dag.nodes[node])
+    return order
 
 
 def markov_blanket(dag: Dag, node: str) -> set[str]:

@@ -162,12 +162,12 @@ def load_dataset(
     and then skipped; any other undeclared column is an error.
     """
     if isinstance(dist_spec, (str, Path)):
-        dists, spec_group = parse_dist_spec(Path(dist_spec).read_text())
+        dists, spec_group = parse_dist_spec(Path(dist_spec).read_text(encoding="utf-8-sig"))
         group_var = group_var or spec_group
     else:
         dists = dict(dist_spec)
 
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if len(rows) < 2:

@@ -114,16 +114,14 @@ def loglik_mean(family: str, y: np.ndarray, eta: np.ndarray,
 
 
 def loglik_terms(family: str, y: np.ndarray, eta: np.ndarray,
-                 precision: float | None = None,
-                 log_factorial: np.ndarray | None = None) -> np.ndarray:
+                 precision: float | None = None) -> np.ndarray:
     """Per-observation log-likelihood at linear predictor ``eta``.
 
-    For the gaussian family ``precision`` (tau = 1/sigma^2) is required;
-    ``log_factorial`` is as in :func:`loglik_mean`.
+    For the gaussian family ``precision`` (tau = 1/sigma^2) is required.
     """
     y = np.asarray(y, dtype=float)
     if family != "gaussian":
-        return loglik_mean(family, y, np.asarray(eta, dtype=float), log_factorial)[0]
+        return loglik_mean(family, y, np.asarray(eta, dtype=float))[0]
     if precision is None:
         raise ValueError("gaussian log-likelihood needs a precision")
     resid = y - eta

@@ -52,6 +52,7 @@ NEWTON_GRAD_TOL = 1e-8
 # Gamma(shape, rate) prior on a gaussian node's precision tau
 PRECISION_SHAPE = 0.001
 PRECISION_RATE = 0.001
+RANGE_SD = 6.0  # marginal density grids span mode +/- this many posterior sds
 
 
 @dataclass(frozen=True)
@@ -422,6 +423,8 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
         params[:p] = np.linalg.solve(post.gram + post.prior_precision, X.T @ y)
         if post.free_precision:
             rss = float(np.sum((y - X @ params[:p]) ** 2))
+            if not math.isfinite(rss):
+                raise FitError(f"node {design.child!r}: the residual sum of squares overflows")
             params[p] = math.log(len(y) / max(rss, 1e-12))
 
     params, joint, (ll, eta, _), hess, converged = _ascend(post.evaluate, post.grad_hess, params)
@@ -552,19 +555,17 @@ class ParamDensity:
     sd: float
 
 
-def marginal_densities(
-    fit: FitResult, n_grid: int = 1000, range_sd: float = 6.0
-) -> list[ParamDensity]:
+def marginal_densities(fit: FitResult, n_grid: int = 1000) -> list[ParamDensity]:
     """Gaussian Laplace marginals for every parameter of a bayes fit.
 
     The parameters are the coefficients, then the gaussian log-precision
     when the fit optimized it (its curvature then has one more row than
     there are coefficients).  Each parameter gets a grid of ``n_grid``
-    points over mode +/- range_sd posterior standard deviations.  The reported ``area`` is the raw
-    trapezoid integral (a diagnostic that should sit within 1 +/- 0.01 for an
-    adequate range); ``probabilities`` renormalize the grid for categorical
-    sampling.  Raises RangeTooNarrow when the boundary density exceeds 1e-3
-    of the peak.
+    points over mode +/- ``RANGE_SD`` posterior standard deviations.  The
+    reported ``area`` is the raw trapezoid integral (a diagnostic that
+    should sit within 1 +/- 0.01 for an adequate range); ``probabilities``
+    renormalize the grid for categorical sampling.  Raises RangeTooNarrow
+    when the boundary density exceeds 1e-3 of the peak.
     """
     if fit.method != "bayes":
         raise FitError("marginal_densities needs a bayes-mode fit")
@@ -578,12 +579,12 @@ def marginal_densities(
     out = []
     for k, (label, mode) in enumerate(zip(labels, modes)):
         sd = math.sqrt(max(cov[k, k], 1e-300))
-        grid = np.linspace(mode - range_sd * sd, mode + range_sd * sd, n_grid)
+        grid = np.linspace(mode - RANGE_SD * sd, mode + RANGE_SD * sd, n_grid)
         density = np.exp(-0.5 * ((grid - mode) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
         peak = float(density.max())
         if max(density[0], density[-1]) > 1e-3 * peak:
             raise RangeTooNarrow(
-                f"density of {label!r} has not vanished at +/-{range_sd} sd; widen the range"
+                f"density of {label!r} has not vanished at +/-{RANGE_SD} sd"
             )
         area = float(np.trapezoid(density, grid))
         out.append(

@@ -5,7 +5,7 @@ moves (add, delete, reverse).  A candidate move is admissible only when the
 resulting parent sets exist in the cache -- which is exactly how ban/retain
 and cardinality constraints propagate -- and the graph stays acyclic.
 
-Acyclicity is checked against descendant bitsets (:func:`descendants`),
+Acyclicity is checked against descendant bitsets (:func:`.dag.descendants`),
 recomputed once per step rather than searched once per candidate: adding
 ``parent -> child`` is admissible iff ``parent`` does not descend from
 ``child``, and reversing it iff no other parent of ``child`` descends from
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import ScoreCache, default_score_type, parallel_map
-from .dag import Dag, dag_from_masks, find_cycle, row_masks
+from .dag import Dag, dag_from_masks, descendants, find_cycle, row_masks
 from .errors import ConfigError, EmptyCache, NodeSetMismatch
 from .exact import StructuralPrior, _node_entries
 
@@ -134,22 +134,6 @@ def _inverse(move: Move) -> Move:
     if kind == "delete":
         return ("add", child, parent)
     return ("reverse", parent, child)
-
-
-def descendants(masks: list[int]) -> list[int]:
-    """Bitmask of the nodes reachable from each node, itself included, where
-    ``masks[i]`` is node i's parent bitmask.  Cycles are allowed."""
-    reach = [1 << i for i in range(len(masks))]
-    for child, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            reach[low.bit_length() - 1] |= 1 << child
-            mask ^= low
-    for k in range(len(reach)):  # Warshall's transitive closure over bitset rows
-        bit, via = 1 << k, reach[k]
-        if via != bit:  # a node without children extends no row
-            reach = [r | via if r & bit else r for r in reach]
-    return reach
 
 
 def _randomize_start(state: _State, rng: np.random.Generator) -> None:
@@ -288,17 +272,16 @@ def arc_support(frequency, mode: str) -> np.ndarray:
 
 
 def majority_consensus(
-    dags: list[Dag], threshold: float = 0.5, mode: str = "directed"
+    dags: list[Dag], threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arc-frequency consensus over candidate structures.
 
-    Returns ``(kept, frequency)`` where ``kept`` holds the arcs whose support
-    meets the threshold.  Directed mode counts each direction separately and
-    may produce a cyclic matrix (see :func:`repair_to_dag`); undirected mode
-    sums both directions and returns a symmetric matrix.
+    Returns ``(kept, frequency)`` where ``kept`` holds the arcs whose
+    frequency meets the threshold.  Each direction counts separately, so the
+    result may be cyclic (see :func:`repair_to_dag`).
     """
     freq = arc_frequency_matrix(dags)
-    kept = (arc_support(freq, mode) >= threshold) & ~np.eye(len(freq), dtype=bool)
+    kept = (freq >= threshold) & ~np.eye(len(freq), dtype=bool)
     return kept.astype(np.int8), freq
 
 
@@ -317,11 +300,7 @@ def repair_to_dag(matrix, frequencies, nodes) -> Dag:
     # passes are at most the input arcs
     while (cycle := find_cycle(m)) is not None:
         # path of child->parent hops; arcs point parent -> child
-        arcs = []
-        for k, child in enumerate(cycle):
-            parent = cycle[(k + 1) % len(cycle)]
-            if m[child, parent]:
-                arcs.append((child, parent))
+        arcs = [(child, cycle[(k + 1) % len(cycle)]) for k, child in enumerate(cycle)]
         child, parent = min(arcs, key=lambda a: (freq[a[0], a[1]], a[0], a[1]))
         m[child, parent] = 0
         if m[parent, child]:

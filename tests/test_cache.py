@@ -134,6 +134,14 @@ class TestBuildCache:
         assert len(cache.diagnostics) > 0
         assert cache.score(0, 0, "loglik") == -np.inf
 
+    def test_overflowing_residuals_are_named_in_the_diagnostic(self):
+        # the start log(n / RSS) needs a finite RSS; 1e160 columns make it inf or NaN
+        cache = build_cache(_overflow_dataset())
+        words = {word for _, _, word in cache.diagnostics}
+        assert not any("math domain error" in word for word in words)
+        assert words == {f"FitError: node {name!r}: the residual sum of squares overflows"
+                         for name in "abcd"}
+
     def test_pruned_fit_is_a_failed_entry(self):
         """A fit that drops a predictor scores the kept design, not the parent
         set: the entry is -inf with a ``pruned:`` note, so an exact search

@@ -18,7 +18,6 @@ from abnkit.dag import (
     markov_blanket,
     parse_adjacency,
     topological_order,
-    validate_acyclic,
 )
 from abnkit.errors import (
     ConstraintError,
@@ -46,26 +45,43 @@ def smallest_key_order(adjacency, keys) -> list[int] | None:
     return order
 
 
+def kahn_leftover_cycle(adjacency) -> list[int] | None:
+    """Brute-force cycle search: a self-loop if there is one; else peel every
+    node without an unpeeled parent and walk from the smallest leftover node
+    to its smallest leftover parent until a node repeats (None when nothing
+    is left)."""
+    n = len(adjacency)
+    loops = [i for i in range(n) if adjacency[i][i]]
+    if loops:
+        return loops[:1]
+    left = set(range(n))
+    while ready := [i for i in left if not any(adjacency[i][j] for j in left)]:
+        left.difference_update(ready)
+    if not left:
+        return None
+    path = [min(left)]
+    while (node := min(j for j in left if adjacency[path[-1]][j])) not in path:
+        path.append(node)
+    return path[path.index(node):]
+
+
 class TestValidateAcyclic:
     def test_empty_matrix_ok(self):
-        ok, order = validate_acyclic(np.zeros((3, 3)))
-        assert ok and sorted(order) == [0, 1, 2]
+        assert find_cycle(np.zeros((3, 3))) is None
+        assert topological_order(Dag(("a", "b", "c"))) == ["a", "b", "c"]
 
     def test_two_cycle(self):
         m = np.array([[0, 1], [1, 0]])
-        ok, cycle = validate_acyclic(m)
-        assert not ok and sorted(cycle) == [0, 1]
+        assert sorted(find_cycle(m)) == [0, 1]
 
     def test_asia_structure_ok(self, asia_dag):
-        ok, _ = validate_acyclic(asia_dag.adjacency)
-        assert ok
+        assert find_cycle(asia_dag.adjacency) is None
 
     def test_longer_cycle_reported(self):
         m = np.zeros((4, 4), dtype=int)
         # 0 -> 1 -> 2 -> 0 (row=child)
         m[1, 0] = m[2, 1] = m[0, 2] = 1
-        ok, cycle = validate_acyclic(m)
-        assert not ok and set(cycle) == {0, 1, 2}
+        assert set(find_cycle(m)) == {0, 1, 2}
 
     def test_dag_constructor_rejects_cycle(self):
         with pytest.raises(CyclicInput):
@@ -83,10 +99,11 @@ class TestValidateAcyclic:
             shape = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
             names = tuple(f"v{k}" for k in rng.permutation(n))
             dag = Dag(names, shape.adjacency)
-            ok, certificate = validate_acyclic(dag.adjacency)
-            assert ok and certificate == smallest_key_order(dag.adjacency, range(n))
             expected = smallest_key_order(dag.adjacency, names)
             assert topological_order(dag) == [names[i] for i in expected]
+            by_index = Dag([f"v{i}" for i in range(n)], shape.adjacency)
+            expected = smallest_key_order(shape.adjacency, range(n))
+            assert topological_order(by_index) == [f"v{i}" for i in expected]
 
     def test_find_cycle_returns_a_directed_cycle(self):
         rng = np.random.default_rng(12)
@@ -100,6 +117,21 @@ class TestValidateAcyclic:
             assert cycle and len(set(cycle)) == len(cycle)
             for k, child in enumerate(cycle):  # each node's successor is a parent
                 assert m[child, cycle[(k + 1) % len(cycle)]] == 1
+
+    def test_find_cycle_equals_kahn_leftover_walk(self):
+        # repair_to_dag breaks the weakest arc of this very cycle, so the
+        # cycle itself, not just its existence, is part of the contract
+        rng = np.random.default_rng(13)
+        n_walked = 0
+        for trial in range(2500):
+            n = int(rng.integers(1, 12))
+            m = (rng.random((n, n)) < rng.uniform(0.02, 0.4)).astype(np.int8)
+            if trial % 2:
+                np.fill_diagonal(m, 0)
+            expected = kahn_leftover_cycle(m.tolist())
+            assert find_cycle(m) == expected
+            n_walked += expected is not None and len(expected) > 1
+        assert n_walked > 500  # walks, not just self-loops and acyclic graphs
 
 
 class TestTopologicalOrder:

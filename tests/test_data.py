@@ -48,6 +48,16 @@ class TestLoad:
         ds = load_dataset(csv_file(BASIC), spec_path)
         assert ds.distributions == ("binomial", "binomial", "gaussian")
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, csv_file, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start both files with U+FEFF
+        spec_path = tmp_path / "dists.txt"
+        spec_path.write_bytes(b"\xef\xbb\xbf" + format_dist_spec(DISTS).encode())
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BASIC.encode())
+        ds = load_dataset(path, spec_path)
+        assert ds.names == ("a", "b", "c")
+        assert ds.fingerprint() == load_dataset(csv_file(BASIC), DISTS).fingerprint()
+
     def test_group_var_column_is_skipped(self, csv_file):
         path = csv_file("a,c,farm\n1,0.5,f1\n0,1.5,f2\n")
         ds = load_dataset(path, {"a": "binomial", "c": "gaussian"}, group_var="farm")

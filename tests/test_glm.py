@@ -548,11 +548,12 @@ class TestMarginalDensities:
                      / (sd * math.sqrt(2 * math.pi)))
             assert np.max(np.abs(dens.density - exact)) < 1e-6
 
-    def test_narrow_range_raises(self):
+    def test_narrow_range_raises(self, monkeypatch):
         d = gaussian_design(60, 1, 8)
         fit = fit_node(d, method="bayes")
+        monkeypatch.setattr(abnkit.glm, "RANGE_SD", 1.5)
         with pytest.raises(RangeTooNarrow):
-            marginal_densities(fit, range_sd=1.5)
+            marginal_densities(fit)
 
     def test_probabilities_sum_to_one(self):
         d = binomial_design(100, 1, 2)

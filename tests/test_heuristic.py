@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abnkit.cache import build_cache
-from abnkit.dag import ConstraintSet, Dag, row_masks, validate_acyclic
+from abnkit.dag import ConstraintSet, Dag, descendants, find_cycle, row_masks
 from abnkit.data import standardize
 from abnkit.errors import NodeSetMismatch
 from abnkit.exact import StructuralPrior, best_parents_table, dag_objective, most_probable_dag
@@ -14,7 +14,6 @@ from abnkit.heuristic import (
     SearchTrace,
     _State,
     arc_frequency_matrix,
-    descendants,
     heuristic_search,
     majority_consensus,
     objective_tables,
@@ -86,8 +85,7 @@ class TestSearch:
         config = HeuristicConfig(algorithm="tabu", restarts=4, max_steps=60, seed=9)
         trace = heuristic_search(cache, config=config, prior=UNIF)
         for restart in trace.restarts:
-            ok, _ = validate_acyclic(restart.dag.adjacency)
-            assert ok
+            assert find_cycle(restart.dag.adjacency) is None
             assert cache.constraints.allows(restart.dag)
 
     def test_two_hundred_restarts_find_exact_optimum_three_nodes(self):
@@ -225,8 +223,7 @@ class TestConsensus:
         a = dag_from_arcs(("x", "y"), (("x", "y"),))
         b = dag_from_arcs(("x", "y"), (("y", "x"),))
         kept, freq = majority_consensus([a, b], threshold=0.5)
-        ok, _ = validate_acyclic(kept)
-        assert not ok  # both directions kept: repair_to_dag exists for this
+        assert find_cycle(kept) is not None  # both directions kept: repair_to_dag exists for this
         assert freq[0, 1] == freq[1, 0] == 0.5
 
     def test_threshold_extremes(self):
@@ -237,12 +234,6 @@ class TestConsensus:
         assert np.all(freq >= 0) and np.all(freq <= 1)
         assert np.all(inter <= union)
         assert np.array_equal(union != 0, freq >= 1e-9)
-
-    def test_undirected_mode_sums_directions(self):
-        a = dag_from_arcs(("x", "y"), (("x", "y"),))
-        b = dag_from_arcs(("x", "y"), (("y", "x"),))
-        kept, _ = majority_consensus([a, b], threshold=0.9, mode="undirected")
-        assert kept[0, 1] == 1 and kept[1, 0] == 1
 
     def test_node_set_mismatch(self, asia_dag):
         with pytest.raises(NodeSetMismatch):
@@ -291,8 +282,7 @@ class TestRepair:
             np.fill_diagonal(m, 0)
             freq = rng.random((n, n)) * m
             out = repair_to_dag(m, freq, tuple(f"v{i}" for i in range(n)))
-            ok, _ = validate_acyclic(out.adjacency)
-            assert ok
+            assert find_cycle(out.adjacency) is None
             for parent, child in out.arcs():
                 i, j = out.index(child), out.index(parent)
                 assert m[i, j] or m[j, i]  # subgraph-or-reversal of the input
