@@ -19,6 +19,7 @@ import numpy as np
 from .dag import ConstraintSet, Dag
 from .data import Dataset, design_for_mask
 from .errors import AbnError, CacheMismatch, UnenumeratedParentSet
+from .families import FAMILIES
 from .formula import parse_formula, render_formula
 from .glm import fit_node, frequentist_scores
 
@@ -313,8 +314,18 @@ def cache_from_text(text: str) -> ScoreCache:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise CacheMismatch(f"cache header lacks {', '.join(missing)}")
+    method = header["method"]
+    if method not in ("bayes", "mle"):
+        raise CacheMismatch(f"cache header method={method} is neither bayes nor mle")
     nodes = tuple(header["nodes"].split(","))
     score_types = tuple(header["score_types"].split(","))
+    if score_types != (BAYES_SCORES if method == "bayes" else MLE_SCORES):
+        raise CacheMismatch(f"cache header score_types={header['score_types']} "
+                            f"are not the scores of method={method}")
+    distributions = tuple(header["distributions"].split(","))
+    if len(distributions) != len(nodes) or not set(distributions) <= set(FAMILIES):
+        raise CacheMismatch(f"cache header distributions={header['distributions']} "
+                            f"do not give one of {FAMILIES} for each of {len(nodes)} nodes")
     try:
         limits = [int(v) for v in header["max_parents"].split(",")]
     except ValueError:
@@ -365,8 +376,8 @@ def cache_from_text(text: str) -> ScoreCache:
         scores.append(np.array(values, dtype=float).reshape(len(node_masks), len(score_types)))
     return ScoreCache(
         nodes=nodes,
-        distributions=tuple(header["distributions"].split(",")),
-        method=header["method"],
+        distributions=distributions,
+        method=method,
         score_types=score_types,
         fingerprint=header["fingerprint"],
         constraints=constraints,

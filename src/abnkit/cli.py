@@ -70,22 +70,28 @@ class _Run:
     and every artifact it writes, held until :meth:`finish` writes them all
     with the manifest.  A command that raises writes nothing."""
 
-    def __init__(self, args, **config):
+    def __init__(self, args):
         self.args = args
-        self.config = config
+        # no artifact depends on where it is written or on the worker count
+        self.config = {key: value for key, value in vars(args).items()
+                       if key not in ("command", "func", "jobs", "out")}
         self.inputs: dict[str, str] = {}
         self.artifacts: dict[str, str] = {}
 
-    def input(self, path):
-        """Check that ``path`` is a readable file, fingerprint it, return it."""
+    def read(self, path) -> str:
+        """The text of file ``path``; the bytes decoded are the bytes fingerprinted."""
         if not Path(path).is_file():
             raise ConfigError(f"input file not readable: {path}")
-        self.inputs[str(path)] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        return path
+        raw = Path(path).read_bytes()
+        self.inputs[str(path)] = hashlib.sha256(raw).hexdigest()
+        try:
+            return raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8: {exc.reason}") from None
 
     def dag(self, path, nodes=None) -> Dag:
         """The DAG in adjacency file ``path``, checked against ``nodes`` if given."""
-        dag = dag_from_text(Path(self.input(path)).read_text())
+        dag = dag_from_text(self.read(path))
         if nodes is not None and dag.nodes != nodes:
             raise ConfigError("DAG nodes differ from data columns")
         return dag
@@ -94,7 +100,9 @@ class _Run:
         """The dataset, gaussian columns standardised unless ``--no-standardize``,
         and the constraints of ``--ban``, ``--retain`` and ``--max-parents``."""
         args = self.args
-        ds = load_dataset(self.input(args.data), self.input(args.dists))
+        for path in (args.data, args.dists):  # load_dataset reads them by path
+            self.read(path)
+        ds = load_dataset(args.data, args.dists)
         if not args.no_standardize and "gaussian" in ds.distributions:
             ds = standardize(ds)
         banned = self._arcs(getattr(args, "ban", None), ds.names)
@@ -108,7 +116,7 @@ class _Run:
             return None
         if source.strip().startswith("~"):
             return parse_formula(source, nodes)
-        names, matrix = parse_adjacency(Path(self.input(source)).read_text())
+        names, matrix = parse_adjacency(self.read(source))
         if tuple(names) != tuple(nodes):
             raise ConfigError(f"constraint matrix nodes {names} differ from data columns")
         return matrix
@@ -145,8 +153,7 @@ def _fit_coefficients(run: _Run, ds: Dataset, dag: Dag, method: str) -> dict:
 
 
 def cmd_build_cache(args) -> int:
-    run = _Run(args, method=args.method, max_parents=args.max_parents,
-               ban=args.ban, retain=args.retain, standardize=not args.no_standardize)
+    run = _Run(args)
     ds, constraints = run.data()
     cache = build_cache(ds, constraints, method=args.method, jobs=args.jobs)
     run.config["fingerprint"] = cache.fingerprint
@@ -157,8 +164,7 @@ def cmd_build_cache(args) -> int:
 
 
 def cmd_search(args) -> int:
-    run = _Run(args, mode=args.mode, method=args.method, prior=args.prior,
-               max_parents=args.max_parents, ban=args.ban, retain=args.retain)
+    run = _Run(args)
     if args.mode == "heuristic":
         seed = run.config["seed"] = _resolve_seed(args.seed)
         config = HeuristicConfig(
@@ -169,7 +175,7 @@ def cmd_search(args) -> int:
     ds, constraints = run.data()
     score = run.config["score"] = _check_method_score(args.method, args.score)
     if args.cache:
-        cache = cache_from_text(Path(run.input(args.cache)).read_text())
+        cache = cache_from_text(run.read(args.cache))
         cache.check_dataset(ds)
         cache = cache.restrict(constraints)
     else:
@@ -211,8 +217,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    run = _Run(args, method=args.method, standardize=not args.no_standardize,
-               n_grid=args.n_grid)
+    run = _Run(args)
     if args.marginals:
         if args.method != "bayes":
             raise ConfigError("--marginals requires --method bayes")
@@ -241,8 +246,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep_parents(args) -> int:
-    run = _Run(args, method=args.method, prior=args.prior, max=args.max,
-               ban=args.ban, retain=args.retain)
+    run = _Run(args)
     ds, arcs = run.data()
     score = run.config["score"] = _check_method_score(args.method, args.score)
 
@@ -267,17 +271,15 @@ def cmd_sweep_parents(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    run = _Run(args)
     if args.what == "dag":
-        seed = _resolve_seed(args.seed)
-        run = _Run(args, what="dag", nodes=args.nodes,
-                   arc_probability=args.arc_probability, seed=seed)
+        seed = run.config["seed"] = _resolve_seed(args.seed)
         dag = simulate_dag(args.nodes, args.arc_probability, seed)
         run.write("dag.txt", dag_to_text(dag))
         run.write("dag.dot", dag_to_dot(dag))
         print(f"simulated DAG with {dag.n_arcs} arcs over {args.nodes} nodes")
         return run.finish("simulate-dag")
-    run = _Run(args, what="data")
-    spec = SimSpec.from_json(Path(run.input(args.spec)).read_text())
+    spec = SimSpec.from_json(run.read(args.spec))
     if args.seed is not None or args.n_obs is not None:
         spec = SimSpec(
             dag=spec.dag, families=spec.families, coefficients=spec.coefficients,
@@ -293,9 +295,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    run = _Run(args, replicates=args.replicates, threshold=args.threshold,
-               mode=args.mode, prior=args.prior, max_parents=args.max_parents,
-               ban=args.ban, retain=args.retain)
+    run = _Run(args)
     check_replicates(args.replicates)
     check_grid_size(args.n_grid)
     ds, constraints = run.data()
@@ -325,7 +325,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_strength(args) -> int:
-    run = _Run(args, rule=args.rule, bins=args.bins)
+    run = _Run(args)
     ds, _ = run.data()
     dag = run.dag(args.dag, ds.names)
     disc = discretize(ds, rule=args.rule, fixed_k=args.bins)
@@ -337,7 +337,7 @@ def cmd_strength(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    run = _Run(args, reference=str(args.reference), candidate=str(args.candidate))
+    run = _Run(args)
     result = compare_dags(run.dag(args.reference), run.dag(args.candidate))
     fields = ("tpr", "fpr", "accuracy", "g_measure", "f1", "ppv",
               "false_omission_rate", "hamming", "tp", "fp", "tn", "fn")
@@ -348,7 +348,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_info(args) -> int:
-    run = _Run(args, dag=str(args.dag))
+    run = _Run(args)
     metrics = info_metrics(run.dag(args.dag))
     lines = [
         f"n_nodes\t{metrics.n_nodes}",

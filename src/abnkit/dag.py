@@ -21,7 +21,7 @@ from .errors import (
     UnknownName,
 )
 
-RESERVED = set("~:|+.,")
+RESERVED = set("~:|+.,#=")
 RESERVED_LABELS = ("(Intercept)", "log_precision")  # a fit's own parameter labels
 
 
@@ -34,7 +34,7 @@ def check_node_names(names: Sequence[str]) -> None:
         if not name or any(ch in RESERVED or ch.isspace() for ch in name):
             raise UnknownName(
                 f"invalid node name {name!r}: must be nonempty and free of "
-                "'~ : | + . ,' and whitespace"
+                "'~ : | + . , # =' and whitespace"
             )
         if name in RESERVED_LABELS:
             raise UnknownName(f"invalid node name {name!r}: reserved for a model parameter")

@@ -148,6 +148,13 @@ def format_dist_spec(dists: Mapping[str, str]) -> str:
     return "\n".join(f"{k}={v}" for k, v in dists.items()) + "\n"
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc.reason}") from None
+
+
 def load_dataset(
     path,
     dist_spec: Mapping[str, str] | str | Path,
@@ -162,12 +169,12 @@ def load_dataset(
     and then skipped; any other undeclared column is an error.
     """
     if isinstance(dist_spec, (str, Path)):
-        dists, spec_group = parse_dist_spec(Path(dist_spec).read_text(encoding="utf-8-sig"))
+        dists, spec_group = parse_dist_spec(_read_text(dist_spec))
         group_var = group_var or spec_group
     else:
         dists = dict(dist_spec)
 
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = _read_text(path)
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if len(rows) < 2:

@@ -109,6 +109,8 @@ class SimSpec:
             raise ConfigError(f"simulation spec is not JSON: {exc}") from None
         except KeyError as exc:
             raise ConfigError(f"simulation spec lacks the key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"simulation spec has a value of the wrong type: {exc}") from None
 
 
 def simulate_data(spec: SimSpec) -> Dataset:

@@ -338,6 +338,21 @@ class TestMalformedText:
         with pytest.raises(CacheMismatch, match=key):
             cache_from_text("\n".join(edited) + "\n")
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("method=bayes", "method=foo", "method"),
+        ("score_types=mlik", "score_types=bic", "score_types"),
+        ("distributions=gaussian,binomial,poisson", "distributions=gaussian,binomial",
+         "distributions"),
+        ("distributions=gaussian,binomial,poisson", "distributions=gaussian,binomial,weibull",
+         "distributions"),
+    ], ids=["unknown-method", "score-types-of-other-method", "too-few-distributions",
+            "unknown-family"])
+    def test_bad_header_value(self, lines, old, new, key):
+        assert old in lines
+        edited = [new if line == old else line for line in lines]
+        with pytest.raises(CacheMismatch, match=f"cache header {key}="):
+            cache_from_text("\n".join(edited) + "\n")
+
     def test_non_integer_max_parents(self, lines):
         edited = [line.replace("max_parents=1,", "max_parents=one,") for line in lines]
         with pytest.raises(CacheMismatch, match="max_parents"):

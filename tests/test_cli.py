@@ -80,6 +80,17 @@ class TestSearchCommand:
         assert trace[0] == "restart\tstep\tbest_score"
         assert (out / "consensus-dag.txt").exists()
 
+    def test_heuristic_artifacts_identical_across_jobs(self, workspace, tmp_path):
+        files = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(["search", "heuristic", "--data", workspace / "data.csv",
+                        "--dists", workspace / "dists.txt", "--max-parents", "2",
+                        "--restarts", "3", "--seed", "5", "--out", out, "--jobs", jobs]) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "manifest-search.json" in files[0]
+        assert files[0] == files[1]
+
     def test_score_method_mismatch_rejected(self, workspace, tmp_path, capsys):
         code = run(["search", "exact", "--data", workspace / "data.csv",
                     "--dists", workspace / "dists.txt", "--score", "bic",
@@ -210,7 +221,22 @@ class TestCacheConstraints:
          "simulation spec lacks the key 'adjacency'"),
         (lambda text: text.replace('"poisson"', '"weibull"'),
          "unknown family 'weibull'"),
-    ], ids=["not-json", "no-adjacency", "unknown-family"])
+        (lambda text: text.replace('"n_obs": 250', '"n_obs": "many"'),
+         "simulation spec has a value of the wrong type"),
+        (lambda text: text.replace('"b": {\n      "(Intercept)": -0.2',
+                                   '"b": {\n      "(Intercept)": "low"'),
+         "simulation spec has a value of the wrong type"),
+        (lambda text: json.dumps({**json.loads(text), "adjacency": "x"}),
+         "simulation spec has a value of the wrong type"),
+        (lambda text: json.dumps({**json.loads(text), "families": ["gaussian"]}),
+         "simulation spec has a value of the wrong type"),
+        (lambda text: json.dumps({**json.loads(text), "sd": None}),
+         "simulation spec has a value of the wrong type"),
+        (lambda text: json.dumps([json.loads(text)]),
+         "simulation spec has a value of the wrong type"),
+    ], ids=["not-json", "no-adjacency", "unknown-family", "n-obs-string",
+            "coefficient-string", "adjacency-string", "families-list", "sd-null",
+            "top-level-list"])
     def test_malformed_spec_is_one_error_line(self, workspace, tmp_path, capsys,
                                               edit, message):
         bad = tmp_path / "spec.json"
@@ -220,6 +246,7 @@ class TestCacheConstraints:
                     "--jobs", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"ERROR ConfigError: {message}"), err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOtherCommands:
@@ -414,6 +441,36 @@ class TestRunRecord:
         }
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*manifest["outputs"], f"manifest-{command}.json"])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_manifest_config_records_every_option(self, files, tmp_path, case):
+        argv, _, command = self.CASES[case]
+        argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path), "--jobs", "1"]
+        assert run(argv) == 0
+        config = json.loads((tmp_path / f"manifest-{command}.json").read_text())["config"]
+        options = vars(build_parser().parse_args(argv))
+        for key in ("command", "func", "jobs", "out"):
+            assert key not in config
+            del options[key]
+        assert options.keys() <= config.keys()
+        # only an option left unset is resolved: seed, score, n_obs
+        assert {k: config[k] for k, v in options.items() if v is not None} == {
+            k: v for k, v in options.items() if v is not None}
+
+    @pytest.mark.parametrize("kind, case", [("data", "fit"), ("dag", "info"),
+                                            ("cache", "search-exact"),
+                                            ("spec", "simulate-data")])
+    def test_non_utf8_input_is_one_error_line(self, files, tmp_path, capsys, kind, case):
+        bad = tmp_path / f"latin-1-{kind}"
+        bad.write_bytes(files[kind].read_bytes().replace(b"\n", b"\n\xe9", 1))
+        argv, _, _ = self.CASES[case]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([a.format(**{**files, kind: bad}) for a in argv]
+                   + ["--out", out, "--jobs", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ERROR ConfigError: {bad} is not UTF-8: invalid continuation byte"]
+        assert not out.exists()
 
     def test_failed_command_writes_nothing(self, files, tmp_path, capsys):
         out = tmp_path / "out"

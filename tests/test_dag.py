@@ -320,7 +320,8 @@ valid_name = st.text(min_size=1, max_size=6).filter(accepted)
 
 
 class TestNodeNames:
-    @pytest.mark.parametrize("name", ["c,d", "a b", "a\xa0b", "a\x0cb", "a\rb", "a\u2028b"])
+    @pytest.mark.parametrize("name", ["c,d", "a b", "a\xa0b", "a\x0cb", "a\rb", "a\u2028b",
+                                      "x#1", "a=b"])
     def test_separators_and_whitespace_rejected(self, name):
         with pytest.raises(UnknownName):
             check_node_names([name])

@@ -11,6 +11,7 @@ from abnkit.data import (
 )
 from abnkit.errors import (
     BadLevelCount,
+    DataError,
     MissingColumn,
     MissingValue,
     NegativeCount,
@@ -57,6 +58,15 @@ class TestLoad:
         ds = load_dataset(path, spec_path)
         assert ds.names == ("a", "b", "c")
         assert ds.fingerprint() == load_dataset(csv_file(BASIC), DISTS).fingerprint()
+
+    def test_non_utf8_file_is_data_error(self, csv_file, tmp_path):
+        spec_path = tmp_path / "dists.txt"
+        spec_path.write_text(format_dist_spec(DISTS))
+        latin = tmp_path / "latin-1.txt"
+        latin.write_bytes("a,b,c\n1,café,0.5\n".encode("latin-1"))
+        for data, dists in ((latin, spec_path), (csv_file(BASIC), latin)):
+            with pytest.raises(DataError, match=f"{latin} is not UTF-8"):
+                load_dataset(data, dists)
 
     def test_group_var_column_is_skipped(self, csv_file):
         path = csv_file("a,c,farm\n1,0.5,f1\n0,1.5,f2\n")
