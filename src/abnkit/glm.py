@@ -13,14 +13,19 @@ Two fitting modes mirror the two scoring frameworks:
   posterior mode, with the gaussian precision handled on the log scale, and
   the model evidence approximated by Laplace's method at the mode.
 
-One objective, :class:`_Objective`, is a design's unclipped log-likelihood
-(plus the log-prior of a bayes fit) with its derivatives.  The MLE, Firth
-and bayes fits share one Newton ascent with step halving, :func:`_ascend`,
-whose final state holds the log-likelihood and whose final curvature is the
-information.  A binomial or poisson evaluation's means, from
-:func:`families.loglik_mean`'s one ``exp``, pass on to the derivatives of
-the same iterate.  Binomial and poisson designs are column-major and
-gaussian ones row-major (see :func:`abnkit.data.build_design`).
+One objective, :class:`_Objective`, is the unclipped log-likelihood (plus
+the log-prior of a bayes fit) of a stack of designs of one response, with
+its derivatives.  One Newton ascent, :func:`_ascend`, climbs a stack, each
+problem with its own step halving and convergence test; its final state
+holds the log-likelihood and its final curvature is the information.  The
+MLE, Firth and bayes fits of one design are stacks of one.  The score cache
+(:mod:`abnkit.cache`) fits a node's binomial and poisson bayes parent sets
+per cardinality: stacked below ``STACK_MAX_N`` observations, else alone from
+the best one-smaller subset's mode; it refits here what is not clean there.
+A binomial or poisson evaluation's means, from
+:func:`families.loglik_mean`'s one ``exp``, serve the derivatives of the
+same iterate.  Binomial and poisson designs are column-major and gaussian
+ones row-major (see :func:`abnkit.data.build_design`).
 
 All scores are stored in larger-is-better orientation.
 """
@@ -98,9 +103,8 @@ class FitResult:
 
     @property
     def precision(self) -> float | None:
-        if self.gaussian_log_precision is None:
-            return None
-        return float(np.exp(self.gaussian_log_precision))
+        lam = self.gaussian_log_precision
+        return None if lam is None else float(np.exp(lam))
 
     def status(self) -> list[str]:
         """How the fit is degraded, in words: ``pruned:<dropped names>``,
@@ -117,123 +121,113 @@ class FitResult:
 
     def format_lines(self, child: str) -> list[str]:
         """Human-readable coefficient block, one ``child|parent value`` line."""
-        lines = [
-            f"{child}|{label}\t{value:.6g}"
-            for label, value in zip(self.labels, self.coefficients)
-        ]
+        lines = [f"{child}|{label}\t{value:.6g}"
+                 for label, value in zip(self.labels, self.coefficients)]
         if self.gaussian_log_precision is not None:
             lines.append(f"{child}|precision\t{self.precision:.6g}")
         return lines
 
 
-# --------------------------------------------------------------------------
-# priors and the one objective
-# --------------------------------------------------------------------------
-
-
-def _log_prior_coef(theta: np.ndarray, priors: PriorSpec) -> float:
-    v = priors.coef_variance
-    return float(-0.5 * len(theta) * np.log(2.0 * np.pi * v) - 0.5 * np.sum(theta**2) / v)
-
-
-def _log_prior_log_precision(lam: float) -> float:
-    # Gamma(a, rate b) on tau, transformed to lam = log tau (includes Jacobian)
-    a, b = PRECISION_SHAPE, PRECISION_RATE
-    return a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
+# -- priors and the one objective ------------------------------------------
 
 
 class _Objective:
-    """Log-likelihood of one design, plus the log-prior of a bayes fit, and
-    its derivatives; ``priors=None`` gives an MLE fit's objective, the
-    log-likelihood alone.
+    """Log-likelihood, plus the log-prior of a bayes fit, of a stack of B
+    designs of one response, and its derivatives; ``priors=None`` gives an
+    MLE fit's objective, the log-likelihood alone.
 
-    The per-fit constants (prior precision matrix, gaussian ``X'X``, poisson
-    ``log y!``) are built once.  ``params`` is the optimized vector: the
-    coefficients, then the gaussian log-precision unless it is fixed.
+    ``X`` is a (B, p, n) stack of binomial or poisson designs, each the
+    transpose of a column-major block, or one row-major gaussian (n, p)
+    design.  ``params`` is (B, P): the coefficients, then the gaussian
+    log-precision unless it is fixed.
     """
 
-    def __init__(self, design: DesignMatrix, priors: PriorSpec | None = None):
-        self.X, self.y = design.predictors, design.response
-        self.family = design.family
-        self.priors = priors
-        self.width = design.width
-        gaussian = self.family == "gaussian"
+    def __init__(self, X: np.ndarray, y: np.ndarray, family: str,
+                 priors: PriorSpec | None = None):
+        gaussian = family == "gaussian"
+        # a stack's response is one row, shaped like each problem's eta
+        self.X, self.y = X, (y if gaussian else y[None])
+        self.family, self.priors = family, priors
+        self.width = X.shape[1]
         self.fixed_precision = None if priors is None else priors.fixed_precision
         self.free_precision = gaussian and self.fixed_precision is None
         if priors is None:  # the derivatives' prior terms are zeros
             self.coef_variance, self.prior_precision = math.inf, 0.0
             self.shape = self.rate = 0.0
         else:
-            self.coef_variance = priors.coef_variance
-            self.prior_precision = np.eye(self.width) / priors.coef_variance
+            v = self.coef_variance = priors.coef_variance
+            self.prior_precision = np.eye(self.width) / v
+            # the N(0, v) coefficient log-prior is this minus |theta|^2 / 2v
+            self.prior_norm = -0.5 * self.width * np.log(2.0 * np.pi * v)
             self.shape, self.rate = PRECISION_SHAPE, PRECISION_RATE
-        self.gram = self.X.T @ self.X if gaussian else None
-        self.log_factorial = (families.log_y_factorial(self.y)
-                              if self.family == "poisson" else None)
+        self.gram = X.T @ X if gaussian else None
+        self.log_factorial = families.log_y_factorial(self.y) if family == "poisson" else None
 
-    def split(self, params: np.ndarray) -> tuple[np.ndarray, float | None]:
-        """(coefficients, log-precision or None) of an optimized vector."""
-        if self.free_precision:
-            return params[:self.width], float(params[self.width])
-        return params, None
+    @classmethod
+    def of(cls, design: DesignMatrix, priors: PriorSpec | None = None) -> _Objective:
+        """The objective of one design (B = 1)."""
+        X = design.predictors
+        return cls(X if design.family == "gaussian" else X.T[None], design.response,
+                   design.family, priors)
 
     def evaluate(self, params: np.ndarray):
-        """(objective, state) at ``params``, as :func:`_ascend` takes them;
-        the state is (log-likelihood, eta, mean), the mean None for a
-        gaussian node."""
-        theta, log_precision = self.split(params)
-        eta = self.X @ theta
+        """(objectives, state) at ``params``, as :func:`_ascend` takes them;
+        the state is (log-likelihoods, eta, means), no means for a gaussian
+        node."""
+        theta = params[:, :self.width] if self.free_precision else params
         mu = None
         if self.family == "gaussian":
-            tau = (self.fixed_precision if self.fixed_precision is not None
-                   else math.exp(log_precision))
+            eta = (self.X @ theta[0])[None]
+            tau = math.exp(params[0, -1]) if self.free_precision else self.fixed_precision
             terms = families.loglik_terms("gaussian", self.y, eta, tau)
         else:
+            eta = (theta[:, None, :] @ self.X)[:, 0]
             terms, mu = families.loglik_mean(self.family, self.y, eta, self.log_factorial)
-        ll = float(terms.sum())
-        joint = ll
+        joint = ll = np.add.reduce(terms, axis=1)
         if self.priors is not None:
-            joint += _log_prior_coef(theta, self.priors)
-            if self.free_precision:
-                joint += _log_prior_log_precision(log_precision)
+            sq = np.add.reduce(theta**2, axis=1)
+            joint = ll + (self.prior_norm - 0.5 * sq / self.coef_variance)
+            if self.free_precision:  # Gamma(a, rate b) on tau, as a density of log tau
+                a, b, lam = self.shape, self.rate, params[0, -1]
+                joint += a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
         return joint, (ll, eta, mu)
 
-    def grad_hess(self, params: np.ndarray, state):
-        """Gradient and Hessian of the objective at ``params``, whose
-        :meth:`evaluate` state is ``state``."""
+    def grad_curvature(self, params: np.ndarray, state):
+        """Gradients (B, P) and negative Hessians (B, P, P) of the objective
+        at ``params``, whose :meth:`evaluate` state is ``state``."""
         X, y, p = self.X, self.y, self.width
         _, eta, mu = state
         v = self.coef_variance
         if self.family == "gaussian":
-            theta, lam = self.split(params)
-            tau = math.exp(lam) if self.free_precision else self.fixed_precision
-            r = y - eta
+            theta, lam = params[0, :p], params[0, p:]
+            tau = math.exp(lam[0]) if self.free_precision else self.fixed_precision
+            r = y - eta[0]
             xr = X.T @ r
             coef_grad = tau * xr - theta / v
-            coef_hess = -tau * self.gram - self.prior_precision
+            coef_curv = tau * self.gram + self.prior_precision
             if not self.free_precision:
-                return coef_grad, coef_hess
+                return coef_grad[None], coef_curv[None]
             rr = float(r @ r)
             a, b = self.shape, self.rate
-            grad = np.empty(p + 1)
-            grad[:p] = coef_grad
-            grad[p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
-            hess = np.empty((p + 1, p + 1))
-            hess[:p, :p] = coef_hess
-            cross = tau * xr
-            hess[:p, p] = cross
-            hess[p, :p] = cross
-            hess[p, p] = -0.5 * tau * rr - b * tau
-            return grad, hess
+            grad = np.empty((1, p + 1))
+            grad[0, :p] = coef_grad
+            grad[0, p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
+            curv = np.empty((1, p + 1, p + 1))
+            curv[0, :p, :p] = coef_curv
+            cross = -tau * xr
+            curv[0, :p, p] = cross
+            curv[0, p, :p] = cross
+            curv[0, p, p] = 0.5 * tau * rr + b * tau
+            return grad, curv
         w = families.irls_weights(self.family, mu)
-        grad = X.T @ (y - mu) - params / v
-        hess = -(X.T @ (X * w[:, None])) - self.prior_precision
-        return grad, hess
+        grad = (X @ (y - mu)[:, :, None])[:, :, 0]
+        curv = X @ (X * w[:, None, :]).transpose(0, 2, 1)
+        if self.priors is None:
+            return grad, curv
+        return grad - params / v, curv + self.prior_precision
 
 
-# --------------------------------------------------------------------------
-# fitting: Newton ascent; mle with Firth + pruning; bayes posterior mode
-# --------------------------------------------------------------------------
+# -- fitting: Newton ascent; mle with Firth + pruning; bayes posterior mode -
 
 
 class _Diverged(FitError):
@@ -241,43 +235,86 @@ class _Diverged(FitError):
 
 
 def _ascend(value, derivatives, params: np.ndarray):
-    """Newton ascent with step halving from ``params``: (params, objective,
-    state, Hessian, converged) at the final params.  ``value(params)``
-    returns ``(objective, state)``, ``derivatives(params, state)`` the
-    gradient and the Hessian or a negative definite stand-in.  Singular
-    curvature raises _Diverged."""
+    """Newton ascent with step halving of B problems from ``params`` (B, P):
+    their (params, objectives, state, curvatures), and lists of which
+    converged and which hit singular curvature.
+
+    ``value(params)`` returns the objectives (B,) and a state,
+    ``derivatives(params, state)`` the gradients (B, P) and curvatures
+    (B, P, P): negative Hessians or positive definite stand-ins.  Each
+    problem stops on its own, converged at max|grad| < NEWTON_GRAD_TOL or a
+    step < 1e-10; after 40 halvings without ascent or NEWTON_MAX_ITER steps,
+    converged iff max|grad| < 1e-4; or singular.  It then keeps its params.
+    """
     f_old, state = value(params)
+    n = len(params)
+    live, converged, singular = list(range(n)), [False] * n, [False] * n
     for _ in range(NEWTON_MAX_ITER):
-        grad, hess = derivatives(params, state)
-        if np.abs(grad).max() < NEWTON_GRAD_TOL:
-            return params, f_old, state, hess, True
+        grad, curv = derivatives(params, state)
+        gmax = np.abs(grad).max(axis=1).tolist()
+        for b in live:
+            converged[b] = gmax[b] < NEWTON_GRAD_TOL
+        live = [b for b in live if not converged[b]]
+        if not live:
+            break
         try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            raise _Diverged("singular curvature")
-        scale = 1.0
-        for _ in range(40):
-            cand = params + scale * step
-            f_new, state_new = value(cand)
-            if math.isfinite(f_new) and f_new >= f_old - 1e-12:
+            # a (B, P, 1) right-hand side: NumPy 2 solves a (B, P) one as one matrix
+            step = np.linalg.solve(curv, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # find the singular problems
+            step = np.zeros_like(grad)
+            for b in live:
+                try:
+                    step[b] = np.linalg.solve(curv[b], grad[b])
+                except np.linalg.LinAlgError:
+                    singular[b] = True
+            live = [b for b in live if not singular[b]]
+            if not live:
                 break
-            scale /= 2.0
-        else:
-            break  # no ascent step: grad and hess are those of params
+        if len(live) < n:
+            step[sorted(set(range(n)).difference(live))] = 0.0
+        cand, floor, scale, todo = params + step, f_old.tolist(), [1.0] * n, live
+        for _ in range(40):
+            f_new, state_new = value(cand)
+            f = f_new.tolist()
+            todo = [b for b in todo if not (math.isfinite(f[b]) and f[b] >= floor[b] - 1e-12)]
+            if not todo:
+                break
+            for b in todo:
+                scale[b] /= 2.0
+                cand[b] = params[b] + scale[b] * step[b]
+        else:  # no ascent step: these problems keep params, grad and curv
+            for b in todo:
+                converged[b] = gmax[b] < 1e-4
+                cand[b] = params[b]
+            live = [b for b in live if b not in todo]
+            f_new, state_new = value(cand)
         params, f_old, state = cand, f_new, state_new
-        if np.abs(scale * step).max() < 1e-10:
-            return params, f_old, state, derivatives(params, state)[1], True
+        smax = np.abs(step).max(axis=1).tolist()
+        for b in live:
+            converged[b] = smax[b] * scale[b] < 1e-10
+        live = [b for b in live if not converged[b]]
     else:
-        grad, hess = derivatives(params, state)
-    return params, f_old, state, hess, bool(np.abs(grad).max() < 1e-4)
+        grad, curv = derivatives(params, state)
+        for b in live:
+            converged[b] = np.abs(grad[b]).max() < 1e-4
+    return params, f_old, state, curv, converged, singular
+
+
+def _ascend_one(value, derivatives, params: np.ndarray):
+    """:func:`_ascend` of one problem from ``params`` (P,): its (params,
+    objective, state, curvature, converged); raises _Diverged if singular."""
+    params, f, state, curv, converged, singular = _ascend(value, derivatives, params[None])
+    if singular[0]:
+        raise _Diverged("singular curvature")
+    return params[0], float(f[0]), state, curv[0], converged[0]
 
 
 def _irls(design: DesignMatrix):
     """Binomial or poisson MLE by Newton ascent of the log-likelihood, which
     for the canonical links is IRLS: (theta, log-likelihood, converged,
     information).  Raises _Diverged."""
-    obj = _Objective(design)
-    X, y = obj.X, obj.y
+    obj = _Objective.of(design)
+    X, y = design.predictors, design.response
     binomial = design.family == "binomial"
     if not binomial and not np.any(y):
         # sum(-exp(eta)) rises toward 0 as the intercept falls: no finite MLE
@@ -286,9 +323,9 @@ def _irls(design: DesignMatrix):
 
     def score(theta, state):
         # an iterate that classifies every 0/1 response certifies that no finite MLE exists
-        if binomial and np.all(sign * state[1] > 0):
+        if binomial and (sign * state[1]).min() > 0:
             raise _Diverged("complete separation")
-        return obj.grad_hess(theta, state)
+        return obj.grad_curvature(theta, state)
 
     # start from the first IRLS step: weighted least squares at mu0
     mu = (y + 0.5) / 2.0 if binomial else y + 0.5
@@ -299,24 +336,24 @@ def _irls(design: DesignMatrix):
         theta = np.linalg.solve(X.T @ wx, wx.T @ z)
     except np.linalg.LinAlgError:
         raise _Diverged("singular weighted design")
-    theta, ll, _, hess, converged = _ascend(obj.evaluate, score, theta)
+    theta, ll, _, info, converged = _ascend_one(obj.evaluate, score, theta)
     if not np.all(np.abs(theta) <= UNBOUNDED_COEF):  # NaN fails too
         raise _Diverged("non-finite or unbounded estimates")
-    return theta, ll, converged, -hess
+    return theta, ll, converged, info
 
 
 def _firth(design: DesignMatrix):
     """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX) from
     zero.  Returns (theta, log-likelihood, converged, information)."""
-    obj = _Objective(design)
-    X, y = obj.X, obj.y
+    obj = _Objective.of(design)
+    X, y = design.predictors, design.response
 
     def penalized(theta):
         ll, (_, _, mu) = obj.evaluate(theta)
-        wx = X * families.irls_weights("binomial", mu)[:, None]
+        wx = X * families.irls_weights("binomial", mu[0])[:, None]
         info = X.T @ wx
         sign, logdet = np.linalg.slogdet(info)
-        return (ll + 0.5 * logdet if sign > 0 else -np.inf), (ll, mu, wx, info)
+        return (ll + 0.5 * logdet if sign > 0 else np.full(1, -np.inf)), (ll, mu[0], wx, info)
 
     def modified_score(theta, state):
         _, mu, wx, info = state
@@ -325,11 +362,11 @@ def _firth(design: DesignMatrix):
         except np.linalg.LinAlgError:
             raise _Diverged("singular information matrix in Firth fit")
         h = np.einsum("ij,ji->i", X, np.linalg.solve(info, wx.T))
-        return X.T @ (y - mu + h * (0.5 - mu)), -info
+        return (X.T @ (y - mu + h * (0.5 - mu)))[None], info[None]
 
-    theta, _, (ll, *_), hess, converged = _ascend(
+    theta, _, (ll, *_), info, converged = _ascend_one(
         penalized, modified_score, np.zeros(X.shape[1]))
-    return theta, ll, converged, -hess
+    return theta, float(ll[0]), converged, info
 
 
 def _fit_mle_once(design: DesignMatrix) -> FitResult:
@@ -402,23 +439,25 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
         label, design, fit = best
         dropped.append(label)
     if design.width == 1 and not math.isfinite(fit.log_likelihood):
-        raise AllPredictorsDropped(
-            f"node {design.child!r}: every predictor was removed and the "
-            "intercept-only fallback is still non-finite"
-        )
+        raise AllPredictorsDropped(f"node {design.child!r}: every predictor was removed and "
+                                   "the intercept-only fallback is still non-finite")
     return replace(fit, dropped_predictors=tuple(dropped))
 
 
-def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    post = _Objective(design, priors)
-    X, y, p = post.X, post.y, post.width
-    fam = design.family
-    params = np.zeros(p + (1 if post.free_precision else 0))
+def _cold_start(family: str, y: np.ndarray) -> float:
+    """A binomial or poisson bayes fit's start: this intercept, 0 slopes."""
     mean_y = float(np.mean(y))
-    if fam == "binomial":
-        params[0] = families.link(fam, min(max(mean_y, 1e-3), 1 - 1e-3))
-    elif fam == "poisson":
-        params[0] = math.log(max(mean_y, 1e-8))
+    if family == "binomial":
+        return float(families.link(family, min(max(mean_y, 1e-3), 1 - 1e-3)))
+    return math.log(max(mean_y, 1e-8))
+
+
+def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
+    post = _Objective.of(design, priors)
+    X, y, p, fam = design.predictors, design.response, post.width, design.family
+    params = np.zeros(p + post.free_precision)
+    if fam != "gaussian":
+        params[0] = _cold_start(fam, y)
     else:
         params[:p] = np.linalg.solve(post.gram + post.prior_precision, X.T @ y)
         if post.free_precision:
@@ -426,44 +465,27 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
             if not math.isfinite(rss):
                 raise FitError(f"node {design.child!r}: the residual sum of squares overflows")
             params[p] = math.log(len(y) / max(rss, 1e-12))
-
-    params, joint, (ll, eta, _), hess, converged = _ascend(post.evaluate, post.grad_hess, params)
-    neg_h = -hess
-    theta, lam = post.split(params)
+    params, joint, (ll, eta, _), neg_h, converged = _ascend_one(
+        post.evaluate, post.grad_curvature, params)
+    ll, lam = float(ll[0]), (float(params[p]) if post.free_precision else None)
     if fam == "gaussian" and lam is None:
         lam = float(np.log(priors.fixed_precision))
         # the reported likelihood uses exp(log tau), not tau itself
-        ll = float(np.sum(families.loglik_terms(fam, y, eta, math.exp(lam))))
-    return FitResult(
-        labels=design.labels,
-        coefficients=theta,
-        family=fam,
-        method="bayes",
-        n_obs=design.n_obs,
-        log_likelihood=ll,
-        neg_hessian=neg_h,
-        gaussian_log_precision=lam,
-        mlik=_laplace(joint, len(params), neg_h),
-        converged=converged,
-    )
+        ll = float(np.sum(families.loglik_terms(fam, y, eta[0], math.exp(lam))))
+    return FitResult(labels=design.labels, coefficients=params[:p], family=fam,
+                     method="bayes", n_obs=design.n_obs, log_likelihood=ll,
+                     neg_hessian=neg_h, gaussian_log_precision=lam,
+                     mlik=_laplace(joint, neg_h), converged=converged)
 
 
-# --------------------------------------------------------------------------
-# public operations
-# --------------------------------------------------------------------------
+# -- public operations -----------------------------------------------------
 
 
-def fit_node(
-    design: DesignMatrix,
-    method: str = "bayes",
-    priors: PriorSpec = PriorSpec(),
-) -> FitResult:
-    """Fit one node's regression, in the design's family, by the requested
-    method.
-
-    The returned FitResult carries the Laplace marginal likelihood (bayes)
-    or the log-likelihood ready for :func:`frequentist_scores` (mle).
-    """
+def fit_node(design: DesignMatrix, method: str = "bayes",
+             priors: PriorSpec = PriorSpec()) -> FitResult:
+    """Fit one node's regression, in the design's family, by ``method``; the
+    FitResult carries the Laplace marginal likelihood (bayes) or the
+    log-likelihood ready for :func:`frequentist_scores` (mle)."""
     if design.n_obs < 1:
         raise NoObservations(f"node {design.child!r} has no observations")
     if not (np.all(np.isfinite(design.predictors))
@@ -483,25 +505,20 @@ def fit_dag(ds: Dataset, dag: Dag, method: str = "bayes") -> dict[str, FitResult
     """Fit every node of a DAG against its parents; keyed by node name."""
     if dag.nodes != ds.names:
         raise FitError("DAG node set differs from dataset columns")
-    return {
-        node: fit_node(build_design(ds, node, dag.parents(node)), method=method)
-        for node in dag.nodes
-    }
+    return {node: fit_node(build_design(ds, node, dag.parents(node)), method=method)
+            for node in dag.nodes}
 
 
-def _spd_logdet(matrix: np.ndarray) -> float:
+def _laplace(joint, neg_hessian: np.ndarray):
+    """Laplace log-evidence of one problem, or of each in a stack, from the
+    log joint at the mode and the negative Hessian there."""
     try:
-        chol = np.linalg.cholesky(matrix)
+        chol = np.linalg.cholesky(neg_hessian)
     except np.linalg.LinAlgError:
         raise NonPositiveDefiniteHessian(
-            "negative Hessian is not positive definite at the reported mode"
-        )
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
-
-
-def _laplace(joint: float, n_params: int, neg_hessian: np.ndarray) -> float:
-    logdet = _spd_logdet(neg_hessian)
-    return joint + 0.5 * n_params * np.log(2.0 * np.pi) - 0.5 * logdet
+            "negative Hessian is not positive definite at the reported mode")
+    logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
+    return joint + 0.5 * neg_hessian.shape[-1] * np.log(2.0 * np.pi) - 0.5 * logdet
 
 
 @dataclass(frozen=True)
@@ -512,9 +529,8 @@ class FrequentistScores:
     mdl: float
 
 
-def frequentist_scores(
-    fit: FitResult, n_obs: int, n_candidate_parents: int
-) -> FrequentistScores:
+def frequentist_scores(fit: FitResult, n_obs: int, n_candidate_parents: int
+                       ) -> FrequentistScores:
     """Larger-is-better frequentist scores for an MLE fit.
 
     ``k`` counts every estimated parameter (variance included for gaussian
@@ -529,10 +545,8 @@ def frequentist_scores(
     aic = ll - k
     bic = ll - 0.5 * k * math.log(n_obs)
     pick = min(max(k - 1, 0), n_candidate_parents)
-    log_choose = float(
-        gammaln(n_candidate_parents + 1) - gammaln(pick + 1)
-        - gammaln(n_candidate_parents - pick + 1)
-    )
+    log_choose = float(gammaln(n_candidate_parents + 1) - gammaln(pick + 1)
+                       - gammaln(n_candidate_parents - pick + 1))
     return FrequentistScores(loglik=ll, aic=aic, bic=bic, mdl=bic - log_choose)
 
 
@@ -571,31 +585,17 @@ def marginal_densities(fit: FitResult, n_grid: int = 1000) -> list[ParamDensity]
         raise FitError("marginal_densities needs a bayes-mode fit")
     check_grid_size(n_grid)
     cov = np.linalg.inv(fit.neg_hessian)
-    modes = list(fit.coefficients)
-    labels = list(fit.labels)
-    if len(fit.neg_hessian) > len(fit.coefficients):
-        modes.append(fit.gaussian_log_precision)
-        labels.append("log_precision")
+    labels, modes = list(fit.labels), list(fit.coefficients)
+    if len(fit.neg_hessian) > len(modes):
+        labels, modes = labels + ["log_precision"], modes + [fit.gaussian_log_precision]
     out = []
     for k, (label, mode) in enumerate(zip(labels, modes)):
         sd = math.sqrt(max(cov[k, k], 1e-300))
         grid = np.linspace(mode - RANGE_SD * sd, mode + RANGE_SD * sd, n_grid)
         density = np.exp(-0.5 * ((grid - mode) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-        peak = float(density.max())
-        if max(density[0], density[-1]) > 1e-3 * peak:
-            raise RangeTooNarrow(
-                f"density of {label!r} has not vanished at +/-{RANGE_SD} sd"
-            )
-        area = float(np.trapezoid(density, grid))
-        out.append(
-            ParamDensity(
-                label=label,
-                grid=grid,
-                density=density,
-                probabilities=density / density.sum(),
-                area=area,
-                mode=float(mode),
-                sd=sd,
-            )
-        )
+        if max(density[0], density[-1]) > 1e-3 * float(density.max()):
+            raise RangeTooNarrow(f"density of {label!r} has not vanished at +/-{RANGE_SD} sd")
+        out.append(ParamDensity(label=label, grid=grid, density=density,
+                                probabilities=density / density.sum(),
+                                area=float(np.trapezoid(density, grid)), mode=float(mode), sd=sd))
     return out

@@ -102,8 +102,8 @@ class SimSpec:
                     for node, coefs in raw["coefficients"].items()
                 },
                 sd={k: float(v) for k, v in raw.get("sd", {}).items()},
-                n_obs=int(raw["n_obs"]),
-                seed=int(raw["seed"]),
+                n_obs=_whole(raw, "n_obs"),
+                seed=_whole(raw, "seed"),
             )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"simulation spec is not JSON: {exc}") from None
@@ -111,6 +111,16 @@ class SimSpec:
             raise ConfigError(f"simulation spec lacks the key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"simulation spec has a value of the wrong type: {exc}") from None
+
+
+def _whole(raw: dict, key: str) -> int:
+    """``raw[key]`` as an int: a JSON integer, or a float with an integral
+    value; a fraction or a boolean is a TypeError, not a silent truncation."""
+    value = raw[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise TypeError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def simulate_data(spec: SimSpec) -> Dataset:

@@ -155,16 +155,17 @@ class TestCriterion3Irls:
             d = DesignMatrix(response=y, predictors=X,
                              labels=("(Intercept)", "a", "b"),
                              child="y", family=family)
-            post = _Objective(d, priors)
+            post = _Objective.of(d, priors)  # a stack of one: (1, 3) params
             theta = rng.normal(scale=0.5, size=3)
-            grad, _ = post.grad_hess(theta, post.evaluate(theta)[1])
+            grad = post.grad_curvature(theta[None], post.evaluate(theta[None])[1])[0][0]
             h = 1e-6
             numeric = np.empty(3)
             for k in range(3):
                 up, dn = theta.copy(), theta.copy()
                 up[k] += h
                 dn[k] -= h
-                numeric[k] = (post.evaluate(up)[0] - post.evaluate(dn)[0]) / (2 * h)
+                numeric[k] = (post.evaluate(up[None])[0][0]
+                              - post.evaluate(dn[None])[0][0]) / (2 * h)
             rel = np.max(np.abs(grad - numeric)) / max(1.0, np.max(np.abs(grad)))
             assert rel < 1e-4
             checked += 1

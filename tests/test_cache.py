@@ -6,6 +6,9 @@ import pytest
 import abnkit.cache
 import abnkit.glm
 from abnkit.cache import (
+    FIT_ERRORS,
+    STACK_MAX_N,
+    _warm_start,
     build_cache,
     cache_from_text,
     cache_to_text,
@@ -13,10 +16,11 @@ from abnkit.cache import (
     parallel_map,
 )
 from abnkit.dag import ConstraintSet, Dag
-from abnkit.data import Dataset, standardize
+from abnkit.data import Dataset, design_for_mask, standardize
 from abnkit.errors import CacheMismatch, UnenumeratedParentSet
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
+from abnkit.glm import fit_node
 
 from conftest import gaussian_chain_dataset, mixed_dataset
 
@@ -266,6 +270,110 @@ def _overflow_dataset():
                             rng.normal(size=40), rng.normal(size=40)])
     return Dataset(names=("a", "b", "c", "d"), columns=cols,
                    distributions=("gaussian",) * 4)
+
+
+def _hard_dataset(n_obs: int, seed: int) -> Dataset:
+    """Mixed nodes whose names sort in another order than their columns: a
+    binomial child that g separates completely, an all-zero poisson child,
+    and adup, a copy of g, so that a design holding both is singular."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=n_obs)
+    cols = np.column_stack([
+        (g > 0).astype(float),
+        g,
+        np.zeros(n_obs),
+        rng.poisson(np.exp(0.2 + 0.5 * g)).astype(float),
+        g.copy(),
+        (rng.random(n_obs) < 1.0 / (1.0 + np.exp(0.8 * g - 0.3))).astype(float),
+    ])
+    return Dataset(names=("zsep", "g", "m0", "cnt", "adup", "b2"), columns=cols,
+                   distributions=("binomial", "gaussian", "poisson", "poisson",
+                                  "gaussian", "binomial"))
+
+
+def _fit_node_loop(ds: Dataset, cons: ConstraintSet):
+    """The bayes scores and notes of one fit_node call per parent set."""
+    scores, notes = {}, []
+    for i in range(len(ds.names)):
+        for mask in enumerate_parent_sets(i, cons):
+            try:
+                fit = fit_node(design_for_mask(ds, i, mask))
+            except FIT_ERRORS as exc:
+                scores[i, mask] = -np.inf
+                notes.append((i, mask, f"{type(exc).__name__}: {exc}"))
+                continue
+            if math.isfinite(fit.mlik):
+                scores[i, mask] = fit.mlik
+                notes.extend((i, mask, word) for word in fit.status())
+            else:
+                scores[i, mask] = -np.inf
+                notes.append((i, mask, "non-finite score"))
+    return scores, notes
+
+
+class TestStackedScoring:
+    """Binomial and poisson bayes sets are fitted per node and cardinality in
+    stacks below STACK_MAX_N observations, alone and warm-started above;
+    either way each score is fit_node's."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["stacked", "warm-alone"])
+    @pytest.mark.parametrize("n_obs", [30, 341])
+    def test_scores_and_notes_are_fit_nodes(self, monkeypatch, n_obs, warm):
+        assert n_obs < STACK_MAX_N
+        if warm:  # the path of large datasets
+            monkeypatch.setattr(abnkit.cache, "STACK_MAX_N", 0)
+        ds = _hard_dataset(n_obs, n_obs)
+        cons = ConstraintSet(ds.names, max_parents=3)
+        cache = build_cache(ds, cons)
+        scores, notes = _fit_node_loop(ds, cons)
+        assert sorted(cache.diagnostics) == sorted(notes)
+        for (i, mask), want in scores.items():
+            got = cache.score(i, mask)
+            if want == -np.inf:
+                assert got == -np.inf, (i, mask)
+            else:
+                assert abs(got - want) <= 1e-10 * abs(want), (i, mask, got, want)
+
+    def test_stack_as_wide_as_its_designs(self):
+        # the 3-parent layer of a 5-node dataset stacks B = 4 designs of
+        # width p = 4, where a (B, p) right-hand side of np.linalg.solve
+        # would be solved as one matrix
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(120, 2))
+        eta = 0.4 + g @ [0.7, -0.5]
+        cols = np.column_stack([
+            g, (rng.random(120) < 1.0 / (1.0 + np.exp(-eta))).astype(float),
+            rng.poisson(np.exp(0.3 * eta)), (rng.random(120) < 0.3).astype(float)])
+        ds = Dataset(names=("g1", "g2", "b", "p", "c"), columns=cols,
+                     distributions=("gaussian", "gaussian", "binomial", "poisson",
+                                    "binomial"))
+        cons = ConstraintSet(ds.names, max_parents=3)
+        cache = build_cache(ds, cons)
+        scores, notes = _fit_node_loop(ds, cons)
+        assert notes == [] and cache.diagnostics == ()
+        for i in (2, 3, 4):
+            layer = [m for m in enumerate_parent_sets(i, cons) if m.bit_count() == 3]
+            assert len(layer) == 4
+            for mask in layer:
+                want = scores[i, mask]
+                assert abs(cache.score(i, mask) - want) <= 1e-10 * abs(want)
+
+    def test_warm_start_places_coefficients_by_name(self):
+        # parents by name: column 2, then column 1; the start is the mode of
+        # the one-smaller subset with the higher log joint, 0 for the new one
+        parents = [2, 1]
+        modes = {0b010: (-5.0, np.array([1.0, 2.0])), 0b100: (-4.0, np.array([3.0, 4.0]))}
+        assert _warm_start(0b110, parents, modes).tolist() == [3.0, 4.0, 0.0]
+        modes[0b010] = (-3.0, modes[0b010][1])
+        assert _warm_start(0b110, parents, modes).tolist() == [1.0, 0.0, 2.0]
+        assert _warm_start(0b110, parents, {}) is None
+
+    @pytest.mark.parametrize("n_obs", [200, STACK_MAX_N + 100], ids=["stacked", "warm-alone"])
+    def test_text_identical_across_jobs(self, n_obs):
+        ds = mixed_dataset(n_obs, 9)
+        cons = ConstraintSet(ds.names, max_parents=2)
+        serial = cache_to_text(build_cache(ds, cons, jobs=1))
+        assert serial == cache_to_text(build_cache(ds, cons, jobs=2))
 
 
 class TestRestrict:

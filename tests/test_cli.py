@@ -234,9 +234,13 @@ class TestCacheConstraints:
          "simulation spec has a value of the wrong type"),
         (lambda text: json.dumps([json.loads(text)]),
          "simulation spec has a value of the wrong type"),
+        (lambda text: json.dumps({**json.loads(text), "n_obs": 2.7}),
+         "simulation spec has a value of the wrong type: n_obs must be a whole number"),
+        (lambda text: json.dumps({**json.loads(text), "seed": True}),
+         "simulation spec has a value of the wrong type: seed must be a whole number"),
     ], ids=["not-json", "no-adjacency", "unknown-family", "n-obs-string",
             "coefficient-string", "adjacency-string", "families-list", "sd-null",
-            "top-level-list"])
+            "top-level-list", "n-obs-fraction", "seed-boolean"])
     def test_malformed_spec_is_one_error_line(self, workspace, tmp_path, capsys,
                                               edit, message):
         bad = tmp_path / "spec.json"

@@ -99,16 +99,17 @@ class TestIrls:
         for priors in (PriorSpec(fixed_precision=1.0 if family == "gaussian" else None), None):
             for seed in range(30):
                 d = maker(40, 2, seed)
-                obj = _Objective(d, priors)
+                obj = _Objective.of(d, priors)  # a stack of one: (1, P) params
                 params = rng.normal(scale=0.5, size=d.width + obj.free_precision)
-                grad, _ = obj.grad_hess(params, obj.evaluate(params)[1])
+                grad = obj.grad_curvature(params[None], obj.evaluate(params[None])[1])[0][0]
                 h = 1e-6
                 numeric = np.zeros_like(params)
                 for k in range(len(params)):
                     up, dn = params.copy(), params.copy()
                     up[k] += h
                     dn[k] -= h
-                    numeric[k] = (obj.evaluate(up)[0] - obj.evaluate(dn)[0]) / (2 * h)
+                    numeric[k] = (obj.evaluate(up[None])[0][0]
+                                  - obj.evaluate(dn[None])[0][0]) / (2 * h)
                 denom = max(1.0, np.max(np.abs(grad)))
                 assert np.max(np.abs(grad - numeric)) / denom < 1e-4, (priors, seed)
 
@@ -377,8 +378,8 @@ class TestSharedArithmetic:
             params = fit.coefficients
             if len(fit.neg_hessian) > len(params):
                 params = np.append(params, fit.gaussian_log_precision)
-            joint = _Objective(d, priors).evaluate(params)[0]
-            assert fit.mlik == _laplace(joint, len(fit.neg_hessian), fit.neg_hessian)
+            joint = _Objective.of(d, priors).evaluate(params[None])[0][0]
+            assert fit.mlik == _laplace(joint, fit.neg_hessian)
             tau = (math.exp(fit.gaussian_log_precision) if family == "gaussian"
                    else None)
             eta = d.predictors @ fit.coefficients
@@ -456,9 +457,9 @@ class TestLaplace:
 
         broken = replace(fit, neg_hessian=-np.eye(fit.neg_hessian.shape[0]))
         params = np.append(broken.coefficients, broken.gaussian_log_precision)
-        joint = _Objective(d, PriorSpec()).evaluate(params)[0]
+        joint = _Objective.of(d, PriorSpec()).evaluate(params[None])[0][0]
         with pytest.raises(NonPositiveDefiniteHessian):
-            _laplace(joint, len(broken.neg_hessian), broken.neg_hessian)
+            _laplace(joint, broken.neg_hessian)
 
     def test_invariant_under_predictor_reordering(self):
         rng = np.random.default_rng(21)
