@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -19,25 +18,18 @@ import numpy as np
 
 from .dag import ConstraintSet, Dag
 from .data import Dataset, design_for_mask
-from .errors import (AbnError, CacheMismatch, NonPositiveDefiniteHessian,
-                     UnenumeratedParentSet)
+from .errors import AbnError, CacheMismatch, UnenumeratedParentSet
 from .families import FAMILIES
 from .formula import parse_formula, render_formula
-from .glm import (PriorSpec, _ascend, _cold_start, _laplace, _Objective, fit_node,
-                  frequentist_scores)
+from .glm import fit_bayes_stack, fit_node, frequentist_scores
 
 BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
 # Exceptions a single hard fit may raise; they mark that fit failed.
 FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
-# Binomial and poisson bayes fits of one node and cardinality share one
-# Newton ascent below STACK_MAX_N observations, as many at a time as fit
-# STACK_MAX_CELLS design numbers (512 KiB); from STACK_MAX_N on each is fitted
-# alone, warm-started (_stacked_scores).  3500 is where the two cost the same
-# in a measured sweep of cache builds at n = 200 to 5000.
-STACK_MAX_N = 3500
+# A node's binomial or poisson bayes parent sets of one cardinality are
+# fitted in stacks of as many as fit STACK_MAX_CELLS design numbers (512 KiB).
 STACK_MAX_CELLS = 2**16
-WARM_MIN_CURVATURE = 1.0  # see _fit_stack
 
 
 def default_score_type(method: str) -> str:
@@ -187,88 +179,30 @@ def _stacked_scores(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, 
     """Bayes mlik of a binomial or poisson node's parent sets whose stacked
     fit is clean, keyed by mask; :func:`fit_node` refits the others.
 
-    The sets are fitted one cardinality at a time.  Below STACK_MAX_N
-    observations up to STACK_MAX_CELLS design numbers share one ascent,
-    each from fit_node's cold start and so through fit_node's own iterates.
-    A warm start would save little there, as a stack steps until its slowest
-    fit stops, and it would move scores in their last bits, on which ties
-    between Markov-equivalent gaussian pairs are broken.  From STACK_MAX_N
-    on, stacking costs more than it saves: each set is fitted alone, from
-    the mode of its best clean one-smaller subset (the highest log joint)
-    with 0 for the new coefficient, or cold when it has none.
+    The sets are fitted by :func:`~abnkit.glm.fit_bayes_stack`, one
+    cardinality at a time, in stacks of up to STACK_MAX_CELLS design numbers
+    gathered from the dataset columns at once.  Each fit starts where
+    fit_node starts and so takes fit_node's iterates.
     """
     names, n_obs = ds.names, ds.n_obs
     columns = np.ascontiguousarray(ds.columns.T)
-    y = columns[node]
     by_name = sorted(range(len(names)), key=names.__getitem__)  # build_design's order
-    stacked = n_obs < STACK_MAX_N
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
-    modes: dict[int, tuple[float, np.ndarray]] = {}  # clean fits: log joint, mode
     scores = {}
-    for size in sorted(layers):
-        width = max(1, STACK_MAX_CELLS // ((1 + size) * n_obs)) if stacked else 1
-        for first in range(0, len(layers[size]), width):
-            chunk = layers[size][first:first + width]
+    for size, masks in layers.items():
+        width = max(1, STACK_MAX_CELLS // ((1 + size) * n_obs))
+        for first in range(0, len(masks), width):
+            chunk = masks[first:first + width]
             parents = [[j for j in by_name if mask >> j & 1] for mask in chunk]
             X = np.empty((len(chunk), 1 + size, n_obs))
             X[:, 0] = 1.0
             X[:, 1:] = columns[np.array(parents, dtype=np.intp).reshape(len(chunk), size)]
-            starts = [None if stacked else _warm_start(mask, row, modes)
-                      for mask, row in zip(chunk, parents)]
-            params, joint, mlik, clean = _fit_stack(X, y, ds.distributions[node], starts)
-            for b in np.flatnonzero(clean):
-                scores[chunk[b]] = float(mlik[b])
-                modes[chunk[b]] = (float(joint[b]), params[b])
+            fit = fit_bayes_stack(X, columns[node], ds.distributions[node])
+            scores.update((mask, float(fit.mliks[b])) for b, mask in enumerate(chunk)
+                          if fit.clean(b))
     return scores
-
-
-def _fit_stack(X: np.ndarray, y: np.ndarray, family: str, starts) -> tuple[np.ndarray, ...]:
-    """Bayes fits of B binomial or poisson designs of one response by one
-    Newton ascent: the modes (B, p), log joints and Laplace log-evidences
-    (B,), and which fits are clean.
-
-    ``X`` is (B, p, n), each design the transpose of its column-major
-    :func:`~abnkit.data.build_design` block; ``starts[b]`` is fit b's start,
-    or None for fit_node's cold start.  A clean fit converged to a finite
-    evidence at a positive definite curvature.  A warm-started fit whose
-    smallest curvature eigenvalue is below WARM_MIN_CURVATURE is not clean
-    either: along so flat a direction the convergence test leaves the mode,
-    and with it the evidence, loose beyond 1e-10 relative, and only
-    fit_node's own iterates give fit_node's score.
-    """
-    post = _Objective(X, y, family, PriorSpec())
-    params = np.zeros(X.shape[:2])
-    params[:, 0] = _cold_start(family, y)
-    warm = np.array([start is not None for start in starts])
-    for b in np.flatnonzero(warm):
-        params[b] = starts[b]
-    # fit_node's errstate: overflow is caught by the finiteness checks
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        params, joint, _, neg_h, converged, _ = _ascend(post.evaluate, post.grad_curvature, params)
-        try:
-            mlik = _laplace(joint, neg_h)
-        except NonPositiveDefiniteHessian:  # score the others one at a time
-            mlik = np.full(len(joint), np.nan)
-            for b in range(len(joint)):
-                with suppress(NonPositiveDefiniteHessian):
-                    mlik[b] = _laplace(joint[b], neg_h[b])
-    clean = np.array(converged) & np.isfinite(mlik)
-    warm &= clean
-    clean[warm] = np.linalg.eigvalsh(neg_h[warm])[:, 0] >= WARM_MIN_CURVATURE
-    return params, joint, mlik, clean
-
-
-def _warm_start(mask: int, parents: list[int], modes: dict) -> np.ndarray | None:
-    """The mode of ``mask``'s best clean one-smaller subset with 0 for the
-    new coefficient, placed by name; None without such a subset."""
-    best = None
-    for k, j in enumerate(parents):
-        sub = modes.get(mask & ~(1 << j))
-        if sub is not None and (best is None or sub[0] > best[0]):
-            best = (sub[0], k, sub[1])
-    return None if best is None else np.insert(best[2], best[1] + 1, 0.0)
 
 
 def _score_one_node(

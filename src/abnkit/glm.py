@@ -15,17 +15,18 @@ Two fitting modes mirror the two scoring frameworks:
 
 One objective, :class:`_Objective`, is the unclipped log-likelihood (plus
 the log-prior of a bayes fit) of a stack of designs of one response, with
-its derivatives.  One Newton ascent, :func:`_ascend`, climbs a stack, each
-problem with its own step halving and convergence test; its final state
-holds the log-likelihood and its final curvature is the information.  The
-MLE, Firth and bayes fits of one design are stacks of one.  The score cache
-(:mod:`abnkit.cache`) fits a node's binomial and poisson bayes parent sets
-per cardinality: stacked below ``STACK_MAX_N`` observations, else alone from
-the best one-smaller subset's mode; it refits here what is not clean there.
-A binomial or poisson evaluation's means, from
-:func:`families.loglik_mean`'s one ``exp``, serve the derivatives of the
-same iterate.  Binomial and poisson designs are column-major and gaussian
-ones row-major (see :func:`abnkit.data.build_design`).
+its derivatives.  One Newton ascent with step halving, :func:`_ascend`,
+climbs a stack, each problem with its own halving and convergence test; its
+final state holds the log-likelihoods and its final curvatures are the
+information.  The MLE, Firth and gaussian fits are stacks of one.  The
+binomial and poisson bayes fits are :func:`fit_bayes_stack`: the score
+cache (:mod:`abnkit.cache`) fits a node's parent sets of one cardinality in
+one stack, and :func:`fit_node` fits a stack of one, which also names why a
+stacked fit that is not clean failed.  A binomial or poisson evaluation's
+means, from :func:`families.loglik_mean`'s one ``exp``, pass on to the
+derivatives of the same iterate.  Binomial and poisson designs are
+column-major and gaussian ones row-major (see
+:func:`abnkit.data.build_design`).
 
 All scores are stored in larger-is-better orientation.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -103,8 +105,9 @@ class FitResult:
 
     @property
     def precision(self) -> float | None:
-        lam = self.gaussian_log_precision
-        return None if lam is None else float(np.exp(lam))
+        if self.gaussian_log_precision is None:
+            return None
+        return float(np.exp(self.gaussian_log_precision))
 
     def status(self) -> list[str]:
         """How the fit is degraded, in words: ``pruned:<dropped names>``,
@@ -121,85 +124,106 @@ class FitResult:
 
     def format_lines(self, child: str) -> list[str]:
         """Human-readable coefficient block, one ``child|parent value`` line."""
-        lines = [f"{child}|{label}\t{value:.6g}"
-                 for label, value in zip(self.labels, self.coefficients)]
+        lines = [
+            f"{child}|{label}\t{value:.6g}"
+            for label, value in zip(self.labels, self.coefficients)
+        ]
         if self.gaussian_log_precision is not None:
             lines.append(f"{child}|precision\t{self.precision:.6g}")
         return lines
 
 
-# -- priors and the one objective ------------------------------------------
+# --------------------------------------------------------------------------
+# priors and the one objective
+# --------------------------------------------------------------------------
+
+
+def _log_prior_log_precision(lam: float) -> float:
+    # Gamma(a, rate b) on tau, transformed to lam = log tau (includes Jacobian)
+    a, b = PRECISION_SHAPE, PRECISION_RATE
+    return a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
 
 
 class _Objective:
-    """Log-likelihood, plus the log-prior of a bayes fit, of a stack of B
-    designs of one response, and its derivatives; ``priors=None`` gives an
+    """Log-likelihood of a stack of B designs of one response, plus the
+    log-prior of a bayes fit, and its derivatives; ``priors=None`` gives an
     MLE fit's objective, the log-likelihood alone.
 
     ``X`` is a (B, p, n) stack of binomial or poisson designs, each the
-    transpose of a column-major block, or one row-major gaussian (n, p)
-    design.  ``params`` is (B, P): the coefficients, then the gaussian
-    log-precision unless it is fixed.
+    transpose of a column-major block, or one row-major (n, p) gaussian
+    design, a stack of one.  The per-fit constants (prior precision matrix,
+    gaussian ``X'X``, poisson ``log y!``) are built once.  ``params`` is
+    (B, P): the coefficients, then the gaussian log-precision unless it is
+    fixed.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, family: str,
                  priors: PriorSpec | None = None):
-        gaussian = family == "gaussian"
-        # a stack's response is one row, shaped like each problem's eta
-        self.X, self.y = X, (y if gaussian else y[None])
-        self.family, self.priors = family, priors
+        self.X, self.family = X, family
+        self.priors = priors
         self.width = X.shape[1]
+        gaussian = self.family == "gaussian"
+        # a stack's response is one row, shaped like each problem's eta
+        self.y = y if gaussian else y[None]
         self.fixed_precision = None if priors is None else priors.fixed_precision
         self.free_precision = gaussian and self.fixed_precision is None
         if priors is None:  # the derivatives' prior terms are zeros
             self.coef_variance, self.prior_precision = math.inf, 0.0
             self.shape = self.rate = 0.0
         else:
-            v = self.coef_variance = priors.coef_variance
-            self.prior_precision = np.eye(self.width) / v
+            self.coef_variance = priors.coef_variance
+            self.prior_precision = np.eye(self.width) / priors.coef_variance
             # the N(0, v) coefficient log-prior is this minus |theta|^2 / 2v
-            self.prior_norm = -0.5 * self.width * np.log(2.0 * np.pi * v)
+            self.coef_norm = -0.5 * self.width * np.log(2.0 * np.pi * priors.coef_variance)
             self.shape, self.rate = PRECISION_SHAPE, PRECISION_RATE
-        self.gram = X.T @ X if gaussian else None
-        self.log_factorial = families.log_y_factorial(self.y) if family == "poisson" else None
+        self.gram = self.X.T @ self.X if gaussian else None
+        self.log_factorial = (families.log_y_factorial(self.y)
+                              if self.family == "poisson" else None)
 
     @classmethod
     def of(cls, design: DesignMatrix, priors: PriorSpec | None = None) -> _Objective:
-        """The objective of one design (B = 1)."""
-        X = design.predictors
-        return cls(X if design.family == "gaussian" else X.T[None], design.response,
-                   design.family, priors)
+        """The objective of one design, a stack of one."""
+        X = design.predictors if design.family == "gaussian" else design.predictors.T[None]
+        return cls(X, design.response, design.family, priors)
+
+    def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(coefficients, log-precisions or None) of a stack of optimized vectors."""
+        if self.free_precision:
+            return params[:, :self.width], params[:, self.width]
+        return params, None
 
     def evaluate(self, params: np.ndarray):
         """(objectives, state) at ``params``, as :func:`_ascend` takes them;
-        the state is (log-likelihoods, eta, means), no means for a gaussian
-        node."""
-        theta = params[:, :self.width] if self.free_precision else params
+        the state is (log-likelihoods, eta, means), the means None for a
+        gaussian node."""
+        theta, log_precision = self.split(params)
         mu = None
         if self.family == "gaussian":
             eta = (self.X @ theta[0])[None]
-            tau = math.exp(params[0, -1]) if self.free_precision else self.fixed_precision
+            tau = (self.fixed_precision if self.fixed_precision is not None
+                   else math.exp(log_precision[0]))
             terms = families.loglik_terms("gaussian", self.y, eta, tau)
         else:
             eta = (theta[:, None, :] @ self.X)[:, 0]
             terms, mu = families.loglik_mean(self.family, self.y, eta, self.log_factorial)
-        joint = ll = np.add.reduce(terms, axis=1)
+        ll = np.add.reduce(terms, axis=1)
+        joint = ll
         if self.priors is not None:
             sq = np.add.reduce(theta**2, axis=1)
-            joint = ll + (self.prior_norm - 0.5 * sq / self.coef_variance)
-            if self.free_precision:  # Gamma(a, rate b) on tau, as a density of log tau
-                a, b, lam = self.shape, self.rate, params[0, -1]
-                joint += a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
+            joint = ll + (self.coef_norm - 0.5 * sq / self.coef_variance)
+            if self.free_precision:
+                joint += _log_prior_log_precision(log_precision[0])
         return joint, (ll, eta, mu)
 
     def grad_curvature(self, params: np.ndarray, state):
-        """Gradients (B, P) and negative Hessians (B, P, P) of the objective
-        at ``params``, whose :meth:`evaluate` state is ``state``."""
+        """Gradients (B, P) and curvatures, the negative Hessians (B, P, P),
+        of the objective at ``params``, whose :meth:`evaluate` state is
+        ``state``."""
         X, y, p = self.X, self.y, self.width
         _, eta, mu = state
         v = self.coef_variance
         if self.family == "gaussian":
-            theta, lam = params[0, :p], params[0, p:]
+            (theta,), lam = self.split(params)
             tau = math.exp(lam[0]) if self.free_precision else self.fixed_precision
             r = y - eta[0]
             xr = X.T @ r
@@ -209,16 +233,16 @@ class _Objective:
                 return coef_grad[None], coef_curv[None]
             rr = float(r @ r)
             a, b = self.shape, self.rate
-            grad = np.empty((1, p + 1))
-            grad[0, :p] = coef_grad
-            grad[0, p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
-            curv = np.empty((1, p + 1, p + 1))
-            curv[0, :p, :p] = coef_curv
+            grad = np.empty(p + 1)
+            grad[:p] = coef_grad
+            grad[p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
+            curv = np.empty((p + 1, p + 1))
+            curv[:p, :p] = coef_curv
             cross = -tau * xr
-            curv[0, :p, p] = cross
-            curv[0, p, :p] = cross
-            curv[0, p, p] = 0.5 * tau * rr + b * tau
-            return grad, curv
+            curv[:p, p] = cross
+            curv[p, :p] = cross
+            curv[p, p] = 0.5 * tau * rr + b * tau
+            return grad[None], curv[None]
         w = families.irls_weights(self.family, mu)
         grad = (X @ (y - mu)[:, :, None])[:, :, 0]
         curv = X @ (X * w[:, None, :]).transpose(0, 2, 1)
@@ -227,7 +251,9 @@ class _Objective:
         return grad - params / v, curv + self.prior_precision
 
 
-# -- fitting: Newton ascent; mle with Firth + pruning; bayes posterior mode -
+# --------------------------------------------------------------------------
+# fitting: Newton ascent; mle with Firth + pruning; bayes posterior mode
+# --------------------------------------------------------------------------
 
 
 class _Diverged(FitError):
@@ -235,16 +261,17 @@ class _Diverged(FitError):
 
 
 def _ascend(value, derivatives, params: np.ndarray):
-    """Newton ascent with step halving of B problems from ``params`` (B, P):
-    their (params, objectives, state, curvatures), and lists of which
-    converged and which hit singular curvature.
+    """Newton ascent with step halving of a stack of B problems from
+    ``params`` (B, P): (params, objectives, state, curvatures) at the final
+    params, and lists of which problems converged and which met singular
+    curvature.  ``value(params)`` returns the objectives (B,) and a state,
+    ``derivatives(params, state)`` the gradients (B, P) and the curvatures
+    (B, P, P): negative Hessians or positive definite stand-ins.
 
-    ``value(params)`` returns the objectives (B,) and a state,
-    ``derivatives(params, state)`` the gradients (B, P) and curvatures
-    (B, P, P): negative Hessians or positive definite stand-ins.  Each
-    problem stops on its own, converged at max|grad| < NEWTON_GRAD_TOL or a
-    step < 1e-10; after 40 halvings without ascent or NEWTON_MAX_ITER steps,
-    converged iff max|grad| < 1e-4; or singular.  It then keeps its params.
+    Each problem halves its own step and stops on its own, keeping its
+    params from then on: converged at max|grad| < NEWTON_GRAD_TOL or a step
+    below 1e-10; after 40 halvings without ascent, or NEWTON_MAX_ITER steps,
+    converged iff max|grad| < 1e-4; unconverged at singular curvature.
     """
     f_old, state = value(params)
     n = len(params)
@@ -259,7 +286,11 @@ def _ascend(value, derivatives, params: np.ndarray):
             break
         try:
             # a (B, P, 1) right-hand side: NumPy 2 solves a (B, P) one as one matrix
-            step = np.linalg.solve(curv, grad[:, :, None])[:, :, 0]
+            if len(live) == n:
+                step = np.linalg.solve(curv, grad[:, :, None])[:, :, 0]
+            else:  # stopped problems take no step
+                step = np.zeros_like(grad)
+                step[live] = np.linalg.solve(curv[live], grad[live, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # find the singular problems
             step = np.zeros_like(grad)
             for b in live:
@@ -270,9 +301,7 @@ def _ascend(value, derivatives, params: np.ndarray):
             live = [b for b in live if not singular[b]]
             if not live:
                 break
-        if len(live) < n:
-            step[sorted(set(range(n)).difference(live))] = 0.0
-        cand, floor, scale, todo = params + step, f_old.tolist(), [1.0] * n, live
+        cand, scale, todo, floor = params + step, [1.0] * n, live, f_old.tolist()
         for _ in range(40):
             f_new, state_new = value(cand)
             f = f_new.tolist()
@@ -282,11 +311,13 @@ def _ascend(value, derivatives, params: np.ndarray):
             for b in todo:
                 scale[b] /= 2.0
                 cand[b] = params[b] + scale[b] * step[b]
-        else:  # no ascent step: these problems keep params, grad and curv
+        else:  # no ascent step: these problems stop, their grad and curv are those of params
             for b in todo:
                 converged[b] = gmax[b] < 1e-4
-                cand[b] = params[b]
             live = [b for b in live if b not in todo]
+            if not live:
+                break
+            cand[todo] = params[todo]
             f_new, state_new = value(cand)
         params, f_old, state = cand, f_new, state_new
         smax = np.abs(step).max(axis=1).tolist()
@@ -301,8 +332,9 @@ def _ascend(value, derivatives, params: np.ndarray):
 
 
 def _ascend_one(value, derivatives, params: np.ndarray):
-    """:func:`_ascend` of one problem from ``params`` (P,): its (params,
-    objective, state, curvature, converged); raises _Diverged if singular."""
+    """:func:`_ascend` of a stack of one from ``params`` (P,): (params,
+    objective, state, curvature, converged).  Singular curvature raises
+    _Diverged."""
     params, f, state, curv, converged, singular = _ascend(value, derivatives, params[None])
     if singular[0]:
         raise _Diverged("singular curvature")
@@ -439,53 +471,121 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
         label, design, fit = best
         dropped.append(label)
     if design.width == 1 and not math.isfinite(fit.log_likelihood):
-        raise AllPredictorsDropped(f"node {design.child!r}: every predictor was removed and "
-                                   "the intercept-only fallback is still non-finite")
+        raise AllPredictorsDropped(
+            f"node {design.child!r}: every predictor was removed and the "
+            "intercept-only fallback is still non-finite"
+        )
     return replace(fit, dropped_predictors=tuple(dropped))
 
 
-def _cold_start(family: str, y: np.ndarray) -> float:
-    """A binomial or poisson bayes fit's start: this intercept, 0 slopes."""
+class BayesStack(NamedTuple):
+    """Bayes fits of a stack of B designs: the modes (B, p), log-likelihoods
+    (B,), negative Hessians (B, p, p) and Laplace log-evidences (B,), whether
+    each fit converged, and the error that failed it or None."""
+
+    modes: np.ndarray
+    log_likelihoods: np.ndarray
+    neg_hessians: np.ndarray
+    mliks: np.ndarray
+    converged: list[bool]
+    errors: list[FitError | None]
+
+    def clean(self, b: int) -> bool:
+        """Whether fit b converged without error to a finite evidence."""
+        return self.converged[b] and self.errors[b] is None and math.isfinite(self.mliks[b])
+
+
+def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str,
+                    priors: PriorSpec = PriorSpec()) -> BayesStack:
+    """Bayes fits of a stack of binomial or poisson designs of one response
+    ``y`` by one Newton ascent, each from the intercept at the link of the
+    clamped mean response, with 0 slopes.
+
+    ``X`` is (B, p, n), each design the transpose of its column-major
+    :func:`~abnkit.data.build_design` block.  A fit fails on singular
+    curvature or a negative Hessian at its mode that is not positive
+    definite; :func:`fit_node` fits a stack of one and raises its error.
+    """
+    post = _Objective(X, y, family, priors)
     mean_y = float(np.mean(y))
+    params = np.zeros(X.shape[:2])
     if family == "binomial":
-        return float(families.link(family, min(max(mean_y, 1e-3), 1 - 1e-3)))
-    return math.log(max(mean_y, 1e-8))
+        params[:, 0] = families.link(family, min(max(mean_y, 1e-3), 1 - 1e-3))
+    else:
+        params[:, 0] = math.log(max(mean_y, 1e-8))
+    # overflow/underflow is detected explicitly via finiteness checks
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        params, joint, (ll, _, _), neg_h, converged, singular = _ascend(
+            post.evaluate, post.grad_curvature, params)
+        errors = [_Diverged("singular curvature") if s else None for s in singular]
+        try:
+            mlik = _laplace(joint, X.shape[1], neg_h)
+        except NonPositiveDefiniteHessian:  # find the fits it failed
+            mlik = np.full(len(joint), np.nan)
+            for b, error in enumerate(errors):
+                try:
+                    mlik[b] = _laplace(joint[b], X.shape[1], neg_h[b])
+                except NonPositiveDefiniteHessian as exc:
+                    errors[b] = error or exc
+    return BayesStack(params, ll, neg_h, mlik, converged, errors)
 
 
 def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    post = _Objective.of(design, priors)
-    X, y, p, fam = design.predictors, design.response, post.width, design.family
-    params = np.zeros(p + post.free_precision)
+    X, y, fam = design.predictors, design.response, design.family
     if fam != "gaussian":
-        params[0] = _cold_start(fam, y)
+        fit = fit_bayes_stack(X.T[None], y, fam, priors)
+        if fit.errors[0] is not None:
+            raise fit.errors[0]
+        theta, ll, neg_h, lam = fit.modes[0], fit.log_likelihoods[0], fit.neg_hessians[0], None
+        mlik, converged = fit.mliks[0], fit.converged[0]
     else:
+        post = _Objective.of(design, priors)
+        p = post.width
+        params = np.zeros(p + (1 if post.free_precision else 0))
         params[:p] = np.linalg.solve(post.gram + post.prior_precision, X.T @ y)
         if post.free_precision:
             rss = float(np.sum((y - X @ params[:p]) ** 2))
             if not math.isfinite(rss):
                 raise FitError(f"node {design.child!r}: the residual sum of squares overflows")
             params[p] = math.log(len(y) / max(rss, 1e-12))
-    params, joint, (ll, eta, _), neg_h, converged = _ascend_one(
-        post.evaluate, post.grad_curvature, params)
-    ll, lam = float(ll[0]), (float(params[p]) if post.free_precision else None)
-    if fam == "gaussian" and lam is None:
-        lam = float(np.log(priors.fixed_precision))
-        # the reported likelihood uses exp(log tau), not tau itself
-        ll = float(np.sum(families.loglik_terms(fam, y, eta[0], math.exp(lam))))
-    return FitResult(labels=design.labels, coefficients=params[:p], family=fam,
-                     method="bayes", n_obs=design.n_obs, log_likelihood=ll,
-                     neg_hessian=neg_h, gaussian_log_precision=lam,
-                     mlik=_laplace(joint, neg_h), converged=converged)
+        params, joint, (ll, eta, _), neg_h, converged = _ascend_one(
+            post.evaluate, post.grad_curvature, params)
+        theta, lam, ll = params[:p], (float(params[p]) if post.free_precision else None), ll[0]
+        if lam is None:
+            lam = float(np.log(priors.fixed_precision))
+            # the reported likelihood uses exp(log tau), not tau itself
+            ll = np.sum(families.loglik_terms(fam, y, eta[0], math.exp(lam)))
+        mlik = _laplace(joint, len(params), neg_h)
+    return FitResult(
+        labels=design.labels,
+        coefficients=theta,
+        family=fam,
+        method="bayes",
+        n_obs=design.n_obs,
+        log_likelihood=float(ll),
+        neg_hessian=neg_h,
+        gaussian_log_precision=lam,
+        mlik=float(mlik),
+        converged=converged,
+    )
 
 
-# -- public operations -----------------------------------------------------
+# --------------------------------------------------------------------------
+# public operations
+# --------------------------------------------------------------------------
 
 
-def fit_node(design: DesignMatrix, method: str = "bayes",
-             priors: PriorSpec = PriorSpec()) -> FitResult:
-    """Fit one node's regression, in the design's family, by ``method``; the
-    FitResult carries the Laplace marginal likelihood (bayes) or the
-    log-likelihood ready for :func:`frequentist_scores` (mle)."""
+def fit_node(
+    design: DesignMatrix,
+    method: str = "bayes",
+    priors: PriorSpec = PriorSpec(),
+) -> FitResult:
+    """Fit one node's regression, in the design's family, by the requested
+    method.
+
+    The returned FitResult carries the Laplace marginal likelihood (bayes)
+    or the log-likelihood ready for :func:`frequentist_scores` (mle).
+    """
     if design.n_obs < 1:
         raise NoObservations(f"node {design.child!r} has no observations")
     if not (np.all(np.isfinite(design.predictors))
@@ -505,20 +605,26 @@ def fit_dag(ds: Dataset, dag: Dag, method: str = "bayes") -> dict[str, FitResult
     """Fit every node of a DAG against its parents; keyed by node name."""
     if dag.nodes != ds.names:
         raise FitError("DAG node set differs from dataset columns")
-    return {node: fit_node(build_design(ds, node, dag.parents(node)), method=method)
-            for node in dag.nodes}
+    return {
+        node: fit_node(build_design(ds, node, dag.parents(node)), method=method)
+        for node in dag.nodes
+    }
 
 
-def _laplace(joint, neg_hessian: np.ndarray):
-    """Laplace log-evidence of one problem, or of each in a stack, from the
-    log joint at the mode and the negative Hessian there."""
+def _spd_logdet(matrix: np.ndarray):
+    """log det of a positive definite matrix, or of each in a stack."""
     try:
-        chol = np.linalg.cholesky(neg_hessian)
+        chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise NonPositiveDefiniteHessian(
-            "negative Hessian is not positive definite at the reported mode")
-    logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
-    return joint + 0.5 * neg_hessian.shape[-1] * np.log(2.0 * np.pi) - 0.5 * logdet
+            "negative Hessian is not positive definite at the reported mode"
+        )
+    return 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
+
+
+def _laplace(joint, n_params: int, neg_hessian: np.ndarray):
+    logdet = _spd_logdet(neg_hessian)
+    return joint + 0.5 * n_params * np.log(2.0 * np.pi) - 0.5 * logdet
 
 
 @dataclass(frozen=True)
@@ -529,8 +635,9 @@ class FrequentistScores:
     mdl: float
 
 
-def frequentist_scores(fit: FitResult, n_obs: int, n_candidate_parents: int
-                       ) -> FrequentistScores:
+def frequentist_scores(
+    fit: FitResult, n_obs: int, n_candidate_parents: int
+) -> FrequentistScores:
     """Larger-is-better frequentist scores for an MLE fit.
 
     ``k`` counts every estimated parameter (variance included for gaussian
@@ -545,8 +652,10 @@ def frequentist_scores(fit: FitResult, n_obs: int, n_candidate_parents: int
     aic = ll - k
     bic = ll - 0.5 * k * math.log(n_obs)
     pick = min(max(k - 1, 0), n_candidate_parents)
-    log_choose = float(gammaln(n_candidate_parents + 1) - gammaln(pick + 1)
-                       - gammaln(n_candidate_parents - pick + 1))
+    log_choose = float(
+        gammaln(n_candidate_parents + 1) - gammaln(pick + 1)
+        - gammaln(n_candidate_parents - pick + 1)
+    )
     return FrequentistScores(loglik=ll, aic=aic, bic=bic, mdl=bic - log_choose)
 
 
@@ -585,17 +694,31 @@ def marginal_densities(fit: FitResult, n_grid: int = 1000) -> list[ParamDensity]
         raise FitError("marginal_densities needs a bayes-mode fit")
     check_grid_size(n_grid)
     cov = np.linalg.inv(fit.neg_hessian)
-    labels, modes = list(fit.labels), list(fit.coefficients)
-    if len(fit.neg_hessian) > len(modes):
-        labels, modes = labels + ["log_precision"], modes + [fit.gaussian_log_precision]
+    modes = list(fit.coefficients)
+    labels = list(fit.labels)
+    if len(fit.neg_hessian) > len(fit.coefficients):
+        modes.append(fit.gaussian_log_precision)
+        labels.append("log_precision")
     out = []
     for k, (label, mode) in enumerate(zip(labels, modes)):
         sd = math.sqrt(max(cov[k, k], 1e-300))
         grid = np.linspace(mode - RANGE_SD * sd, mode + RANGE_SD * sd, n_grid)
         density = np.exp(-0.5 * ((grid - mode) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-        if max(density[0], density[-1]) > 1e-3 * float(density.max()):
-            raise RangeTooNarrow(f"density of {label!r} has not vanished at +/-{RANGE_SD} sd")
-        out.append(ParamDensity(label=label, grid=grid, density=density,
-                                probabilities=density / density.sum(),
-                                area=float(np.trapezoid(density, grid)), mode=float(mode), sd=sd))
+        peak = float(density.max())
+        if max(density[0], density[-1]) > 1e-3 * peak:
+            raise RangeTooNarrow(
+                f"density of {label!r} has not vanished at +/-{RANGE_SD} sd"
+            )
+        area = float(np.trapezoid(density, grid))
+        out.append(
+            ParamDensity(
+                label=label,
+                grid=grid,
+                density=density,
+                probabilities=density / density.sum(),
+                area=area,
+                mode=float(mode),
+                sd=sd,
+            )
+        )
     return out

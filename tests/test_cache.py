@@ -7,8 +7,6 @@ import abnkit.cache
 import abnkit.glm
 from abnkit.cache import (
     FIT_ERRORS,
-    STACK_MAX_N,
-    _warm_start,
     build_cache,
     cache_from_text,
     cache_to_text,
@@ -313,15 +311,14 @@ def _fit_node_loop(ds: Dataset, cons: ConstraintSet):
 
 class TestStackedScoring:
     """Binomial and poisson bayes sets are fitted per node and cardinality in
-    stacks below STACK_MAX_N observations, alone and warm-started above;
-    either way each score is fit_node's."""
+    stacks of up to STACK_MAX_CELLS design numbers; each score is
+    fit_node's."""
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["stacked", "warm-alone"])
+    @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])
-    def test_scores_and_notes_are_fit_nodes(self, monkeypatch, n_obs, warm):
-        assert n_obs < STACK_MAX_N
-        if warm:  # the path of large datasets
-            monkeypatch.setattr(abnkit.cache, "STACK_MAX_N", 0)
+    def test_scores_and_notes_are_fit_nodes(self, monkeypatch, n_obs, pairs):
+        if pairs:  # the 2- and 3-parent layers split into stacks of 2
+            monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * n_obs)
         ds = _hard_dataset(n_obs, n_obs)
         cons = ConstraintSet(ds.names, max_parents=3)
         cache = build_cache(ds, cons)
@@ -358,19 +355,10 @@ class TestStackedScoring:
                 want = scores[i, mask]
                 assert abs(cache.score(i, mask) - want) <= 1e-10 * abs(want)
 
-    def test_warm_start_places_coefficients_by_name(self):
-        # parents by name: column 2, then column 1; the start is the mode of
-        # the one-smaller subset with the higher log joint, 0 for the new one
-        parents = [2, 1]
-        modes = {0b010: (-5.0, np.array([1.0, 2.0])), 0b100: (-4.0, np.array([3.0, 4.0]))}
-        assert _warm_start(0b110, parents, modes).tolist() == [3.0, 4.0, 0.0]
-        modes[0b010] = (-3.0, modes[0b010][1])
-        assert _warm_start(0b110, parents, modes).tolist() == [1.0, 0.0, 2.0]
-        assert _warm_start(0b110, parents, {}) is None
-
-    @pytest.mark.parametrize("n_obs", [200, STACK_MAX_N + 100], ids=["stacked", "warm-alone"])
+    @pytest.mark.parametrize("n_obs", [200, 5000],
+                             ids=["one-stack-per-layer", "several-stacks-per-layer"])
     def test_text_identical_across_jobs(self, n_obs):
-        ds = mixed_dataset(n_obs, 9)
+        ds = _hard_dataset(n_obs, 9)
         cons = ConstraintSet(ds.names, max_parents=2)
         serial = cache_to_text(build_cache(ds, cons, jobs=1))
         assert serial == cache_to_text(build_cache(ds, cons, jobs=2))

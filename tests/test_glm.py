@@ -379,7 +379,7 @@ class TestSharedArithmetic:
             if len(fit.neg_hessian) > len(params):
                 params = np.append(params, fit.gaussian_log_precision)
             joint = _Objective.of(d, priors).evaluate(params[None])[0][0]
-            assert fit.mlik == _laplace(joint, fit.neg_hessian)
+            assert fit.mlik == _laplace(joint, len(fit.neg_hessian), fit.neg_hessian)
             tau = (math.exp(fit.gaussian_log_precision) if family == "gaussian"
                    else None)
             eta = d.predictors @ fit.coefficients
@@ -459,7 +459,7 @@ class TestLaplace:
         params = np.append(broken.coefficients, broken.gaussian_log_precision)
         joint = _Objective.of(d, PriorSpec()).evaluate(params[None])[0][0]
         with pytest.raises(NonPositiveDefiniteHessian):
-            _laplace(joint, broken.neg_hessian)
+            _laplace(joint, len(broken.neg_hessian), broken.neg_hessian)
 
     def test_invariant_under_predictor_reordering(self):
         rng = np.random.default_rng(21)
