@@ -21,7 +21,7 @@ final state holds the log-likelihoods and its final curvatures are the
 information.  The MLE, Firth and gaussian fits are stacks of one.  The
 binomial and poisson bayes fits are :func:`fit_bayes_stack`: the score
 cache (:mod:`abnkit.cache`) fits a node's parent sets of one cardinality in
-one stack, and :func:`fit_node` fits a stack of one, which also names why a
+stacks, and :func:`fit_node` fits a stack of one, which also names why a
 stacked fit that is not clean failed.  A binomial or poisson evaluation's
 means, from :func:`families.loglik_mean`'s one ``exp``, pass on to the
 derivatives of the same iterate.  Binomial and poisson designs are
