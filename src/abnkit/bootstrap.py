@@ -21,7 +21,7 @@ from .data import Dataset, standardize
 from .errors import AbnError, ConfigError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .glm import FitResult, ParamDensity, marginal_densities
-from .heuristic import arc_frequency_matrix, arc_support, check_support_mode
+from .heuristic import arc_frequency_matrix
 from .simulate import SimSpec, simulate_data
 
 MAX_FAILURE_FRACTION = 0.05
@@ -41,6 +41,12 @@ def check_replicates(n_replicates: int) -> None:
     """Raise ConfigError unless ``n_replicates`` is at least one."""
     if n_replicates < 1:
         raise ConfigError(f"need at least one bootstrap replicate, got {n_replicates}")
+
+
+def check_support_mode(mode: str) -> None:
+    """Raise ConfigError unless ``mode`` is ``directed`` or ``undirected``."""
+    if mode not in ("directed", "undirected"):
+        raise ConfigError(f"unknown support mode {mode!r}")
 
 
 def model_grid_posteriors(
@@ -175,5 +181,8 @@ def prune_by_support(
     arc with the support of both directions.  The result is a subgraph of
     the original, hence automatically acyclic.
     """
-    keep = original.adjacency.astype(bool) & (arc_support(support, mode) >= threshold)
+    check_support_mode(mode)
+    if mode == "undirected":
+        support = support + support.T
+    keep = original.adjacency.astype(bool) & (support >= threshold)
     return Dag(original.nodes, keep.astype(np.int8))

@@ -30,6 +30,9 @@ FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
 # A node's binomial or poisson bayes parent sets of one cardinality are
 # fitted in stacks of as many as fit STACK_MAX_CELLS design numbers (512 KiB).
 STACK_MAX_CELLS = 2**16
+# A fit's cache entry before its finiteness test: the scores, None for a
+# failed fit, and the diagnostic or status words.
+Outcome = tuple[tuple[float, ...] | None, list[str]]
 
 
 def default_score_type(method: str) -> str:
@@ -175,9 +178,13 @@ class ScoreCache:
         return total
 
 
-def _stacked_scores(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, float]:
-    """Bayes mlik of a binomial or poisson node's parent sets whose stacked
-    fit is clean, keyed by mask; :func:`fit_node` refits the others.
+def _fit_error(exc: Exception) -> Outcome:
+    """The outcome of a fit that raised ``exc``."""
+    return None, [f"{type(exc).__name__}: {exc}"]
+
+
+def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Outcome]:
+    """Outcomes of a binomial or poisson node's bayes fits, keyed by mask.
 
     The sets are fitted by :func:`~abnkit.glm.fit_bayes_stack`, one
     cardinality at a time, in stacks of up to STACK_MAX_CELLS design numbers
@@ -190,7 +197,7 @@ def _stacked_scores(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, 
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
-    scores = {}
+    outcomes = {}
     for size, masks in layers.items():
         width = max(1, STACK_MAX_CELLS // ((1 + size) * n_obs))
         for first in range(0, len(masks), width):
@@ -200,9 +207,26 @@ def _stacked_scores(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, 
             X[:, 0] = 1.0
             X[:, 1:] = columns[np.array(parents, dtype=np.intp).reshape(len(chunk), size)]
             fit = fit_bayes_stack(X, columns[node], ds.distributions[node])
-            scores.update((mask, float(fit.mliks[b])) for b, mask in enumerate(chunk)
-                          if fit.clean(b))
-    return scores
+            for b, mask in enumerate(chunk):
+                error = fit.errors[b]
+                outcomes[mask] = _fit_error(error) if error is not None else (
+                    (float(fit.mliks[b]),), [] if fit.converged[b] else ["unconverged"])
+    return outcomes
+
+
+def _fit_one(ds: Dataset, node: int, mask: int, method: str) -> Outcome:
+    """The outcome of one :func:`fit_node` fit."""
+    design = design_for_mask(ds, node, mask)
+    try:
+        fit = fit_node(design, method=method)
+        if fit.dropped_predictors:  # the kept design's score is not this parent set's
+            return None, fit.status()[:1]
+        if method == "bayes":
+            return (fit.mlik,), fit.status()
+        fs = frequentist_scores(fit, ds.n_obs, len(ds.names) - 1)
+        return (fs.loglik, fs.aic, fs.bic, fs.mdl), fit.status()
+    except FIT_ERRORS as exc:
+        return _fit_error(exc)
 
 
 def _score_one_node(
@@ -212,39 +236,19 @@ def _score_one_node(
     method: str,
     score_types: tuple[str, ...],
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
-    n_cand = len(ds.names) - 1
     block = np.full((len(node_masks), len(score_types)), -np.inf)
     notes: list[tuple[int, int, str]] = []
     stacked = {}
     if method == "bayes" and ds.distributions[node] != "gaussian":
-        stacked = _stacked_scores(ds, node, node_masks)
+        stacked = _stacked_fits(ds, node, node_masks)
     for k, mask in enumerate(node_masks):
-        if mask in stacked:
-            block[k, 0] = stacked[mask]
-            continue
-        # gaussian and MLE fits, and stacked fits that were not clean
-        design = design_for_mask(ds, node, mask)
-        try:
-            fit = fit_node(design, method=method)
-            status = fit.status()
-            if fit.dropped_predictors:
-                # the kept design's score is not this parent set's
-                notes.append((node, mask, status[0]))
-                continue
-            if method == "bayes":
-                block[k, 0] = fit.mlik
+        scores, words = stacked[mask] if stacked else _fit_one(ds, node, mask, method)
+        if scores is not None:
+            if all(map(math.isfinite, scores)):
+                block[k] = scores  # a finite entry's degraded fit is flagged, not failed
             else:
-                fs = frequentist_scores(fit, ds.n_obs, n_cand)
-                block[k] = (fs.loglik, fs.aic, fs.bic, fs.mdl)
-        except FIT_ERRORS as exc:
-            notes.append((node, mask, f"{type(exc).__name__}: {exc}"))
-            continue
-        if not np.all(np.isfinite(block[k])):
-            block[k] = -np.inf
-            notes.append((node, mask, "non-finite score"))
-            continue
-        # a finite entry's degraded fit is flagged, not failed
-        notes.extend((node, mask, word) for word in status)
+                words = ["non-finite score"]
+        notes.extend((node, mask, word) for word in words)
     return block, notes
 
 

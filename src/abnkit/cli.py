@@ -18,6 +18,7 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -280,12 +281,8 @@ def cmd_simulate(args) -> int:
         print(f"simulated DAG with {dag.n_arcs} arcs over {args.nodes} nodes")
         return run.finish("simulate-dag")
     spec = SimSpec.from_json(run.read(args.spec))
-    if args.seed is not None or args.n_obs is not None:
-        spec = SimSpec(
-            dag=spec.dag, families=spec.families, coefficients=spec.coefficients,
-            sd=spec.sd, n_obs=spec.n_obs if args.n_obs is None else args.n_obs,
-            seed=spec.seed if args.seed is None else args.seed,
-        )
+    overrides = {"n_obs": args.n_obs, "seed": args.seed}
+    spec = replace(spec, **{key: value for key, value in overrides.items() if value is not None})
     ds = simulate_data(spec)
     run.config.update(n_obs=spec.n_obs, seed=spec.seed)
     run.write("data.csv", ds.to_csv())
@@ -336,12 +333,16 @@ def cmd_strength(args) -> int:
     return run.finish("strength")
 
 
+def _record_lines(record) -> list[str]:
+    """One ``name<TAB>value`` line per field of a dataclass, in declaration
+    order: ints as ints, floats to six significant digits."""
+    return [f"{f.name}\t{getattr(record, f.name):{'d' if f.type == 'int' else '.6g'}}"
+            for f in fields(record)]
+
+
 def cmd_compare(args) -> int:
     run = _Run(args)
-    result = compare_dags(run.dag(args.reference), run.dag(args.candidate))
-    fields = ("tpr", "fpr", "accuracy", "g_measure", "f1", "ppv",
-              "false_omission_rate", "hamming", "tp", "fp", "tn", "fn")
-    lines = [f"{name}\t{getattr(result, name):.6g}" for name in fields]
+    lines = _record_lines(compare_dags(run.dag(args.reference), run.dag(args.candidate)))
     run.write("comparison.tsv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return run.finish("compare")
@@ -349,15 +350,7 @@ def cmd_compare(args) -> int:
 
 def cmd_info(args) -> int:
     run = _Run(args)
-    metrics = info_metrics(run.dag(args.dag))
-    lines = [
-        f"n_nodes\t{metrics.n_nodes}",
-        f"n_arcs\t{metrics.n_arcs}",
-        f"avg_markov_blanket\t{metrics.avg_markov_blanket:.6g}",
-        f"avg_neighborhood\t{metrics.avg_neighborhood:.6g}",
-        f"avg_parents\t{metrics.avg_parents:.6g}",
-        f"avg_children\t{metrics.avg_children:.6g}",
-    ]
+    lines = _record_lines(info_metrics(run.dag(args.dag)))
     run.write("info.tsv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return run.finish("info")

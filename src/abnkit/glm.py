@@ -21,9 +21,10 @@ final state holds the log-likelihoods and its final curvatures are the
 information.  The MLE, Firth and gaussian fits are stacks of one.  The
 binomial and poisson bayes fits are :func:`fit_bayes_stack`: the score
 cache (:mod:`abnkit.cache`) fits a node's parent sets of one cardinality in
-stacks, and :func:`fit_node` fits a stack of one, which also names why a
-stacked fit that is not clean failed.  A binomial or poisson evaluation's
-means, from :func:`families.loglik_mean`'s one ``exp``, pass on to the
+stacks, and each stacked fit's own result is its cache entry, failed or
+unconverged fits included; :func:`fit_node` fits a stack of one.  A
+binomial or poisson evaluation's means, from
+:func:`families.loglik_mean`'s one ``exp``, pass on to the
 derivatives of the same iterate.  Binomial and poisson designs are
 column-major and gaussian ones row-major (see
 :func:`abnkit.data.build_design`).
@@ -489,10 +490,6 @@ class BayesStack(NamedTuple):
     mliks: np.ndarray
     converged: list[bool]
     errors: list[FitError | None]
-
-    def clean(self, b: int) -> bool:
-        """Whether fit b converged without error to a finite evidence."""
-        return self.converged[b] and self.errors[b] is None and math.isfinite(self.mliks[b])
 
 
 def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str,

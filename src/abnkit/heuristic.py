@@ -5,6 +5,12 @@ moves (add, delete, reverse).  A candidate move is admissible only when the
 resulting parent sets exist in the cache -- which is exactly how ban/retain
 and cardinality constraints propagate -- and the graph stays acyclic.
 
+One step loop serves all three: list the admissible moves, choose one,
+apply it, extend the trail of best scores.  Only the choice differs:
+hill-climbing takes the first best improving move, tabu search the first
+best move that is not tabu or beats the best score, and simulated annealing
+a uniform draw that passes the Metropolis test.
+
 Acyclicity is checked against descendant bitsets (:func:`.dag.descendants`),
 recomputed once per step rather than searched once per candidate: adding
 ``parent -> child`` is admissible iff ``parent`` does not descend from
@@ -162,55 +168,38 @@ def _run_restart(
     state = _State(tables, row_masks(cache.constraints.retained))
     _randomize_start(state, rng)
 
-    best_score = state.total()
-    best_masks = list(state.masks)
+    best_score, best_masks = state.total(), list(state.masks)
     trail = [best_score]
-
-    if config.algorithm == "hill_climb":
-        for _ in range(config.max_steps):
-            moves = state.valid_moves()
-            chosen, delta = None, 0.0
-            for move, d in moves:
-                if d > delta:
-                    chosen, delta = move, d
-            if chosen is None:
-                break
-            state.apply(chosen)
-            best_score = state.total()
-            best_masks = list(state.masks)
-            trail.append(best_score)
-    elif config.algorithm == "tabu":
-        tabu: deque[Move] = deque(maxlen=config.tabu_length)
-        for _ in range(config.max_steps):
-            moves = state.valid_moves()
-            current = state.total()
-            chosen, chosen_delta = None, -math.inf
-            for move, d in moves:
-                admissible = move not in tabu or current + d > best_score
-                if admissible and d > chosen_delta:
-                    chosen, chosen_delta = move, d
-            if chosen is None:
-                break
-            tabu.append(_inverse(chosen))
-            state.apply(chosen)
-            if state.total() > best_score:
-                best_score = state.total()
-                best_masks = list(state.masks)
-            trail.append(best_score)
-    else:  # simulated annealing
-        temperature = config.initial_temperature
-        for _ in range(config.max_steps):
-            moves = state.valid_moves()
+    tabu: deque[Move] = deque(maxlen=config.tabu_length)
+    temperature = config.initial_temperature
+    for _ in range(config.max_steps):
+        moves = state.valid_moves()
+        accept = True
+        if config.algorithm == "simulated_annealing":
             if not moves:
                 break
             move, delta = moves[rng.integers(len(moves))]
-            if delta >= 0 or rng.random() < math.exp(delta / temperature):
-                state.apply(move)
-                if state.total() > best_score:
-                    best_score = state.total()
-                    best_masks = list(state.masks)
+            # a NaN delta (between two -inf entries) draws and is rejected
+            accept = delta >= 0 or rng.random() < math.exp(delta / temperature)
             temperature *= config.cooling_factor
-            trail.append(best_score)
+        else:
+            # the first best move that improves (hill-climbing), or that is
+            # not tabu or beats the best score (tabu)
+            move, floor = None, 0.0 if config.algorithm == "hill_climb" else -math.inf
+            for candidate, d in moves:
+                if d > floor and (candidate not in tabu or state.total() + d > best_score):
+                    move, floor = candidate, d
+            if move is None:
+                break
+            if config.algorithm == "tabu":
+                tabu.append(_inverse(move))
+        if accept:
+            state.apply(move)
+            total = state.total()
+            # hill-climbing's best is its current total, which rounding may lower
+            if config.algorithm == "hill_climb" or total > best_score:
+                best_score, best_masks = total, list(state.masks)
+        trail.append(best_score)
 
     return RestartTrace(dag=dag_from_masks(cache.nodes, best_masks), score=best_score,
                         best_scores=tuple(trail))
@@ -255,20 +244,6 @@ def arc_frequency_matrix(dags: list[Dag]) -> np.ndarray:
     for d in dags:
         freq += d.adjacency
     return freq / len(dags)
-
-
-def check_support_mode(mode: str) -> None:
-    """Raise ConfigError unless ``mode`` is ``directed`` or ``undirected``."""
-    if mode not in ("directed", "undirected"):
-        raise ConfigError(f"unknown support mode {mode!r}")
-
-
-def arc_support(frequency, mode: str) -> np.ndarray:
-    """Support of each arc: its own frequency (directed), or the frequency of
-    both directions summed (undirected)."""
-    check_support_mode(mode)
-    frequency = np.asarray(frequency, dtype=float)
-    return frequency if mode == "directed" else frequency + frequency.T
 
 
 def majority_consensus(

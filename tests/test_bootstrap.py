@@ -7,7 +7,7 @@ from abnkit.dag import ConstraintSet, Dag, find_cycle
 from abnkit.data import standardize
 from abnkit.errors import AbnError, ConfigError, NodeSetMismatch
 from abnkit.glm import fit_dag
-from abnkit.heuristic import arc_frequency_matrix, arc_support
+from abnkit.heuristic import arc_frequency_matrix
 from abnkit.simulate import SimSpec, simulate_data
 
 from conftest import dag_from_arcs
@@ -36,15 +36,20 @@ class TestSupportMatrix:
     def test_single_dag_is_its_adjacency(self, asia_dag):
         directed = arc_frequency_matrix([asia_dag])
         assert np.array_equal(directed, asia_dag.adjacency.astype(float))
-        assert np.array_equal(arc_support(directed, "undirected"), directed + directed.T)
+        # no arc of a DAG has its reversal, so each undirected support is 1
+        assert prune_by_support(asia_dag, directed, 1.0, mode="undirected") == asia_dag
+        assert prune_by_support(asia_dag, directed, 1.0 + 1e-9,
+                                mode="undirected").n_arcs == 0
 
     def test_opposite_arcs(self):
         a = dag_from_arcs(("x", "y"), (("x", "y"),))
         b = dag_from_arcs(("x", "y"), (("y", "x"),))
         directed = arc_frequency_matrix([a, b])
-        undirected = arc_support(directed, "undirected")
         assert directed[1, 0] == directed[0, 1] == 0.5
-        assert undirected[1, 0] == undirected[0, 1] == 1.0
+        # undirected support sums both directions: 0.5 + 0.5
+        assert prune_by_support(a, directed, 0.5 + 1e-9, mode="directed").n_arcs == 0
+        assert prune_by_support(a, directed, 1.0, mode="undirected") == a
+        assert prune_by_support(a, directed, 1.0 + 1e-9, mode="undirected").n_arcs == 0
 
     def test_mismatched_nodes(self, asia_dag):
         with pytest.raises(NodeSetMismatch):
@@ -52,7 +57,7 @@ class TestSupportMatrix:
 
     def test_unknown_mode(self, asia_dag):
         with pytest.raises(ConfigError, match="unknown support mode 'bogus'"):
-            arc_support(arc_frequency_matrix([asia_dag]), "bogus")
+            prune_by_support(asia_dag, arc_frequency_matrix([asia_dag]), mode="bogus")
 
 
 class TestPrune:

@@ -309,6 +309,19 @@ def _fit_node_loop(ds: Dataset, cons: ConstraintSet):
     return scores, notes
 
 
+def _degraded_dataset(n_obs: int, seed: int) -> Dataset:
+    """Mixed nodes whose bayes fits degrade: g separates zsep, so some of its
+    fits stop unconverged, and the 1e160 column wild makes the binomial and
+    poisson fits that hold it non-finite and the gaussian fits fail."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=n_obs)
+    cols = np.column_stack([(g > 0).astype(float), g * 1e40, np.tile([0.0, 1e160], n_obs // 2),
+                            rng.poisson(np.exp(0.2 + 0.5 * g)).astype(float),
+                            (rng.random(n_obs) < 0.1).astype(float)])
+    return Dataset(names=("zsep", "huge", "wild", "cnt", "rare"), columns=cols,
+                   distributions=("binomial", "gaussian", "gaussian", "poisson", "binomial"))
+
+
 class TestStackedScoring:
     """Binomial and poisson bayes sets are fitted per node and cardinality in
     stacks of up to STACK_MAX_CELLS design numbers; each score is
@@ -330,6 +343,20 @@ class TestStackedScoring:
                 assert got == -np.inf, (i, mask)
             else:
                 assert abs(got - want) <= 1e-10 * abs(want), (i, mask, got, want)
+
+    def test_degraded_fits_are_fit_nodes(self):
+        # each stacked fit's own result is its entry: unconverged fits keep
+        # their score and note, non-finite evidences are -inf
+        ds = _degraded_dataset(30, 3)
+        cons = ConstraintSet(ds.names, max_parents=2)
+        cache = build_cache(ds, cons)
+        scores, notes = _fit_node_loop(ds, cons)
+        assert sorted(cache.diagnostics) == sorted(notes)
+        stacked_words = {word for i, _, word in notes if ds.distributions[i] != "gaussian"}
+        assert stacked_words == {"unconverged", "non-finite score"}
+        for (i, mask), want in scores.items():
+            got = cache.score(i, mask)
+            assert got == want if want == -np.inf else abs(got - want) <= 1e-10 * abs(want)
 
     def test_stack_as_wide_as_its_designs(self):
         # the 3-parent layer of a 5-node dataset stacks B = 4 designs of

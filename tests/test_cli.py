@@ -363,6 +363,17 @@ class TestOtherCommands:
         assert code == 0
         assert "n_arcs\t2" in capsys.readouterr().out
 
+    def test_record_files_pin_every_field(self, workspace, tmp_path):
+        dag = workspace / "true-dag.txt"
+        assert run(["info", dag, "--out", tmp_path / "info", "--jobs", "1"]) == 0
+        assert (tmp_path / "info" / "info.tsv").read_text() == (
+            "n_nodes\t3\nn_arcs\t2\navg_markov_blanket\t1.33333\n"
+            "avg_neighborhood\t1.33333\navg_parents\t0.666667\navg_children\t0.666667\n")
+        assert run(["compare", dag, dag, "--out", tmp_path / "cmp", "--jobs", "1"]) == 0
+        assert (tmp_path / "cmp" / "comparison.tsv").read_text() == (
+            "tpr\t1\nfpr\t0\naccuracy\t1\ng_measure\t1\nf1\t1\nppv\t1\n"
+            "false_omission_rate\t0\nhamming\t0\ntp\t2\nfp\t0\ntn\t4\nfn\t0\n")
+
     def test_missing_input_is_config_error(self, tmp_path, capsys):
         code = run(["info", tmp_path / "nope.txt", "--out", tmp_path, "--jobs", "1"])
         assert code == 1

@@ -1,10 +1,14 @@
+import math
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abnkit.cache import build_cache
-from abnkit.dag import ConstraintSet, Dag, descendants, find_cycle, row_masks
+from abnkit.dag import ConstraintSet, Dag, dag_from_masks, descendants, find_cycle, row_masks
 from abnkit.data import standardize
 from abnkit.errors import NodeSetMismatch
 from abnkit.exact import StructuralPrior, best_parents_table, dag_objective, most_probable_dag
@@ -12,6 +16,9 @@ from abnkit.heuristic import (
     HeuristicConfig,
     RestartTrace,
     SearchTrace,
+    _inverse,
+    _randomize_start,
+    _run_restart,
     _State,
     arc_frequency_matrix,
     heuristic_search,
@@ -211,6 +218,104 @@ class TestMovesMatchDfsOracle:
         assert fast == slow
         assert [r.best_scores for r in fast.restarts] == [r.best_scores for r in slow.restarts]
         assert len(fast.restarts[0].best_scores) > 5
+
+
+def oracle_restart(cache, tables, config, restart_index) -> RestartTrace:
+    """``_run_restart`` as one step loop per algorithm: the same start, the
+    same move choices and the same best-score updates, written out apart."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(restart_index,))
+    )
+    state = _State(tables, row_masks(cache.constraints.retained))
+    _randomize_start(state, rng)
+    best_score = state.total()
+    best_masks = list(state.masks)
+    trail = [best_score]
+    if config.algorithm == "hill_climb":
+        for _ in range(config.max_steps):
+            chosen, delta = None, 0.0
+            for move, d in state.valid_moves():
+                if d > delta:
+                    chosen, delta = move, d
+            if chosen is None:
+                break
+            state.apply(chosen)
+            best_score = state.total()  # follows the current total, even down
+            best_masks = list(state.masks)
+            trail.append(best_score)
+    elif config.algorithm == "tabu":
+        tabu = deque(maxlen=config.tabu_length)
+        for _ in range(config.max_steps):
+            moves = state.valid_moves()
+            current = state.total()
+            chosen, chosen_delta = None, -math.inf
+            for move, d in moves:
+                admissible = move not in tabu or current + d > best_score
+                if admissible and d > chosen_delta:
+                    chosen, chosen_delta = move, d
+            if chosen is None:
+                break
+            tabu.append(_inverse(chosen))
+            state.apply(chosen)
+            if state.total() > best_score:
+                best_score = state.total()
+                best_masks = list(state.masks)
+            trail.append(best_score)
+    else:
+        temperature = config.initial_temperature
+        for _ in range(config.max_steps):
+            moves = state.valid_moves()
+            if not moves:
+                break
+            move, delta = moves[rng.integers(len(moves))]
+            if delta >= 0 or rng.random() < math.exp(delta / temperature):
+                state.apply(move)
+                if state.total() > best_score:
+                    best_score = state.total()
+                    best_masks = list(state.masks)
+            temperature *= config.cooling_factor
+            trail.append(best_score)
+    return RestartTrace(dag=dag_from_masks(cache.nodes, best_masks), score=best_score,
+                        best_scores=tuple(trail))
+
+
+def holed_cache(n: int, rng: np.random.Generator):
+    """A random cache with about half of its non-empty parent sets at -inf,
+    so that a move between two of them has a NaN delta."""
+    cache = random_cache(n, rng, max_parents=int(rng.integers(1, n)))
+    scores = []
+    for masks, block in zip(cache.masks, cache.scores):
+        block = block.copy()
+        block[(masks > 0) & (rng.random(len(masks)) < 0.5)] = -np.inf
+        scores.append(block)
+    return replace(cache, scores=tuple(scores))
+
+
+class TestStepLoopMatchesOracle:
+    @pytest.mark.parametrize("algorithm", ["hill_climb", "tabu", "simulated_annealing"])
+    def test_restarts_equal_oracle_restarts(self, algorithm, monkeypatch):
+        valid_moves, n_nan = _State.valid_moves, []
+
+        def counted(state):
+            moves = valid_moves(state)
+            n_nan.append(sum(math.isnan(d) for _, d in moves))
+            return moves
+
+        monkeypatch.setattr(_State, "valid_moves", counted)
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            cache = holed_cache(int(rng.integers(2, 7)), rng)
+            tables = objective_tables(cache, UNIF, "mlik")
+            config = HeuristicConfig(algorithm=algorithm, max_steps=60, tabu_length=3,
+                                     seed=int(rng.integers(2**31)))
+            for k in range(2):
+                got = _run_restart(cache, tables, config, k)
+                want = oracle_restart(cache, tables, config, k)
+                assert got.dag == want.dag
+                assert got.score.hex() == want.score.hex()
+                assert [s.hex() for s in got.best_scores] == \
+                    [s.hex() for s in want.best_scores]
+        assert sum(n_nan) > 100  # moves between two failed entries were offered
 
 
 class TestConsensus:
