@@ -27,8 +27,8 @@ BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
 # Exceptions a single hard fit may raise; they mark that fit failed.
 FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
-# A node's binomial or poisson bayes parent sets of one cardinality are
-# fitted in stacks of as many as fit STACK_MAX_CELLS design numbers (512 KiB).
+# A node's bayes parent sets of one cardinality are fitted in stacks of as
+# many as fit STACK_MAX_CELLS design numbers (512 KiB).
 STACK_MAX_CELLS = 2**16
 # A fit's cache entry before its finiteness test: the scores, None for a
 # failed fit, and the diagnostic or status words.
@@ -184,15 +184,21 @@ def _fit_error(exc: Exception) -> Outcome:
 
 
 def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Outcome]:
-    """Outcomes of a binomial or poisson node's bayes fits, keyed by mask.
+    """Outcomes of a node's bayes fits, keyed by mask.
 
     The sets are fitted by :func:`~abnkit.glm.fit_bayes_stack`, one
     cardinality at a time, in stacks of up to STACK_MAX_CELLS design numbers
-    gathered from the dataset columns at once.  Each fit starts where
-    fit_node starts and so takes fit_node's iterates.
+    gathered from the dataset columns at once, in build_design's layout:
+    row-major gaussian blocks, column-major binomial and poisson ones.  Each
+    fit starts where fit_node starts and so takes fit_node's iterates.
     """
-    names, n_obs = ds.names, ds.n_obs
-    columns = np.ascontiguousarray(ds.columns.T)
+    names, n_obs, family = ds.names, ds.n_obs, ds.distributions[node]
+    gaussian = family == "gaussian"
+    # build_design's layout: a gaussian design is a row-major block and its
+    # response a view of the dataset column; binomial and poisson designs
+    # are column-major blocks, gathered as their (p, n) transposes
+    columns = ds.columns if gaussian else np.ascontiguousarray(ds.columns.T)
+    y = ds.column(names[node]) if gaussian else columns[node]
     by_name = sorted(range(len(names)), key=names.__getitem__)  # build_design's order
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
@@ -202,11 +208,18 @@ def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Ou
         width = max(1, STACK_MAX_CELLS // ((1 + size) * n_obs))
         for first in range(0, len(masks), width):
             chunk = masks[first:first + width]
-            parents = [[j for j in by_name if mask >> j & 1] for mask in chunk]
-            X = np.empty((len(chunk), 1 + size, n_obs))
-            X[:, 0] = 1.0
-            X[:, 1:] = columns[np.array(parents, dtype=np.intp).reshape(len(chunk), size)]
-            fit = fit_bayes_stack(X, columns[node], ds.distributions[node])
+            parents = np.array([[j for j in by_name if mask >> j & 1] for mask in chunk],
+                               dtype=np.intp).reshape(len(chunk), size)
+            if gaussian:
+                X = np.empty((len(chunk), n_obs, 1 + size))
+                X[:, :, 0] = 1.0
+                X[:, :, 1:] = columns[:, parents].transpose(1, 0, 2)
+            else:
+                X = np.empty((len(chunk), 1 + size, n_obs))
+                X[:, 0] = 1.0
+                X[:, 1:] = columns[parents]
+                X = X.transpose(0, 2, 1)
+            fit = fit_bayes_stack(X, y, family, names[node])
             for b, mask in enumerate(chunk):
                 error = fit.errors[b]
                 outcomes[mask] = _fit_error(error) if error is not None else (
@@ -239,7 +252,7 @@ def _score_one_node(
     block = np.full((len(node_masks), len(score_types)), -np.inf)
     notes: list[tuple[int, int, str]] = []
     stacked = {}
-    if method == "bayes" and ds.distributions[node] != "gaussian":
+    if method == "bayes":
         stacked = _stacked_fits(ds, node, node_masks)
     for k, mask in enumerate(node_masks):
         scores, words = stacked[mask] if stacked else _fit_one(ds, node, mask, method)

@@ -319,7 +319,8 @@ def build_design(ds: Dataset, child: str, parent_set: Sequence[str]) -> DesignMa
     # Gaussian designs keep a row-major block and a view of the response:
     # the layout changes the last bits of X @ theta, and ties between
     # Markov-equivalent gaussian pairs are broken on the last bits of their
-    # scores.
+    # scores.  The score cache stacks the same row-major blocks for the same
+    # reason.
     gaussian = family == "gaussian"
     block = np.ones((ds.n_obs, 1 + len(order)), order="C" if gaussian else "F")
     for k, p in enumerate(order, start=1):

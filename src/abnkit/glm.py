@@ -18,16 +18,14 @@ the log-prior of a bayes fit) of a stack of designs of one response, with
 its derivatives.  One Newton ascent with step halving, :func:`_ascend`,
 climbs a stack, each problem with its own halving and convergence test; its
 final state holds the log-likelihoods and its final curvatures are the
-information.  The MLE, Firth and gaussian fits are stacks of one.  The
-binomial and poisson bayes fits are :func:`fit_bayes_stack`: the score
-cache (:mod:`abnkit.cache`) fits a node's parent sets of one cardinality in
-stacks, and each stacked fit's own result is its cache entry, failed or
-unconverged fits included; :func:`fit_node` fits a stack of one.  A
-binomial or poisson evaluation's means, from
-:func:`families.loglik_mean`'s one ``exp``, pass on to the
-derivatives of the same iterate.  Binomial and poisson designs are
-column-major and gaussian ones row-major (see
-:func:`abnkit.data.build_design`).
+information.  The MLE and Firth fits are stacks of one.  Every bayes fit,
+of every family, is :func:`fit_bayes_stack`: the score cache
+(:mod:`abnkit.cache`) fits a node's parent sets of one cardinality in
+stacks, :func:`fit_node` fits a stack of one, and each problem's arithmetic
+is the same in both, so each stacked fit's own result, failed or
+unconverged fits included, is bit for bit fit_node's.  A binomial or poisson
+evaluation's means, from :func:`families.loglik_mean`'s one ``exp``, pass
+on to the derivatives of the same iterate.
 
 All scores are stored in larger-is-better orientation.
 """
@@ -44,15 +42,8 @@ from scipy.special import gammaln
 from . import families
 from .dag import Dag
 from .data import Dataset, DesignMatrix, build_design
-from .errors import (
-    AllPredictorsDropped,
-    ConfigError,
-    FitError,
-    NoObservations,
-    NonFiniteData,
-    NonPositiveDefiniteHessian,
-    RangeTooNarrow,
-)
+from .errors import (AllPredictorsDropped, ConfigError, FitError, NoObservations,
+                     NonFiniteData, NonPositiveDefiniteHessian, RangeTooNarrow)
 
 UNBOUNDED_COEF = 500.0
 NEWTON_MAX_ITER = 200
@@ -125,10 +116,8 @@ class FitResult:
 
     def format_lines(self, child: str) -> list[str]:
         """Human-readable coefficient block, one ``child|parent value`` line."""
-        lines = [
-            f"{child}|{label}\t{value:.6g}"
-            for label, value in zip(self.labels, self.coefficients)
-        ]
+        lines = [f"{child}|{label}\t{value:.6g}"
+                 for label, value in zip(self.labels, self.coefficients)]
         if self.gaussian_log_precision is not None:
             lines.append(f"{child}|precision\t{self.precision:.6g}")
         return lines
@@ -139,10 +128,13 @@ class FitResult:
 # --------------------------------------------------------------------------
 
 
-def _log_prior_log_precision(lam: float) -> float:
-    # Gamma(a, rate b) on tau, transformed to lam = log tau (includes Jacobian)
-    a, b = PRECISION_SHAPE, PRECISION_RATE
-    return a * math.log(b) - gammaln(a) + a * lam - b * math.exp(lam)
+def _precision(log_precision: float) -> float:
+    """``math.exp(log_precision)``, or inf where that overflows: the
+    objective is then not finite, and step halving rejects the iterate."""
+    try:
+        return math.exp(log_precision)
+    except OverflowError:
+        return math.inf
 
 
 class _Objective:
@@ -150,23 +142,27 @@ class _Objective:
     log-prior of a bayes fit, and its derivatives; ``priors=None`` gives an
     MLE fit's objective, the log-likelihood alone.
 
-    ``X`` is a (B, p, n) stack of binomial or poisson designs, each the
-    transpose of a column-major block, or one row-major (n, p) gaussian
-    design, a stack of one.  The per-fit constants (prior precision matrix,
-    gaussian ``X'X``, poisson ``log y!``) are built once.  ``params`` is
-    (B, P): the coefficients, then the gaussian log-precision unless it is
-    fixed.
+    ``X`` is a (B, n, p) stack of designs, each laid out as
+    :func:`~abnkit.data.build_design` lays it out: row-major gaussian
+    blocks, column-major binomial and poisson ones, which the objective uses
+    through ``Xt``, the transposed (B, p, n) view.  Each problem takes the
+    BLAS calls of a stack of one: a gemv for ``X @ theta`` and ``X'r``, a
+    syrk for a gaussian ``X'X``, a dot for ``r'r``; its precision is
+    ``math.exp`` of its own log-precision (inf where that overflows), and
+    its sums are ``np.add.reduce`` over its own row.  The per-fit constants (prior
+    precision matrix, gaussian ``X'X``, poisson ``log y!``) are built once.
+    ``params`` is (B, P): the coefficients, then the gaussian log-precision
+    unless it is fixed.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, family: str,
                  priors: PriorSpec | None = None):
-        self.X, self.family = X, family
+        self.X, self.Xt, self.family = X, X.transpose(0, 2, 1), family
         self.priors = priors
-        self.width = X.shape[1]
+        self.width = X.shape[2]
         gaussian = self.family == "gaussian"
-        # a stack's response is one row, shaped like each problem's eta
-        self.y = y if gaussian else y[None]
-        self.fixed_precision = None if priors is None else priors.fixed_precision
+        self.y = y[None]  # one row, shaped like each problem's eta
+        self.fixed_precision = None if priors is None or not gaussian else priors.fixed_precision
         self.free_precision = gaussian and self.fixed_precision is None
         if priors is None:  # the derivatives' prior terms are zeros
             self.coef_variance, self.prior_precision = math.inf, 0.0
@@ -177,15 +173,13 @@ class _Objective:
             # the N(0, v) coefficient log-prior is this minus |theta|^2 / 2v
             self.coef_norm = -0.5 * self.width * np.log(2.0 * np.pi * priors.coef_variance)
             self.shape, self.rate = PRECISION_SHAPE, PRECISION_RATE
-        self.gram = self.X.T @ self.X if gaussian else None
-        self.log_factorial = (families.log_y_factorial(self.y)
-                              if self.family == "poisson" else None)
+        self.gram = self.Xt @ self.X if gaussian else None
+        self.log_factorial = families.log_y_factorial(y) if family == "poisson" else None
 
     @classmethod
     def of(cls, design: DesignMatrix, priors: PriorSpec | None = None) -> _Objective:
         """The objective of one design, a stack of one."""
-        X = design.predictors if design.family == "gaussian" else design.predictors.T[None]
-        return cls(X, design.response, design.family, priors)
+        return cls(design.predictors[None], design.response, design.family, priors)
 
     def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(coefficients, log-precisions or None) of a stack of optimized vectors."""
@@ -193,60 +187,66 @@ class _Objective:
             return params[:, :self.width], params[:, self.width]
         return params, None
 
+    def precisions(self, log_precision: np.ndarray | None) -> np.ndarray:
+        """Each gaussian problem's precision tau, (B,)."""
+        if log_precision is None:
+            return np.full(len(self.X), self.fixed_precision)
+        return np.array([_precision(lam) for lam in log_precision.tolist()])
+
+    def linear(self, theta: np.ndarray) -> np.ndarray:
+        """Each problem's linear predictor ``X @ theta``, (B, n)."""
+        if self.family == "gaussian":
+            return (self.X @ theta[:, :, None])[:, :, 0]
+        return (theta[:, None, :] @ self.Xt)[:, 0]
+
     def evaluate(self, params: np.ndarray):
         """(objectives, state) at ``params``, as :func:`_ascend` takes them;
         the state is (log-likelihoods, eta, means), the means None for a
         gaussian node."""
         theta, log_precision = self.split(params)
-        mu = None
+        eta, mu = self.linear(theta), None
         if self.family == "gaussian":
-            eta = (self.X @ theta[0])[None]
-            tau = (self.fixed_precision if self.fixed_precision is not None
-                   else math.exp(log_precision[0]))
-            terms = families.loglik_terms("gaussian", self.y, eta, tau)
+            tau = self.precisions(log_precision)
+            terms = families.loglik_terms("gaussian", self.y, eta, tau[:, None])
         else:
-            eta = (theta[:, None, :] @ self.X)[:, 0]
             terms, mu = families.loglik_mean(self.family, self.y, eta, self.log_factorial)
         ll = np.add.reduce(terms, axis=1)
         joint = ll
         if self.priors is not None:
             sq = np.add.reduce(theta**2, axis=1)
             joint = ll + (self.coef_norm - 0.5 * sq / self.coef_variance)
-            if self.free_precision:
-                joint += _log_prior_log_precision(log_precision[0])
+            if self.free_precision:  # Gamma(a, rate b) on tau, as a density of log tau
+                a, b = self.shape, self.rate
+                joint += a * math.log(b) - gammaln(a) + a * log_precision - b * tau
         return joint, (ll, eta, mu)
 
     def grad_curvature(self, params: np.ndarray, state):
         """Gradients (B, P) and curvatures, the negative Hessians (B, P, P),
         of the objective at ``params``, whose :meth:`evaluate` state is
         ``state``."""
-        X, y, p = self.X, self.y, self.width
+        Xt, y, p = self.Xt, self.y, self.width
         _, eta, mu = state
         v = self.coef_variance
         if self.family == "gaussian":
-            (theta,), lam = self.split(params)
-            tau = math.exp(lam[0]) if self.free_precision else self.fixed_precision
-            r = y - eta[0]
-            xr = X.T @ r
-            coef_grad = tau * xr - theta / v
-            coef_curv = tau * self.gram + self.prior_precision
+            theta, lam = self.split(params)
+            tau = self.precisions(lam)
+            r = y - eta
+            xr = (Xt @ r[:, :, None])[:, :, 0]
+            coef_grad = tau[:, None] * xr - theta / v
+            coef_curv = tau[:, None, None] * self.gram + self.prior_precision
             if not self.free_precision:
-                return coef_grad[None], coef_curv[None]
-            rr = float(r @ r)
+                return coef_grad, coef_curv
+            rr = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
             a, b = self.shape, self.rate
-            grad = np.empty(p + 1)
-            grad[:p] = coef_grad
-            grad[p] = 0.5 * len(y) - 0.5 * tau * rr + a - b * tau
-            curv = np.empty((p + 1, p + 1))
-            curv[:p, :p] = coef_curv
-            cross = -tau * xr
-            curv[:p, p] = cross
-            curv[p, :p] = cross
-            curv[p, p] = 0.5 * tau * rr + b * tau
-            return grad[None], curv[None]
+            grad = np.column_stack([coef_grad, 0.5 * y.shape[1] - 0.5 * tau * rr + a - b * tau])
+            curv = np.empty((len(params), p + 1, p + 1))
+            curv[:, :p, :p] = coef_curv
+            curv[:, :p, p] = curv[:, p, :p] = -tau[:, None] * xr
+            curv[:, p, p] = 0.5 * tau * rr + b * tau
+            return grad, curv
         w = families.irls_weights(self.family, mu)
-        grad = (X @ (y - mu)[:, :, None])[:, :, 0]
-        curv = X @ (X * w[:, None, :]).transpose(0, 2, 1)
+        grad = (Xt @ (y - mu)[:, :, None])[:, :, 0]
+        curv = Xt @ (Xt * w[:, None, :]).transpose(0, 2, 1)
         if self.priors is None:
             return grad, curv
         return grad - params / v, curv + self.prior_precision
@@ -261,7 +261,24 @@ class _Diverged(FitError):
     pass
 
 
-def _ascend(value, derivatives, params: np.ndarray):
+def _solve(a: np.ndarray, b: np.ndarray):
+    """Solutions (B, P) of a stack of systems ``a x = b``, ``a`` (B, P, P)
+    and ``b`` (B, P), each by the LAPACK call of a stack of one, and each
+    system's LinAlgError or None; a singular system's solution is 0."""
+    try:
+        # a (B, P, 1) right-hand side: NumPy 2 solves a (B, P) one as one matrix
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], [None] * len(b)
+    except np.linalg.LinAlgError:  # find the singular systems
+        x, errors = np.zeros_like(b), [None] * len(b)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(a[k:k + 1], b[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError as exc:
+                errors[k] = exc
+        return x, errors
+
+
+def _ascend(value, derivatives, params: np.ndarray, live: list[int] | None = None):
     """Newton ascent with step halving of a stack of B problems from
     ``params`` (B, P): (params, objectives, state, curvatures) at the final
     params, and lists of which problems converged and which met singular
@@ -269,14 +286,16 @@ def _ascend(value, derivatives, params: np.ndarray):
     ``derivatives(params, state)`` the gradients (B, P) and the curvatures
     (B, P, P): negative Hessians or positive definite stand-ins.
 
-    Each problem halves its own step and stops on its own, keeping its
-    params from then on: converged at max|grad| < NEWTON_GRAD_TOL or a step
-    below 1e-10; after 40 halvings without ascent, or NEWTON_MAX_ITER steps,
-    converged iff max|grad| < 1e-4; unconverged at singular curvature.
+    Each problem in ``live`` (all by default) halves its own step and stops
+    on its own, keeping its params from then on: converged at max|grad| <
+    NEWTON_GRAD_TOL or a step below 1e-10; after 40 halvings without ascent,
+    or NEWTON_MAX_ITER steps, converged iff max|grad| < 1e-4; unconverged at
+    singular curvature.  The other problems keep their params, unconverged.
     """
     f_old, state = value(params)
     n = len(params)
-    live, converged, singular = list(range(n)), [False] * n, [False] * n
+    live = list(range(n)) if live is None else live
+    converged, singular = [False] * n, [False] * n
     for _ in range(NEWTON_MAX_ITER):
         grad, curv = derivatives(params, state)
         gmax = np.abs(grad).max(axis=1).tolist()
@@ -285,20 +304,14 @@ def _ascend(value, derivatives, params: np.ndarray):
         live = [b for b in live if not converged[b]]
         if not live:
             break
-        try:
-            # a (B, P, 1) right-hand side: NumPy 2 solves a (B, P) one as one matrix
-            if len(live) == n:
-                step = np.linalg.solve(curv, grad[:, :, None])[:, :, 0]
-            else:  # stopped problems take no step
-                step = np.zeros_like(grad)
-                step[live] = np.linalg.solve(curv[live], grad[live, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # find the singular problems
+        if len(live) == n:
+            step, failed = _solve(curv, grad)
+        else:  # stopped problems take no step
             step = np.zeros_like(grad)
-            for b in live:
-                try:
-                    step[b] = np.linalg.solve(curv[b], grad[b])
-                except np.linalg.LinAlgError:
-                    singular[b] = True
+            step[live], failed = _solve(curv[live], grad[live])
+        if any(failed):
+            for b, error in zip(live, failed):
+                singular[b] = error is not None
             live = [b for b in live if not singular[b]]
             if not live:
                 break
@@ -472,99 +485,97 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
         label, design, fit = best
         dropped.append(label)
     if design.width == 1 and not math.isfinite(fit.log_likelihood):
-        raise AllPredictorsDropped(
-            f"node {design.child!r}: every predictor was removed and the "
-            "intercept-only fallback is still non-finite"
-        )
+        raise AllPredictorsDropped(f"node {design.child!r}: every predictor was removed and "
+                                   "the intercept-only fallback is still non-finite")
     return replace(fit, dropped_predictors=tuple(dropped))
 
 
 class BayesStack(NamedTuple):
-    """Bayes fits of a stack of B designs: the modes (B, p), log-likelihoods
-    (B,), negative Hessians (B, p, p) and Laplace log-evidences (B,), whether
-    each fit converged, and the error that failed it or None."""
+    """Bayes fits of a stack of B designs: the coefficient modes (B, p), the
+    gaussian log-precisions (B,) or None, log-likelihoods (B,), negative
+    Hessians (B, P, P) in the optimized parameters and Laplace log-evidences
+    (B,), whether each fit converged, and the error that failed it or None."""
 
     modes: np.ndarray
+    log_precisions: np.ndarray | None
     log_likelihoods: np.ndarray
     neg_hessians: np.ndarray
     mliks: np.ndarray
     converged: list[bool]
-    errors: list[FitError | None]
+    errors: list[Exception | None]
 
 
-def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str,
+def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str, child: str,
                     priors: PriorSpec = PriorSpec()) -> BayesStack:
-    """Bayes fits of a stack of binomial or poisson designs of one response
-    ``y`` by one Newton ascent, each from the intercept at the link of the
-    clamped mean response, with 0 slopes.
+    """Bayes fits of a stack of designs of node ``child``'s response ``y``
+    by one Newton ascent.
 
-    ``X`` is (B, p, n), each design the transpose of its column-major
-    :func:`~abnkit.data.build_design` block.  A fit fails on singular
-    curvature or a negative Hessian at its mode that is not positive
-    definite; :func:`fit_node` fits a stack of one and raises its error.
+    ``X`` is (B, n, p), each design laid out as
+    :func:`~abnkit.data.build_design` lays it out (see :class:`_Objective`),
+    so that each fit takes the iterates and the last bits of a stack of one.
+    A binomial or poisson fit starts from the intercept at the link of the
+    clamped mean response, with 0 slopes; a gaussian fit from
+    ``solve(X'X + I/v, X'y)`` and a free log-precision of
+    ``log(n / max(RSS, 1e-12))``, which needs a finite RSS.  A fit fails
+    when its start does, on singular curvature, or when its negative Hessian
+    at the mode is not positive definite; :func:`fit_node` fits a stack of
+    one and raises its error.
     """
-    post = _Objective(X, y, family, priors)
-    mean_y = float(np.mean(y))
-    params = np.zeros(X.shape[:2])
-    if family == "binomial":
-        params[:, 0] = families.link(family, min(max(mean_y, 1e-3), 1 - 1e-3))
-    else:
-        params[:, 0] = math.log(max(mean_y, 1e-8))
     # overflow/underflow is detected explicitly via finiteness checks
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        params, joint, (ll, _, _), neg_h, converged, singular = _ascend(
-            post.evaluate, post.grad_curvature, params)
-        errors = [_Diverged("singular curvature") if s else None for s in singular]
+        post = _Objective(X, y, family, priors)
+        p = post.width
+        params = np.zeros((len(X), p + post.free_precision))
+        errors: list[Exception | None] = [None] * len(X)
+        if family == "gaussian":
+            params[:, :p], errors = _solve(post.gram + post.prior_precision,
+                                           (post.Xt @ y[:, None])[:, :, 0])
+        elif family == "binomial":
+            params[:, 0] = families.link(family, min(max(float(np.mean(y)), 1e-3), 1 - 1e-3))
+        else:
+            params[:, 0] = math.log(max(float(np.mean(y)), 1e-8))
+        if post.free_precision:
+            rss = np.add.reduce((post.y - post.linear(params[:, :p])) ** 2, axis=1)
+            for b, value in enumerate(rss.tolist()):
+                if math.isfinite(value):
+                    params[b, p] = math.log(len(y) / max(value, 1e-12))
+                else:
+                    errors[b] = errors[b] or FitError(
+                        f"node {child!r}: the residual sum of squares overflows")
+        params, joint, (ll, eta, _), neg_h, converged, singular = _ascend(
+            post.evaluate, post.grad_curvature, params,
+            [b for b, error in enumerate(errors) if error is None])
+        errors = [_Diverged("singular curvature") if s and e is None else e
+                  for e, s in zip(errors, singular)]
+        theta, lam = post.split(params)
+        if post.fixed_precision is not None:
+            lam = np.full(len(params), float(np.log(post.fixed_precision)))
+            # the reported likelihood uses exp(log tau), not tau itself
+            terms = families.loglik_terms(family, post.y, eta, math.exp(lam[0]))
+            ll = np.add.reduce(terms, axis=1)
         try:
-            mlik = _laplace(joint, X.shape[1], neg_h)
+            mlik = _laplace(joint, params.shape[1], neg_h)
         except NonPositiveDefiniteHessian:  # find the fits it failed
             mlik = np.full(len(joint), np.nan)
             for b, error in enumerate(errors):
                 try:
-                    mlik[b] = _laplace(joint[b], X.shape[1], neg_h[b])
+                    mlik[b] = _laplace(joint[b:b + 1], params.shape[1], neg_h[b:b + 1])[0]
                 except NonPositiveDefiniteHessian as exc:
                     errors[b] = error or exc
-    return BayesStack(params, ll, neg_h, mlik, converged, errors)
+    return BayesStack(theta, lam, ll, neg_h, mlik, converged, errors)
 
 
 def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    X, y, fam = design.predictors, design.response, design.family
-    if fam != "gaussian":
-        fit = fit_bayes_stack(X.T[None], y, fam, priors)
-        if fit.errors[0] is not None:
-            raise fit.errors[0]
-        theta, ll, neg_h, lam = fit.modes[0], fit.log_likelihoods[0], fit.neg_hessians[0], None
-        mlik, converged = fit.mliks[0], fit.converged[0]
-    else:
-        post = _Objective.of(design, priors)
-        p = post.width
-        params = np.zeros(p + (1 if post.free_precision else 0))
-        params[:p] = np.linalg.solve(post.gram + post.prior_precision, X.T @ y)
-        if post.free_precision:
-            rss = float(np.sum((y - X @ params[:p]) ** 2))
-            if not math.isfinite(rss):
-                raise FitError(f"node {design.child!r}: the residual sum of squares overflows")
-            params[p] = math.log(len(y) / max(rss, 1e-12))
-        params, joint, (ll, eta, _), neg_h, converged = _ascend_one(
-            post.evaluate, post.grad_curvature, params)
-        theta, lam, ll = params[:p], (float(params[p]) if post.free_precision else None), ll[0]
-        if lam is None:
-            lam = float(np.log(priors.fixed_precision))
-            # the reported likelihood uses exp(log tau), not tau itself
-            ll = np.sum(families.loglik_terms(fam, y, eta[0], math.exp(lam)))
-        mlik = _laplace(joint, len(params), neg_h)
-    return FitResult(
-        labels=design.labels,
-        coefficients=theta,
-        family=fam,
-        method="bayes",
-        n_obs=design.n_obs,
-        log_likelihood=float(ll),
-        neg_hessian=neg_h,
-        gaussian_log_precision=lam,
-        mlik=float(mlik),
-        converged=converged,
-    )
+    fit = fit_bayes_stack(design.predictors[None], design.response, design.family,
+                          design.child, priors)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    lam = None if fit.log_precisions is None else float(fit.log_precisions[0])
+    return FitResult(labels=design.labels, coefficients=fit.modes[0], family=design.family,
+                     method="bayes", n_obs=design.n_obs,
+                     log_likelihood=float(fit.log_likelihoods[0]),
+                     neg_hessian=fit.neg_hessians[0], gaussian_log_precision=lam,
+                     mlik=float(fit.mliks[0]), converged=fit.converged[0])
 
 
 # --------------------------------------------------------------------------
@@ -572,11 +583,8 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
 # --------------------------------------------------------------------------
 
 
-def fit_node(
-    design: DesignMatrix,
-    method: str = "bayes",
-    priors: PriorSpec = PriorSpec(),
-) -> FitResult:
+def fit_node(design: DesignMatrix, method: str = "bayes",
+             priors: PriorSpec = PriorSpec()) -> FitResult:
     """Fit one node's regression, in the design's family, by the requested
     method.
 
@@ -614,8 +622,7 @@ def _spd_logdet(matrix: np.ndarray):
         chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise NonPositiveDefiniteHessian(
-            "negative Hessian is not positive definite at the reported mode"
-        )
+            "negative Hessian is not positive definite at the reported mode")
     return 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
 
 
@@ -707,15 +714,7 @@ def marginal_densities(fit: FitResult, n_grid: int = 1000) -> list[ParamDensity]
                 f"density of {label!r} has not vanished at +/-{RANGE_SD} sd"
             )
         area = float(np.trapezoid(density, grid))
-        out.append(
-            ParamDensity(
-                label=label,
-                grid=grid,
-                density=density,
-                probabilities=density / density.sum(),
-                area=area,
-                mode=float(mode),
-                sd=sd,
-            )
-        )
+        out.append(ParamDensity(label=label, grid=grid, density=density,
+                                probabilities=density / density.sum(), area=area,
+                                mode=float(mode), sd=sd))
     return out

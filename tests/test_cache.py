@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import abnkit.cache
 import abnkit.glm
@@ -19,8 +21,10 @@ from abnkit.errors import CacheMismatch, UnenumeratedParentSet
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
 from abnkit.glm import fit_node
+from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
-from conftest import gaussian_chain_dataset, mixed_dataset
+from conftest import (CASE_STUDY_ARCS, CASE_STUDY_DISTS, CASE_STUDY_NODES, dag_from_arcs,
+                      gaussian_chain_dataset, mixed_dataset)
 
 
 class TestEnumerate:
@@ -143,6 +147,22 @@ class TestBuildCache:
         assert not any("math domain error" in word for word in words)
         assert words == {f"FitError: node {name!r}: the residual sum of squares overflows"
                          for name in "abcd"}
+
+    def test_overflowing_precision_is_not_a_crash(self):
+        # huge ~ 1e40 * big: the precision of huge|{big} runs past exp's range,
+        # which once raised OverflowError out of build_cache (28 of these seeds)
+        for seed in range(40):
+            g = np.random.default_rng(seed).normal(size=30)
+            ds = Dataset(names=("big", "huge"), columns=np.column_stack([1e8 * g, 1e40 * g]),
+                         distributions=("gaussian", "gaussian"))
+            cache = build_cache(ds)
+            noted = {(i, mask) for i, mask, _ in cache.diagnostics}
+            for i, mask in ((0, 0), (0, 2), (1, 0), (1, 1)):
+                score = cache.score(i, mask)
+                assert math.isfinite(score) or (i, mask) in noted, (seed, i, mask)
+            scores, notes = _fit_node_loop(ds, ConstraintSet(ds.names))
+            assert sorted(cache.diagnostics) == sorted(notes)
+            _assert_bit_equal(cache, scores)
 
     def test_pruned_fit_is_a_failed_entry(self):
         """A fit that drops a predictor scores the kept design, not the parent
@@ -289,10 +309,11 @@ def _hard_dataset(n_obs: int, seed: int) -> Dataset:
                                   "gaussian", "binomial"))
 
 
-def _fit_node_loop(ds: Dataset, cons: ConstraintSet):
-    """The bayes scores and notes of one fit_node call per parent set."""
+def _fit_node_loop(ds: Dataset, cons: ConstraintSet, nodes=None):
+    """The bayes scores and notes of one fit_node call per parent set, of
+    every node or of those in ``nodes``."""
     scores, notes = {}, []
-    for i in range(len(ds.names)):
+    for i in range(len(ds.names)) if nodes is None else nodes:
         for mask in enumerate_parent_sets(i, cons):
             try:
                 fit = fit_node(design_for_mask(ds, i, mask))
@@ -309,6 +330,55 @@ def _fit_node_loop(ds: Dataset, cons: ConstraintSet):
     return scores, notes
 
 
+def _assert_bit_equal(cache, scores):
+    """Each cached score is the fit_node loop's, to the last bit."""
+    for (i, mask), want in scores.items():
+        assert cache.score(i, mask).hex() == float(want).hex(), (i, mask)
+
+
+def _case_study_data(n_obs: int, seed: int) -> Dataset:
+    """Standardized data in the pig-growth case study's layout: five binomial
+    nodes, one poisson and two gaussian (age, adg) on its ten arcs."""
+    dag = dag_from_arcs(CASE_STUDY_NODES, CASE_STUDY_ARCS)
+    coefficients = {node: {"(Intercept)": 0.1, **{p: 0.7 for p in dag.parents(node)}}
+                    for node in dag.nodes}
+    sd = {node: 1.0 for node, family in CASE_STUDY_DISTS.items() if family == "gaussian"}
+    return standardize(simulate_data(SimSpec(dag=dag, families=dict(CASE_STUDY_DISTS),
+                                             coefficients=coefficients, sd=sd,
+                                             n_obs=n_obs, seed=seed)))
+
+
+def _criterion7_data(n_obs: int, seed: int) -> Dataset:
+    """Standardized data of acceptance criterion 7's ten-node network, whose
+    families cycle gaussian, binomial, poisson."""
+    rng = np.random.default_rng(2024)
+    dag = simulate_dag(10, 0.25, seed=77)
+    families = {node: ("gaussian", "binomial", "poisson")[i % 3]
+                for i, node in enumerate(dag.nodes)}
+    coefficients = {node: {"(Intercept)": 0.1, **{
+        p: float(rng.uniform(0.6, 1.2) * rng.choice([-1, 1])) for p in dag.parents(node)}}
+        for node in dag.nodes}
+    sd = {node: 1.0 for node, family in families.items() if family == "gaussian"}
+    return standardize(simulate_data(SimSpec(dag=dag, families=families,
+                                             coefficients=coefficients, sd=sd,
+                                             n_obs=n_obs, seed=seed)))
+
+
+def _gaussian_edge_dataset() -> Dataset:
+    """Gaussian nodes at the edges of the gaussian fit: dup copies g, near is
+    3g plus 1e-6 noise (R^2 > 1 - 1e-10 on g), the 1e160 column wild
+    overflows the residual sum of squares, and big and big2, 1e100 g and
+    2e100 g, make singular starts, unconverged fits and curvatures that are
+    not positive definite, each in a stack with finite fits."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=40)
+    cols = np.column_stack([g, g.copy(), 3.0 * g + 1e-6 * rng.normal(size=40),
+                            np.tile([0.0, 1e160], 20), 1e100 * g, 2e100 * g,
+                            rng.normal(size=40)])
+    return Dataset(names=("g", "dup", "near", "wild", "big", "big2", "z"), columns=cols,
+                   distributions=("gaussian",) * 7)
+
+
 def _degraded_dataset(n_obs: int, seed: int) -> Dataset:
     """Mixed nodes whose bayes fits degrade: g separates zsep, so some of its
     fits stop unconverged, and the 1e160 column wild makes the binomial and
@@ -322,10 +392,40 @@ def _degraded_dataset(n_obs: int, seed: int) -> Dataset:
                    distributions=("binomial", "gaussian", "gaussian", "poisson", "binomial"))
 
 
+@st.composite
+def _gaussian_heavy_datasets(draw):
+    """Small datasets with at least two gaussian nodes at scales from 1e-150
+    to 1e150, some exact or near multiples of another gaussian column, some
+    constant, and maybe a binomial node."""
+    n_obs = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["normal", "normal", *draw(st.lists(
+        st.sampled_from(["normal", "copy", "near", "constant", "binomial"]), max_size=3))]
+    cols, dists = [], []
+    for kind in kinds:
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        gaussian = [c for c, d in zip(cols, dists) if d == "gaussian"]
+        if kind == "binomial":
+            cols.append((rng.random(n_obs) < 0.5).astype(float))
+        elif kind == "constant":
+            cols.append(np.full(n_obs, scale * rng.normal()))
+        elif kind == "normal":
+            cols.append(scale * rng.normal(size=n_obs))
+        else:  # an exact or a near multiple of an earlier gaussian column
+            base = gaussian[draw(st.integers(0, len(gaussian) - 1))]
+            col = base * 10.0 ** draw(st.integers(-5, 5))
+            if kind == "near":
+                col = col + 1e-8 * np.abs(col).max() * rng.normal(size=n_obs)
+            cols.append(col)
+        dists.append("binomial" if kind == "binomial" else "gaussian")
+    return Dataset(names=tuple(f"v{k}" for k in range(len(cols))),
+                   columns=np.column_stack(cols), distributions=tuple(dists))
+
+
 class TestStackedScoring:
-    """Binomial and poisson bayes sets are fitted per node and cardinality in
-    stacks of up to STACK_MAX_CELLS design numbers; each score is
-    fit_node's."""
+    """A node's bayes sets, of every family, are fitted per cardinality in
+    stacks of up to STACK_MAX_CELLS design numbers; each score is fit_node's
+    to the last bit, and each note is fit_node's."""
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])
@@ -337,26 +437,54 @@ class TestStackedScoring:
         cache = build_cache(ds, cons)
         scores, notes = _fit_node_loop(ds, cons)
         assert sorted(cache.diagnostics) == sorted(notes)
-        for (i, mask), want in scores.items():
-            got = cache.score(i, mask)
-            if want == -np.inf:
-                assert got == -np.inf, (i, mask)
-            else:
-                assert abs(got - want) <= 1e-10 * abs(want), (i, mask, got, want)
+        _assert_bit_equal(cache, scores)
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
+    @pytest.mark.parametrize("data", [
+        lambda: _case_study_data(341, 1),
+        lambda: _case_study_data(341, 2),
+        lambda: _case_study_data(341, 3),
+        lambda: _criterion7_data(1000, 1),
+    ], ids=["case-study-341-s1", "case-study-341-s2", "case-study-341-s3", "criterion7-1000"])
+    def test_gaussian_scores_are_fit_nodes(self, monkeypatch, data, pairs):
+        ds = data()
+        if pairs:
+            monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * ds.n_obs)
+        cons = ConstraintSet(ds.names, max_parents=3)
+        cache = build_cache(ds, cons)
+        gaussian = [i for i, family in enumerate(ds.distributions) if family == "gaussian"]
+        scores, notes = _fit_node_loop(ds, cons, gaussian)
+        assert notes == [] and not any(i in gaussian for i, _, _ in cache.diagnostics)
+        _assert_bit_equal(cache, scores)
+
+    def test_gaussian_edge_cases_are_fit_nodes(self):
+        ds = _gaussian_edge_dataset()
+        cons = ConstraintSet(ds.names, max_parents=2)
+        cache = build_cache(ds, cons)
+        scores, notes = _fit_node_loop(ds, cons)
+        assert sorted(cache.diagnostics) == sorted(notes)
+        _assert_bit_equal(cache, scores)
+        assert {word.partition(":")[0] for _, _, word in notes} == {
+            "unconverged", "FitError", "NonPositiveDefiniteHessian", "LinAlgError"}
+        assert (0, 8, "FitError: node 'g': the residual sum of squares overflows") in notes
+        tame = 0b1000111  # g, dup, near and z: their fits among themselves are finite
+        for (i, mask), score in scores.items():
+            assert math.isfinite(score) or not (tame >> i & 1 and mask & tame == mask), (i, mask)
 
     def test_degraded_fits_are_fit_nodes(self):
         # each stacked fit's own result is its entry: unconverged fits keep
-        # their score and note, non-finite evidences are -inf
+        # their score and note, non-finite evidences are -inf, and a gaussian
+        # fit whose residuals overflow fails in a stack of finite fits
         ds = _degraded_dataset(30, 3)
         cons = ConstraintSet(ds.names, max_parents=2)
         cache = build_cache(ds, cons)
         scores, notes = _fit_node_loop(ds, cons)
         assert sorted(cache.diagnostics) == sorted(notes)
-        stacked_words = {word for i, _, word in notes if ds.distributions[i] != "gaussian"}
-        assert stacked_words == {"unconverged", "non-finite score"}
-        for (i, mask), want in scores.items():
-            got = cache.score(i, mask)
-            assert got == want if want == -np.inf else abs(got - want) <= 1e-10 * abs(want)
+        overflow = "FitError: node {!r}: the residual sum of squares overflows"
+        assert {word for _, _, word in notes} == {
+            "unconverged", "non-finite score", overflow.format("huge"), overflow.format("wild")}
+        assert any(math.isfinite(scores[1, mask]) for mask in (1, 8, 16))  # huge's finite fits
+        _assert_bit_equal(cache, scores)
 
     def test_stack_as_wide_as_its_designs(self):
         # the 3-parent layer of a 5-node dataset stacks B = 4 designs of
@@ -375,12 +503,9 @@ class TestStackedScoring:
         cache = build_cache(ds, cons)
         scores, notes = _fit_node_loop(ds, cons)
         assert notes == [] and cache.diagnostics == ()
-        for i in (2, 3, 4):
-            layer = [m for m in enumerate_parent_sets(i, cons) if m.bit_count() == 3]
-            assert len(layer) == 4
-            for mask in layer:
-                want = scores[i, mask]
-                assert abs(cache.score(i, mask) - want) <= 1e-10 * abs(want)
+        for i in range(5):
+            assert len([m for m in enumerate_parent_sets(i, cons) if m.bit_count() == 3]) == 4
+        _assert_bit_equal(cache, scores)
 
     @pytest.mark.parametrize("n_obs", [200, 5000],
                              ids=["one-stack-per-layer", "several-stacks-per-layer"])
@@ -389,6 +514,28 @@ class TestStackedScoring:
         cons = ConstraintSet(ds.names, max_parents=2)
         serial = cache_to_text(build_cache(ds, cons, jobs=1))
         assert serial == cache_to_text(build_cache(ds, cons, jobs=2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_gaussian_heavy_datasets())
+    # found by this test while a gaussian precision could overflow math.exp
+    # and crash build_cache: three rows, where some fits leave no residual
+    @example(Dataset(names=("v0", "v1", "v2"),
+                     columns=np.array([[-0.24, 3.3e99, 0.0], [0.023, -1.7e100, 1.0],
+                                       [-0.19, -1.2e100, 1.0]]),
+                     distributions=("gaussian", "gaussian", "binomial")))
+    @example(Dataset(names=("v0", "v1", "v2"),
+                     columns=np.array([[0.68, -0.4, -8.7e99], [0.13, 2.5, 7.7e99],
+                                       [1.2, 0.42, -1.1e98]]),
+                     distributions=("gaussian",) * 3))
+    def test_gaussian_heavy_caches_are_fit_nodes(self, ds):
+        cons = ConstraintSet(ds.names, max_parents=2)
+        cache = build_cache(ds, cons)
+        scores, notes = _fit_node_loop(ds, cons)
+        assert sorted(cache.diagnostics) == sorted(notes)
+        noted = {(i, mask) for i, mask, _ in notes}
+        for (i, mask), score in scores.items():
+            assert math.isfinite(score) or (score == -np.inf and (i, mask) in noted)
+        _assert_bit_equal(cache, scores)
 
 
 class TestRestrict:
