@@ -2,9 +2,11 @@
 
 For every node, all parent sets compatible with the constraints (retained
 subset, banned excluded, cardinality limit) are enumerated as bitmasks over
-the node index order and scored once.  The cache is the single input of both
-search backends; a dataset fingerprint guards against scoring one dataset
-and searching another.
+the node index order and scored once: a node's bayes sets in stacks of one
+cardinality, laid out by :func:`~abnkit.data.design_stack`, its MLE sets by
+one :func:`~abnkit.glm.fit_node` each.  The cache is the single input of
+both search backends; a dataset fingerprint guards against scoring one
+dataset and searching another.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .dag import ConstraintSet, Dag
-from .data import Dataset, design_for_mask
-from .errors import AbnError, CacheMismatch, UnenumeratedParentSet
+from .data import Dataset, design_for_mask, design_stack
+from .errors import AbnError, CacheMismatch, ConfigError, UnenumeratedParentSet
 from .families import FAMILIES
 from .formula import parse_formula, render_formula
 from .glm import fit_bayes_stack, fit_node, frequentist_scores
@@ -44,6 +46,8 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, run in ``min(jobs, len(tasks))``
     worker processes when that is more than one; results keep the task order
     either way."""
+    if jobs < 1:
+        raise ConfigError(f"need at least one worker process, got {jobs}")
     jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -188,38 +192,23 @@ def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Ou
 
     The sets are fitted by :func:`~abnkit.glm.fit_bayes_stack`, one
     cardinality at a time, in stacks of up to STACK_MAX_CELLS design numbers
-    gathered from the dataset columns at once, in build_design's layout:
-    row-major gaussian blocks, column-major binomial and poisson ones.  Each
-    fit starts where fit_node starts and so takes fit_node's iterates.
+    laid out by :func:`~abnkit.data.design_stack`.  Each fit starts where
+    fit_node starts and so takes fit_node's iterates.
     """
-    names, n_obs, family = ds.names, ds.n_obs, ds.distributions[node]
-    gaussian = family == "gaussian"
-    # build_design's layout: a gaussian design is a row-major block and its
-    # response a view of the dataset column; binomial and poisson designs
-    # are column-major blocks, gathered as their (p, n) transposes
-    columns = ds.columns if gaussian else np.ascontiguousarray(ds.columns.T)
-    y = ds.column(names[node]) if gaussian else columns[node]
-    by_name = sorted(range(len(names)), key=names.__getitem__)  # build_design's order
+    names, family = ds.names, ds.distributions[node]
+    order = np.array(sorted(range(len(names)), key=names.__getitem__))  # design_stack's order
+    shifts = order.astype(np.uint64)
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
     outcomes = {}
     for size, masks in layers.items():
-        width = max(1, STACK_MAX_CELLS // ((1 + size) * n_obs))
+        width = max(1, STACK_MAX_CELLS // ((1 + size) * ds.n_obs))
         for first in range(0, len(masks), width):
             chunk = masks[first:first + width]
-            parents = np.array([[j for j in by_name if mask >> j & 1] for mask in chunk],
-                               dtype=np.intp).reshape(len(chunk), size)
-            if gaussian:
-                X = np.empty((len(chunk), n_obs, 1 + size))
-                X[:, :, 0] = 1.0
-                X[:, :, 1:] = columns[:, parents].transpose(1, 0, 2)
-            else:
-                X = np.empty((len(chunk), 1 + size, n_obs))
-                X[:, 0] = 1.0
-                X[:, 1:] = columns[parents]
-                X = X.transpose(0, 2, 1)
-            fit = fit_bayes_stack(X, y, family, names[node])
+            bits = np.array(chunk, dtype=np.uint64)[:, None] >> shifts & 1
+            parents = order[np.nonzero(bits)[1]].reshape(len(chunk), size)
+            fit = fit_bayes_stack(*design_stack(ds, node, parents), family, names[node])
             for b, mask in enumerate(chunk):
                 error = fit.errors[b]
                 outcomes[mask] = _fit_error(error) if error is not None else (
@@ -227,15 +216,13 @@ def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Ou
     return outcomes
 
 
-def _fit_one(ds: Dataset, node: int, mask: int, method: str) -> Outcome:
-    """The outcome of one :func:`fit_node` fit."""
+def _fit_one(ds: Dataset, node: int, mask: int) -> Outcome:
+    """The outcome of one MLE :func:`fit_node` fit."""
     design = design_for_mask(ds, node, mask)
     try:
-        fit = fit_node(design, method=method)
+        fit = fit_node(design, method="mle")
         if fit.dropped_predictors:  # the kept design's score is not this parent set's
             return None, fit.status()[:1]
-        if method == "bayes":
-            return (fit.mlik,), fit.status()
         fs = frequentist_scores(fit, ds.n_obs, len(ds.names) - 1)
         return (fs.loglik, fs.aic, fs.bic, fs.mdl), fit.status()
     except FIT_ERRORS as exc:
@@ -243,19 +230,16 @@ def _fit_one(ds: Dataset, node: int, mask: int, method: str) -> Outcome:
 
 
 def _score_one_node(
-    ds: Dataset,
-    node: int,
-    node_masks: list[int],
-    method: str,
-    score_types: tuple[str, ...],
+    ds: Dataset, node: int, node_masks: list[int], method: str
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
-    block = np.full((len(node_masks), len(score_types)), -np.inf)
-    notes: list[tuple[int, int, str]] = []
-    stacked = {}
     if method == "bayes":
-        stacked = _stacked_fits(ds, node, node_masks)
+        outcomes, n_scores = _stacked_fits(ds, node, node_masks), len(BAYES_SCORES)
+    else:
+        outcomes, n_scores = {m: _fit_one(ds, node, m) for m in node_masks}, len(MLE_SCORES)
+    block = np.full((len(node_masks), n_scores), -np.inf)
+    notes: list[tuple[int, int, str]] = []
     for k, mask in enumerate(node_masks):
-        scores, words = stacked[mask] if stacked else _fit_one(ds, node, mask, method)
+        scores, words = outcomes[mask]
         if scores is not None:
             if all(map(math.isfinite, scores)):
                 block[k] = scores  # a finite entry's degraded fit is flagged, not failed
@@ -288,7 +272,7 @@ def build_cache(
     n = len(ds.names)
     all_masks = [enumerate_parent_sets(i, constraints) for i in range(n)]
 
-    tasks = [(ds, i, all_masks[i], method, score_types) for i in range(n)]
+    tasks = [(ds, i, all_masks[i], method) for i in range(n)]
     results = parallel_map(_score_one_node, tasks, jobs)
 
     diagnostics: list[tuple[int, int, str]] = []

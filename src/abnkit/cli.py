@@ -37,7 +37,7 @@ from .dag import (
     parse_adjacency,
     compare_dags,
 )
-from .data import Dataset, format_dist_spec, load_dataset, standardize
+from .data import Dataset, format_dist_spec, load_dataset, parse_dist_spec, standardize
 from .errors import AbnError, ConfigError
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .formula import parse_formula
@@ -101,9 +101,9 @@ class _Run:
         """The dataset, gaussian columns standardised unless ``--no-standardize``,
         and the constraints of ``--ban``, ``--retain`` and ``--max-parents``."""
         args = self.args
-        for path in (args.data, args.dists):  # load_dataset reads them by path
-            self.read(path)
-        ds = load_dataset(args.data, args.dists)
+        text = self.read(args.data)
+        dists, group_var = parse_dist_spec(self.read(args.dists))
+        ds = load_dataset(args.data, dists, group_var, text=text)
         if not args.no_standardize and "gaussian" in ds.distributions:
             ds = standardize(ds)
         banned = self._arcs(getattr(args, "ban", None), ds.names)

@@ -2,7 +2,9 @@
 
 Supported node distributions: binomial (two levels, coded 0/1), gaussian
 (continuous) and poisson (nonnegative counts).  Data must be complete;
-missing values are rejected at load rather than silently dropped.
+missing values are rejected at load rather than silently dropped.  Every
+design a fit sees is laid out by :func:`design_stack`; :func:`build_design`
+is its stack of one.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.columns[:, self.index(name)]
 
-    def distribution(self, name: str) -> str:
-        return self.distributions[self.index(name)]
-
     def dist_map(self) -> dict[str, str]:
         return dict(zip(self.names, self.distributions))
 
@@ -159,6 +158,7 @@ def load_dataset(
     path,
     dist_spec: Mapping[str, str] | str | Path,
     group_var: str | None = None,
+    text: str | None = None,
 ) -> Dataset:
     """Read a comma-delimited text file with header into a validated Dataset.
 
@@ -166,7 +166,8 @@ def load_dataset(
     the path of a spec file.  Two-level string columns declared binomial are
     mapped to {0, 1} with the lexicographically first level as 0.  The file
     may contain the grouping column ``group_var``, which is checked to exist
-    and then skipped; any other undeclared column is an error.
+    and then skipped; any other undeclared column is an error.  ``text`` is
+    the file's text when the caller has read it already.
     """
     if isinstance(dist_spec, (str, Path)):
         dists, spec_group = parse_dist_spec(_read_text(dist_spec))
@@ -174,8 +175,7 @@ def load_dataset(
     else:
         dists = dict(dist_spec)
 
-    text = _read_text(path)
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(_read_text(path) if text is None else text)))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one data row")
@@ -305,34 +305,48 @@ class DesignMatrix:
         )
 
 
+def design_stack(ds: Dataset, child: int, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Designs of column ``child`` on a stack of B parent sets, and its response.
+
+    ``parents`` is a (B, k) array of column indices, each row in name order.
+    Returns X, (B, n, 1 + k), each design an all-ones intercept column and
+    then its parents' columns, and y, the child's column.  Every design a fit
+    sees is laid out here.  Binomial and poisson fits form X @ theta and
+    X'WX at every Newton iterate, and both run about twice as fast on
+    column-major designs; their response is copied out of the row-major
+    dataset for the same reason.  Gaussian designs are row-major and their
+    response a view of the dataset column: the layout changes the last bits
+    of X @ theta, and ties between Markov-equivalent gaussian pairs are
+    broken on the last bits of their scores.
+    """
+    n_sets, size = parents.shape
+    if ds.distributions[child] == "gaussian":
+        X = np.empty((n_sets, ds.n_obs, 1 + size))
+        Xt, y = X.transpose(0, 2, 1), ds.columns[:, child]
+    else:
+        Xt = np.empty((n_sets, 1 + size, ds.n_obs))
+        X, y = Xt.transpose(0, 2, 1), np.ascontiguousarray(ds.columns[:, child])
+    Xt[:, 0] = 1.0
+    # column by column: no fancy-indexed temporary, which would double the
+    # cost of a stack of one
+    for b, row in enumerate(parents.tolist()):
+        for k, j in enumerate(row, start=1):
+            Xt[b, k] = ds.columns[:, j]
+    return X, y
+
+
 def build_design(ds: Dataset, child: str, parent_set: Sequence[str]) -> DesignMatrix:
+    """The design of ``child`` on ``parent_set``: :func:`design_stack` of one."""
     parents = list(parent_set)
     if child in parents:
         raise SelfParent(f"{child!r} cannot be its own parent")
     if len(set(parents)) != len(parents):
         raise UnknownName(f"duplicate parent names in {parents}")
     order = sorted(parents)
-    family = ds.distribution(child)
-    # Binomial and poisson fits form X @ theta and X'WX at every Newton
-    # iterate, and both run about twice as fast on a column-major block; their
-    # response is copied out of the row-major dataset for the same reason.
-    # Gaussian designs keep a row-major block and a view of the response:
-    # the layout changes the last bits of X @ theta, and ties between
-    # Markov-equivalent gaussian pairs are broken on the last bits of their
-    # scores.  The score cache stacks the same row-major blocks for the same
-    # reason.
-    gaussian = family == "gaussian"
-    block = np.ones((ds.n_obs, 1 + len(order)), order="C" if gaussian else "F")
-    for k, p in enumerate(order, start=1):
-        block[:, k] = ds.column(p)
-    y = ds.column(child)
-    return DesignMatrix(
-        response=y if gaussian else np.ascontiguousarray(y),
-        predictors=block,
-        labels=("(Intercept)", *order),
-        child=child,
-        family=family,
-    )
+    index = ds.index(child)
+    X, y = design_stack(ds, index, np.array([[ds.index(p) for p in order]], dtype=np.intp))
+    return DesignMatrix(response=y, predictors=X[0], labels=("(Intercept)", *order),
+                        child=child, family=ds.distributions[index])
 
 
 def design_for_mask(ds: Dataset, child_index: int, parent_mask: int) -> DesignMatrix:

@@ -142,14 +142,13 @@ class _Objective:
     log-prior of a bayes fit, and its derivatives; ``priors=None`` gives an
     MLE fit's objective, the log-likelihood alone.
 
-    ``X`` is a (B, n, p) stack of designs, each laid out as
-    :func:`~abnkit.data.build_design` lays it out: row-major gaussian
-    blocks, column-major binomial and poisson ones, which the objective uses
-    through ``Xt``, the transposed (B, p, n) view.  Each problem takes the
-    BLAS calls of a stack of one: a gemv for ``X @ theta`` and ``X'r``, a
-    syrk for a gaussian ``X'X``, a dot for ``r'r``; its precision is
-    ``math.exp`` of its own log-precision (inf where that overflows), and
-    its sums are ``np.add.reduce`` over its own row.  The per-fit constants (prior
+    ``X`` is a (B, n, p) stack of designs laid out by
+    :func:`~abnkit.data.design_stack`, which the objective also uses through
+    ``Xt``, the transposed (B, p, n) view.  Each problem takes the BLAS calls
+    of a stack of one: a gemv for ``X @ theta`` and ``X'r``, a syrk for a
+    gaussian ``X'X``, a dot for ``r'r``; its precision is ``math.exp`` of its
+    own log-precision (inf where that overflows), and its sums are
+    ``np.add.reduce`` over its own row.  The per-fit constants (prior
     precision matrix, gaussian ``X'X``, poisson ``log y!``) are built once.
     ``params`` is (B, P): the coefficients, then the gaussian log-precision
     unless it is fixed.
@@ -510,9 +509,9 @@ def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str, child: str,
     """Bayes fits of a stack of designs of node ``child``'s response ``y``
     by one Newton ascent.
 
-    ``X`` is (B, n, p), each design laid out as
-    :func:`~abnkit.data.build_design` lays it out (see :class:`_Objective`),
-    so that each fit takes the iterates and the last bits of a stack of one.
+    ``X`` is (B, n, p) and ``y`` the response, as
+    :func:`~abnkit.data.design_stack` lays them out, so that each fit takes
+    the iterates and the last bits of a stack of one.
     A binomial or poisson fit starts from the intercept at the link of the
     clamped mean response, with 0 slopes; a gaussian fit from
     ``solve(X'X + I/v, X'y)`` and a free log-precision of

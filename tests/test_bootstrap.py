@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import abnkit.bootstrap
-from abnkit.bootstrap import model_grid_posteriors, prune_by_support, run_bootstrap
+from abnkit.bootstrap import (MAX_FAILURE_FRACTION, model_grid_posteriors, prune_by_support,
+                              run_bootstrap)
+from abnkit.cache import build_cache
 from abnkit.dag import ConstraintSet, Dag, find_cycle
 from abnkit.data import standardize
 from abnkit.errors import AbnError, ConfigError, NodeSetMismatch
@@ -143,6 +147,44 @@ class TestRunBootstrap:
         report = run_bootstrap(fits, dag, ds, n_replicates=20, seed=23,
                                structural_prior="uninformative")
         assert report.failures == ((1, f"{error.__name__}: lam too large"),)
+        assert len(report.replicate_dags) == 19
+
+    def test_more_failures_than_the_fraction_abort(self, small_model, monkeypatch):
+        dag, ds, fits = small_model
+        calls = []
+
+        def flaky_simulate(spec):
+            calls.append(spec)
+            if len(calls) in (2, 5):
+                raise ValueError(f"draw {len(calls)}")
+            return simulate_data(spec)
+
+        monkeypatch.setattr(abnkit.bootstrap, "simulate_data", flaky_simulate)
+        assert MAX_FAILURE_FRACTION * 20 < 2
+        with pytest.raises(AbnError, match="^2/20 bootstrap replicates failed; "
+                                           "first: ValueError: draw 2$"):
+            run_bootstrap(fits, dag, ds, n_replicates=20, seed=23,
+                          structural_prior="uninformative", jobs=1)
+
+    def test_node_without_a_finite_score_is_a_failure(self, small_model, monkeypatch):
+        dag, ds, fits = small_model
+        calls = []
+
+        def hopeless_p(replicate, *args, **kwargs):
+            cache = build_cache(replicate, *args, **kwargs)
+            calls.append(cache)
+            if len(calls) != 2:
+                return cache
+            p = cache.nodes.index("p")  # replicate 1: every parent set of p scores -inf
+            scores = tuple(np.full_like(s, -np.inf) if i == p else s
+                           for i, s in enumerate(cache.scores))
+            return replace(cache, scores=scores)
+
+        monkeypatch.setattr(abnkit.bootstrap, "build_cache", hopeless_p)
+        report = run_bootstrap(fits, dag, ds, n_replicates=20, seed=23,
+                               structural_prior="uninformative", jobs=1)
+        assert report.failures == (
+            (1, "AbnError: node 'p' has -inf scores for every parent set"),)
         assert len(report.replicate_dags) == 19
 
     def test_true_arcs_dominate_spurious(self, small_model):

@@ -17,10 +17,10 @@ from abnkit.cache import (
 )
 from abnkit.dag import ConstraintSet, Dag
 from abnkit.data import Dataset, design_for_mask, standardize
-from abnkit.errors import CacheMismatch, UnenumeratedParentSet
+from abnkit.errors import CacheMismatch, ConfigError, FitError, UnenumeratedParentSet
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
-from abnkit.glm import fit_node
+from abnkit.glm import fit_dag, fit_node
 from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
 from conftest import (CASE_STUDY_ARCS, CASE_STUDY_DISTS, CASE_STUDY_NODES, dag_from_arcs,
@@ -120,6 +120,13 @@ class TestBuildCache:
         monkeypatch.setattr(abnkit.cache, "ProcessPoolExecutor", no_pool)
         assert parallel_map(math.hypot, [(3.0, 4.0)], jobs=4) == [5.0]
         assert parallel_map(math.hypot, [], jobs=4) == []
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=f"need at least one worker process, got {jobs}"):
+            parallel_map(math.hypot, [(3.0, 4.0)], jobs=jobs)
+        with pytest.raises(ConfigError):
+            build_cache(mixed_dataset(20, 1), jobs=jobs)
 
     def test_unenumerated_lookup_fails_loudly(self):
         ds = mixed_dataset(60, 5)
@@ -422,10 +429,67 @@ def _gaussian_heavy_datasets(draw):
                    columns=np.column_stack(cols), distributions=tuple(dists))
 
 
+@st.composite
+def _extreme_mixed_datasets(draw):
+    """A four-column dataset and a DAG on it.  The first column is gaussian;
+    each other is gaussian, binomial or poisson, or an extreme of these: a
+    binomial column that separates on an earlier column, an all-zero count,
+    counts up to 1e15."""
+    n_obs = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols, dists = [10.0 ** draw(st.integers(-8, 8)) * rng.normal(size=n_obs)], ["gaussian"]
+    kinds = ["gaussian", "binomial", "separated", "poisson", "zeros", "huge"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=3, max_size=3)):
+        if kind == "gaussian":
+            col = 10.0 ** draw(st.integers(-8, 8)) * rng.normal(size=n_obs)
+        elif kind == "binomial":
+            col = (rng.random(n_obs) < draw(st.floats(0, 1))).astype(float)
+        elif kind == "separated":  # an earlier column above its median
+            base = cols[draw(st.integers(0, len(cols) - 1))]
+            col = (base > np.median(base)).astype(float)
+        elif kind == "poisson":
+            col = rng.poisson(draw(st.floats(0.1, 20)), size=n_obs).astype(float)
+        elif kind == "zeros":
+            col = np.zeros(n_obs)
+        else:
+            top = 10 ** draw(st.integers(1, 15))
+            col = rng.integers(0, top, size=n_obs, endpoint=True).astype(float)
+        cols.append(col)
+        dists.append({"separated": "binomial", "zeros": "poisson", "huge": "poisson"}.get(
+            kind, kind))
+    names = ("v0", "v1", "v2", "v3")
+    adjacency = np.zeros((4, 4), dtype=np.int8)
+    adjacency[np.tril_indices(4, -1)] = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    return (Dataset(names=names, columns=np.column_stack(cols), distributions=tuple(dists)),
+            Dag(names, adjacency))
+
+
+class TestExtremeData:
+    @settings(max_examples=40, deadline=None)
+    @given(_extreme_mixed_datasets())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_caches_and_fit_dag_never_crash(self, case):
+        """Bayes and MLE caches of any valid data hold a finite score or a
+        noted -inf in every entry, and fit_dag raises nothing but FitError."""
+        ds, dag = case
+        for method in ("bayes", "mle"):
+            cache = build_cache(ds, ConstraintSet(ds.names, max_parents=3), method=method)
+            noted = {(i, mask) for i, mask, _ in cache.diagnostics}
+            for i, masks in enumerate(cache.masks):
+                for mask, row in zip(masks.tolist(), cache.scores[i]):
+                    assert np.all(np.isfinite(row)) or (
+                        np.all(row == -np.inf) and (i, mask) in noted), (method, i, mask)
+            try:
+                fit_dag(ds, dag, method=method)
+            except FitError:
+                pass
+
+
 class TestStackedScoring:
     """A node's bayes sets, of every family, are fitted per cardinality in
-    stacks of up to STACK_MAX_CELLS design numbers; each score is fit_node's
-    to the last bit, and each note is fit_node's."""
+    stacks of up to STACK_MAX_CELLS design numbers, laid out by
+    data.design_stack as build_design lays out each one; each score is
+    fit_node's to the last bit, and each note is fit_node's."""
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])

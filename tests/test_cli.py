@@ -1,9 +1,12 @@
+import collections
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abnkit.bootstrap
 from abnkit.cli import build_parser, main
 from abnkit.dag import dag_from_text, format_adjacency
 from abnkit.data import Dataset, format_dist_spec
@@ -340,6 +343,28 @@ class TestOtherCommands:
         assert len(rows) == 5
         assert (out / "pruned-dag.txt").exists()
 
+    def test_bootstrap_writes_its_failures(self, workspace, tmp_path, monkeypatch):
+        # one failed replicate of 20 is MAX_FAILURE_FRACTION: the run records it
+        draws = []
+
+        def flaky_simulate(spec):
+            draws.append(spec)
+            if len(draws) == 2:
+                raise ValueError("draw 2")
+            return simulate_data(spec)
+
+        monkeypatch.setattr(abnkit.bootstrap, "simulate_data", flaky_simulate)
+        out = tmp_path / "boot"
+        assert run(["bootstrap", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt",
+                    "--dag", workspace / "true-dag.txt", "--max-parents", "1",
+                    "--replicates", "20", "--seed", "2", "--n-grid", "100",
+                    "--out", out, "--jobs", "1"]) == 0
+        assert (out / "failures.tsv").read_text() == "1\tValueError: draw 2\n"
+        assert len((out / "replicates.tsv").read_text().splitlines()) == 1 + 19
+        manifest = json.loads((out / "manifest-bootstrap.json").read_text())
+        assert "failures.tsv" in manifest["outputs"]
+
     def test_strength_output(self, workspace, tmp_path):
         out = tmp_path / "ls"
         code = run(["strength", "--data", workspace / "data.csv",
@@ -458,6 +483,21 @@ class TestRunRecord:
             [*manifest["outputs"], f"manifest-{command}.json"])
 
     @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_input_is_read_once(self, files, tmp_path, monkeypatch, case):
+        # the text a command parses is the text its manifest fingerprints
+        reads = collections.Counter()
+        for method in ("read_bytes", "read_text"):
+            def counted(path, *args, _read=getattr(Path, method), **kwargs):
+                reads[str(path)] += 1
+                return _read(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, method, counted)
+        argv, read, _ = self.CASES[case]
+        assert run([a.format(**files) for a in argv]
+                   + ["--out", tmp_path / "out", "--jobs", "1"]) == 0
+        assert dict(reads) == {str(files[key]): 1 for key in read}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_manifest_config_records_every_option(self, files, tmp_path, case):
         argv, _, command = self.CASES[case]
         argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path), "--jobs", "1"]
@@ -532,6 +572,21 @@ class TestOutOfRangeOptions:
         assert run([*argv, *flags, "--out", tmp_path / "out", "--jobs", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR "), err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["build-cache"], ["search", "heuristic", "--seed", "1"],
+        ["bootstrap", "--dag", "true-dag.txt", "--seed", "1", "--replicates", "2"],
+    ], ids=["build-cache", "search-heuristic", "bootstrap"])
+    def test_jobs_below_one(self, workspace, tmp_path, capsys, command, jobs):
+        argv = [workspace / a if a.endswith(".txt") else a for a in command]
+        data = ["--data", workspace / "data.csv", "--dists", workspace / "dists.txt"]
+        capsys.readouterr()
+        assert run([*argv, *data, "--max-parents", "1", "--out", tmp_path / "out",
+                    "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR ConfigError: need at least one worker process, got {jobs}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["search", "heuristic", "--max-parents", "1", "--seed", "1", "--restarts", "0"],

@@ -4,6 +4,7 @@ import pytest
 from abnkit.data import (
     Dataset,
     build_design,
+    design_stack,
     format_dist_spec,
     load_dataset,
     parse_dist_spec,
@@ -67,6 +68,13 @@ class TestLoad:
         for data, dists in ((latin, spec_path), (csv_file(BASIC), latin)):
             with pytest.raises(DataError, match=f"{latin} is not UTF-8"):
                 load_dataset(data, dists)
+
+    def test_text_read_already_is_not_read_again(self, csv_file, tmp_path):
+        absent = tmp_path / "absent.csv"
+        ds = load_dataset(absent, DISTS, text=BASIC)
+        assert ds.fingerprint() == load_dataset(csv_file(BASIC), DISTS).fingerprint()
+        with pytest.raises(MissingColumn, match=f"column 'd' not found in {absent}"):
+            load_dataset(absent, {**DISTS, "d": "gaussian"}, text=BASIC)
 
     def test_group_var_column_is_skipped(self, csv_file):
         path = csv_file("a,c,farm\n1,0.5,f1\n0,1.5,f2\n")
@@ -176,13 +184,25 @@ class TestDesign:
         # column-major speeds up the binomial and poisson Newton products;
         # gaussian blocks stay row-major so their scores keep every last bit
         rng = np.random.default_rng(2)
-        cols = np.column_stack([[0, 1, 1, 0, 1, 0], rng.normal(size=(6, 2))])
-        ds = Dataset(names=("y", "a", "b"), columns=cols,
-                     distributions=(family, "gaussian", "gaussian"))
+        cols = np.column_stack([[0, 1, 1, 0, 1, 0], rng.normal(size=(6, 3))])
+        ds = Dataset(names=("y", "a", "c", "b"), columns=cols,
+                     distributions=(family, "gaussian", "gaussian", "gaussian"))
         d = build_design(ds, "y", ["b", "a"])
         assert d.predictors.flags[contiguous]
         assert np.array_equal(d.predictors, np.column_stack([np.ones(6), ds.column("a"),
                                                              ds.column("b")]))
+        # each design of a stack is laid out as build_design lays out that set
+        sets = [["a", "b"], ["a", "c"], ["b", "c"]]
+        X, y = design_stack(ds, 0, np.array([[ds.index(p) for p in s] for s in sets]))
+        assert X.shape == (3, 6, 3)
+        for b, parents in enumerate(sets):
+            d = build_design(ds, "y", parents)
+            assert X[b].flags[contiguous]
+            assert (X[b].flags.c_contiguous, X[b].flags.f_contiguous, X[b].strides) == (
+                d.predictors.flags.c_contiguous, d.predictors.flags.f_contiguous,
+                d.predictors.strides)
+            assert np.array_equal(X[b], d.predictors)
+            assert y.strides == d.response.strides and np.array_equal(y, d.response)
 
     def test_self_parent_rejected(self):
         ds = Dataset(names=("a", "b"), columns=np.zeros((3, 2)),

@@ -22,6 +22,9 @@ from abnkit.errors import (
 )
 from abnkit.glm import (
     PriorSpec,
+    _ascend,
+    _ascend_one,
+    _Diverged,
     _irls,
     _laplace,
     _Objective,
@@ -361,6 +364,40 @@ class TestBayes:
         assert fit.converged
         assert np.all(np.isfinite(fit.coefficients))
         assert 5 < fit.coefficient("x") < 60
+
+
+def _quadratics(g, h):
+    """``_ascend``'s value and derivatives of a stack of quadratics
+    ``f(x) = g'x - x'Hx / 2``, each problem's sums over its own row."""
+    g, h = np.array(g, dtype=float), np.array(h, dtype=float)
+
+    def value(params):
+        hx = (h * params[:, None, :]).sum(axis=2)
+        return (g * params).sum(axis=1) - 0.5 * (params * hx).sum(axis=1), hx
+
+    def derivatives(params, hx):
+        return g - hx, h.copy()
+
+    return value, derivatives
+
+
+class TestAscend:
+    def test_singular_curvature_stops_only_its_problem(self):
+        # problem 1's curvature diag(1, 0) is exactly singular
+        g = [[1.0, 2.0], [1.0, 1.0], [-3.0, 0.5]]
+        h = [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[4.0, 0.0], [0.0, 3.0]]]
+        params, _, _, _, converged, singular = _ascend(*_quadratics(g, h), np.zeros((3, 2)))
+        assert singular == [False, True, False]
+        assert converged == [True, False, True]
+        assert params[1].tolist() == [0.0, 0.0]  # it keeps the params where it stopped
+        for b in (0, 2):
+            alone = _ascend(*_quadratics(g[b:b + 1], h[b:b + 1]), np.zeros((1, 2)))
+            assert alone[4:] == ([True], [False])
+            assert [x.hex() for x in params[b].tolist()] == [
+                x.hex() for x in alone[0][0].tolist()]
+            assert np.allclose(params[b], np.linalg.solve(h[b], g[b]), rtol=1e-14)
+        with pytest.raises(_Diverged, match="singular curvature"):
+            _ascend_one(*_quadratics(g[1:2], h[1:2]), np.zeros(2))
 
 
 class TestSharedArithmetic:
