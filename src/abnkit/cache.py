@@ -32,6 +32,8 @@ FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
 # A node's bayes parent sets of one cardinality are fitted in stacks of as
 # many as fit STACK_MAX_CELLS design numbers (512 KiB).
 STACK_MAX_CELLS = 2**16
+# Parent sets are int64 bitmasks over the node order, so bit 63 stays clear.
+MAX_NODES = 63
 # A fit's cache entry before its finiteness test: the scores, None for a
 # failed fit, and the diagnostic or status words.
 Outcome = tuple[tuple[float, ...] | None, list[str]]
@@ -42,12 +44,16 @@ def default_score_type(method: str) -> str:
     return "mlik" if method == "bayes" else "bic"
 
 
+def check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"need at least one worker process, got {jobs}")
+
+
 def parallel_map(fn, tasks, jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, run in ``min(jobs, len(tasks))``
     worker processes when that is more than one; results keep the task order
     either way."""
-    if jobs < 1:
-        raise ConfigError(f"need at least one worker process, got {jobs}")
+    check_jobs(jobs)
     jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -63,8 +69,9 @@ def enumerate_parent_sets(node: int, constraints: ConstraintSet) -> list[int]:
     ConstraintSet guarantees the retained parents fit).
     """
     n_nodes = constraints.n_nodes
-    if n_nodes > 64:
-        raise AbnError("parent-set bitmasks support at most 64 nodes")
+    if n_nodes > MAX_NODES:
+        raise AbnError(f"parent-set bitmasks support at most {MAX_NODES} nodes, "
+                       f"got {n_nodes}")
     retained = constraints.retained[node].tolist()
     banned = constraints.banned[node].tolist()
     limit = constraints.max_parents[node]
@@ -359,6 +366,9 @@ def cache_from_text(text: str) -> ScoreCache:
     if method not in ("bayes", "mle"):
         raise CacheMismatch(f"cache header method={method} is neither bayes nor mle")
     nodes = tuple(header["nodes"].split(","))
+    if len(nodes) > MAX_NODES:
+        raise CacheMismatch(f"cache header names {len(nodes)} nodes; "
+                            f"parent-set bitmasks support at most {MAX_NODES}")
     score_types = tuple(header["score_types"].split(","))
     if score_types != (BAYES_SCORES if method == "bayes" else MLE_SCORES):
         raise CacheMismatch(f"cache header score_types={header['score_types']} "

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import check_replicates, run_bootstrap
-from .cache import MLE_SCORES, build_cache, cache_from_text, cache_to_text, default_score_type
+from .cache import (MLE_SCORES, build_cache, cache_from_text, cache_to_text, check_jobs,
+                    default_score_type)
 from .dag import (
     ConstraintSet,
     Dag,
@@ -72,6 +73,7 @@ class _Run:
     with the manifest.  A command that raises writes nothing."""
 
     def __init__(self, args):
+        check_jobs(args.jobs)
         self.args = args
         # no artifact depends on where it is written or on the worker count
         self.config = {key: value for key, value in vars(args).items()

@@ -99,19 +99,16 @@ class Dataset:
         return h.hexdigest()
 
     def to_csv(self) -> str:
+        """The dataset as CSV text: gaussian values by ``repr``, counts and
+        0/1 codes as integers."""
+        cells = [list(map(repr, column)) if dist == "gaussian"
+                 else [str(int(value)) for value in column]
+                 for column, dist in zip(self.columns.T.tolist(), self.distributions)]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(self.names)
-        for r in range(self.n_obs):
-            writer.writerow([_format_cell(self.columns[r, j], self.distributions[j])
-                             for j in range(len(self.names))])
+        writer.writerows(zip(*cells))
         return buf.getvalue()
-
-
-def _format_cell(value: float, dist: str) -> str:
-    if dist in ("binomial", "poisson"):
-        return str(int(value))
-    return repr(float(value))
 
 
 def parse_dist_spec(text: str) -> tuple[dict[str, str], str | None]:
@@ -214,14 +211,11 @@ def load_dataset(
 
 
 def _decode_column(name: str, cells: list[str], dist: str) -> np.ndarray:
-    for cell in cells:
-        if cell.lower() in _MISSING_TOKENS:
-            raise MissingValue(f"column {name!r} contains a missing value")
-    numeric = True
-    values = np.empty(len(cells))
+    if not _MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
+        raise MissingValue(f"column {name!r} contains a missing value")
     try:
-        for i, cell in enumerate(cells):
-            values[i] = float(cell)
+        values = np.array(list(map(float, cells)))
+        numeric = True
     except ValueError:
         numeric = False
 

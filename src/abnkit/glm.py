@@ -25,7 +25,10 @@ stacks, :func:`fit_node` fits a stack of one, and each problem's arithmetic
 is the same in both, so each stacked fit's own result, failed or
 unconverged fits included, is bit for bit fit_node's.  A binomial or poisson
 evaluation's means, from :func:`families.loglik_mean`'s one ``exp``, pass
-on to the derivatives of the same iterate.
+on to the derivatives of the same iterate.  No fit or evaluation computes a
+log-gamma: the precision prior's normaliser is the constant
+``PRECISION_LOG_NORM``, and the poisson ``log y!`` and the MDL penalty read
+the memoised ``log k!`` table of :func:`families.log_factorials`.
 
 All scores are stored in larger-is-better orientation.
 """
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import families
 from .dag import Dag
@@ -51,6 +53,9 @@ NEWTON_GRAD_TOL = 1e-8
 # Gamma(shape, rate) prior on a gaussian node's precision tau
 PRECISION_SHAPE = 0.001
 PRECISION_RATE = 0.001
+# the prior's log normaliser, log(rate^shape / Gamma(shape))
+PRECISION_LOG_NORM = (PRECISION_SHAPE * math.log(PRECISION_RATE)
+                      - families.log_gamma(PRECISION_SHAPE))
 RANGE_SD = 6.0  # marginal density grids span mode +/- this many posterior sds
 
 
@@ -216,7 +221,7 @@ class _Objective:
             joint = ll + (self.coef_norm - 0.5 * sq / self.coef_variance)
             if self.free_precision:  # Gamma(a, rate b) on tau, as a density of log tau
                 a, b = self.shape, self.rate
-                joint += a * math.log(b) - gammaln(a) + a * log_precision - b * tau
+                joint += PRECISION_LOG_NORM + a * log_precision - b * tau
         return joint, (ll, eta, mu)
 
     def grad_curvature(self, params: np.ndarray, state):
@@ -655,11 +660,8 @@ def frequentist_scores(
     aic = ll - k
     bic = ll - 0.5 * k * math.log(n_obs)
     pick = min(max(k - 1, 0), n_candidate_parents)
-    log_choose = float(
-        gammaln(n_candidate_parents + 1) - gammaln(pick + 1)
-        - gammaln(n_candidate_parents - pick + 1)
-    )
-    return FrequentistScores(loglik=ll, aic=aic, bic=bic, mdl=bic - log_choose)
+    mdl = bic - families.log_choose(n_candidate_parents, pick)
+    return FrequentistScores(loglik=ll, aic=aic, bic=bic, mdl=mdl)
 
 
 def check_grid_size(n_grid: int) -> None:

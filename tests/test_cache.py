@@ -17,7 +17,8 @@ from abnkit.cache import (
 )
 from abnkit.dag import ConstraintSet, Dag
 from abnkit.data import Dataset, design_for_mask, standardize
-from abnkit.errors import CacheMismatch, ConfigError, FitError, UnenumeratedParentSet
+from abnkit.errors import (AbnError, CacheMismatch, ConfigError, FitError,
+                           UnenumeratedParentSet)
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
 from abnkit.glm import fit_dag, fit_node
@@ -285,6 +286,46 @@ class TestSerialization:
         cache = build_cache(ds, method="mle")
         back = cache_from_text(cache_to_text(cache))
         assert back.diagnostics == cache.diagnostics
+
+
+def _wide_dataset(n_nodes: int) -> Dataset:
+    """40 gaussian columns, then binomial ones, n = 30."""
+    rng = np.random.default_rng(n_nodes)
+    cols = np.column_stack([rng.normal(size=(30, 40)),
+                            rng.integers(0, 2, size=(30, n_nodes - 40))]).astype(float)
+    return Dataset(names=tuple(f"v{j}" for j in range(n_nodes)), columns=cols,
+                   distributions=("gaussian",) * 40 + ("binomial",) * (n_nodes - 40))
+
+
+class TestNodeLimit:
+    """Parent sets are int64 bitmasks, so a cache holds at most 63 nodes."""
+
+    @pytest.fixture(scope="class")
+    def text63(self):
+        ds = _wide_dataset(63)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1))
+        assert cache.n_entries == 63 * 63
+        return cache_to_text(cache)
+
+    def test_sixty_three_nodes_build_and_round_trip(self, text63):
+        back = cache_from_text(text63)
+        assert back.n_nodes == 63 and cache_to_text(back) == text63
+
+    def test_sixty_four_nodes_rejected_before_the_first_fit(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a fit ran before the node-count check")
+
+        monkeypatch.setattr(abnkit.cache, "_score_one_node", never)
+        ds = _wide_dataset(64)
+        with pytest.raises(AbnError, match="at most 63 nodes, got 64"):
+            build_cache(ds, ConstraintSet(ds.names, max_parents=1))
+
+    def test_sixty_four_node_header_rejected(self, text63):
+        widened = {"nodes": ",v63", "distributions": ",gaussian", "max_parents": ",1"}
+        lines = [line + widened.get(line.partition("=")[0], "")
+                 for line in text63.splitlines()]
+        with pytest.raises(CacheMismatch, match="names 64 nodes"):
+            cache_from_text("\n".join(lines) + "\n")
 
 
 def _overflow_dataset():

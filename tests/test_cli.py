@@ -1,6 +1,10 @@
 import collections
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +592,24 @@ class TestOutOfRangeOptions:
             f"ERROR ConfigError: need at least one worker process, got {jobs}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["fit", "--dag", "true-dag.txt"], ["strength", "--dag", "true-dag.txt"],
+        ["simulate", "dag", "--seed", "1"],
+        ["simulate", "data", "--spec", "simspec.json"],
+        ["compare", "true-dag.txt", "true-dag.txt"], ["info", "true-dag.txt"],
+    ], ids=["fit", "strength", "simulate-dag", "simulate-data", "compare", "info"])
+    def test_jobs_below_one_without_a_pool(self, workspace, tmp_path, capsys, command,
+                                           jobs):
+        argv = [workspace / a if a.endswith((".txt", ".json")) else a for a in command]
+        if command[0] in ("fit", "strength"):
+            argv += ["--data", workspace / "data.csv", "--dists", workspace / "dists.txt"]
+        capsys.readouterr()
+        assert run([*argv, "--out", tmp_path / "out", "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR ConfigError: need at least one worker process, got {jobs}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["search", "heuristic", "--max-parents", "1", "--seed", "1", "--restarts", "0"],
         ["fit", "--dag", "true-dag.txt", "--method", "mle", "--marginals"],
@@ -610,3 +632,54 @@ class TestOutOfRangeOptions:
         assert run([*argv, *data, "--out", tmp_path / "out", "--jobs", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR "), err
+
+
+class TestRuntimeDependencies:
+    def test_no_command_imports_scipy(self, workspace, tmp_path):
+        """Bayes, MLE and Firth fits and the scoring, search, fitting,
+        simulation and bootstrap commands run without importing any SciPy
+        module, so NumPy is abnkit's one runtime dependency."""
+        code = textwrap.dedent("""
+            import sys
+            from pathlib import Path
+
+            import numpy as np
+            from abnkit.cli import main
+            from abnkit.data import DesignMatrix
+            from abnkit.glm import fit_node
+
+            x = np.linspace(-2, 2, 60)
+            X = np.column_stack([np.ones(60), x])
+            def design(y):
+                return DesignMatrix(response=y, predictors=X, labels=("(Intercept)", "x"),
+                                    child="y", family="binomial")
+            mixed = design((np.sin(7 * x) > 0).astype(float))
+            assert fit_node(mixed, method="bayes").converged
+            fit = fit_node(mixed, method="mle")
+            assert fit.converged and not fit.used_firth
+            assert fit_node(design((x > 0).astype(float)), method="mle").used_firth
+
+            ws, out = Path(sys.argv[1]), Path(sys.argv[2])
+            data = ["--data", ws / "data.csv", "--dists", ws / "dists.txt"]
+            dag = ["--dag", ws / "true-dag.txt"]
+            commands = [
+                ["build-cache", *data, "--max-parents", "2"],
+                ["build-cache", *data, "--max-parents", "2", "--method", "mle"],
+                ["search", "exact", *data, "--max-parents", "2"],
+                ["search", "heuristic", *data, "--max-parents", "2", "--seed", "1",
+                 "--restarts", "2"],
+                ["fit", *data, *dag, "--marginals", "--n-grid", "50"],
+                ["strength", *data, *dag],
+                ["simulate", "data", "--spec", ws / "simspec.json", "--seed", "2"],
+                ["bootstrap", *data, *dag, "--max-parents", "2", "--seed", "1",
+                 "--replicates", "2", "--n-grid", "50"],
+            ]
+            for k, argv in enumerate(commands):
+                argv = [str(a) for a in [*argv, "--out", out / str(k), "--jobs", "1"]]
+                assert main(argv) == 0, argv
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded
+        """)
+        src = str(Path(abnkit.bootstrap.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code, str(workspace), str(tmp_path)],
+                       check=True, env={**os.environ, "PYTHONPATH": src})

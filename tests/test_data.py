@@ -1,3 +1,8 @@
+import csv
+import importlib.util
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,7 @@ from abnkit.errors import (
     UnknownName,
     ZeroVariance,
 )
+from abnkit.simulate import simulate_data
 
 
 @pytest.fixture
@@ -105,6 +111,13 @@ class TestLoad:
         with pytest.raises(MissingValue):
             load_dataset(path, {"a": "binomial", "c": "gaussian"})
 
+    @pytest.mark.parametrize("token", ["", "na", "NaN", "NULL", "None", "?"])
+    @pytest.mark.parametrize("dist", ["binomial", "gaussian", "poisson"])
+    def test_every_missing_token_rejected(self, csv_file, token, dist):
+        path = csv_file(f"a,c\n1,0.5\n{token},1.5\n")
+        with pytest.raises(MissingValue, match="column 'a' contains a missing value"):
+            load_dataset(path, {"a": dist, "c": "gaussian"})
+
     def test_declared_column_absent(self, csv_file):
         with pytest.raises(MissingColumn):
             load_dataset(csv_file("a\n1\n0\n"), {"a": "binomial", "zz": "gaussian"})
@@ -129,6 +142,45 @@ class TestLoad:
         dists, group = parse_dist_spec("# comment\na=binomial\nc = gaussian\ngroup_var=farm\n")
         assert dists == {"a": "binomial", "c": "gaussian"}
         assert group == "farm"
+
+
+def _bench_models():
+    """The benchmark's seeded model generators, ``bench/models.py``."""
+    path = Path(__file__).parents[1] / "bench" / "models.py"
+    spec = importlib.util.spec_from_file_location("bench_models", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _per_cell_csv(ds: Dataset) -> str:
+    """CSV text formatted one NumPy scalar at a time, the reference layout."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(ds.names)
+    for r in range(ds.n_obs):
+        writer.writerow([repr(float(ds.columns[r, j])) if dist == "gaussian"
+                         else str(int(ds.columns[r, j]))
+                         for j, dist in enumerate(ds.distributions)])
+    return buf.getvalue()
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("model, args", [
+        ("case_study_model", (341, 1)),
+        ("criterion7_model", (1000, 2)),
+        ("sparse_model", (12, 2, 200, 3)),
+    ])
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_text_and_round_trip_exact(self, tmp_path, model, args, standardized):
+        ds = simulate_data(getattr(_bench_models(), model)(*args))
+        if standardized:
+            ds = standardize(ds)
+        text = ds.to_csv()
+        assert text == _per_cell_csv(ds)
+        (tmp_path / "data.csv").write_text(text)
+        back = load_dataset(tmp_path / "data.csv", ds.dist_map())
+        assert back.columns.tobytes() == ds.columns.tobytes()
 
 
 class TestStandardize:

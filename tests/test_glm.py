@@ -1,9 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +15,7 @@ from abnkit.errors import (
     NonPositiveDefiniteHessian,
     RangeTooNarrow,
 )
+from abnkit.exact import StructuralPrior
 from abnkit.glm import (
     PriorSpec,
     _ascend,
@@ -190,6 +186,65 @@ class TestFamilyKernels:
         assert families.loglik_terms("binomial", 1.0, 0.0) == -math.log(2.0)
 
 
+def same_bits(got, want) -> bool:
+    """Whether two float sequences hold the same values, compared by ``float.hex``."""
+    return [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def around(x: float) -> list[float]:
+    """``x`` and its two neighbouring floats."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+class TestLogGamma:
+    """``families.log_gamma`` and its memoised ``log k!`` table against
+    ``scipy.special.gammaln``, the Cephes routine it ports, bit for bit."""
+
+    INTEGERS = np.arange(1.0, 200_001.0)
+
+    def test_integers(self):
+        assert same_bits(map(families.log_gamma, self.INTEGERS.tolist()),
+                         gammaln(self.INTEGERS))
+
+    def test_random_reals(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.uniform(0.0, 50.0, 5000), 10.0 ** rng.uniform(-300, 300, 5000)])
+        assert same_bits(map(families.log_gamma, x.tolist()), gammaln(x))
+
+    @pytest.mark.parametrize("edge", [2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305])
+    def test_branch_edges(self, edge):
+        x = around(edge)
+        assert same_bits(map(families.log_gamma, x), gammaln(x))
+
+    def test_special_values(self):
+        x = [0.001, 0.0, math.inf, 1.001, 0.5, 1.5, 5e-324, math.nan]
+        assert same_bits(map(families.log_gamma, x), gammaln(x))
+        assert families.log_gamma(0.0) == math.inf
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            families.log_gamma(-0.5)
+
+    def test_log_factorial_table(self):
+        k_max = len(self.INTEGERS) - 1
+        small = families.log_factorials(5)
+        table = families.log_factorials(k_max)
+        assert len(small) == 6 and len(table) == k_max + 1
+        assert table[:6] == small and families.log_factorials(k_max) == table
+        assert same_bits(table, gammaln(self.INTEGERS))
+
+    def test_constants_keep_the_gammaln_expressions(self):
+        """The structure prior, the MDL penalty and the precision prior's
+        normaliser keep the bits of their gammaln forms."""
+        pairs = [(n, k) for n in range(41) for k in range(n + 1)]
+        assert same_bits([families.log_choose(n, k) for n, k in pairs],
+                         [gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) for n, k in pairs])
+        assert same_bits([StructuralPrior().log_prior(n + 1, k) for n, k in pairs],
+                         [-families.log_choose(n, k) for n, k in pairs])
+        a, b = abnkit.glm.PRECISION_SHAPE, abnkit.glm.PRECISION_RATE
+        assert same_bits([abnkit.glm.PRECISION_LOG_NORM], [a * math.log(b) - gammaln(a)])
+
+
 class TestFirthAndPruning:
     def test_separated_data_triggers_firth(self):
         x = np.linspace(-2, 2, 60)
@@ -215,30 +270,6 @@ class TestFirthAndPruning:
         fit = fit_node(d, method="mle")
         assert fit.used_firth and fit.converged
         assert np.max(np.abs(fit.coefficients)) < 20
-
-    def test_no_fit_loads_scipy_linalg(self):
-        code = textwrap.dedent("""
-            import sys
-            import numpy as np
-            import abnkit.cli
-            from abnkit.data import DesignMatrix
-            from abnkit.glm import fit_node
-
-            x = np.linspace(-2, 2, 60)
-            X = np.column_stack([np.ones(60), x])
-            def design(y):
-                return DesignMatrix(response=y, predictors=X, labels=("(Intercept)", "x"),
-                                    child="y", family="binomial")
-            mixed = design((np.sin(7 * x) > 0).astype(float))
-            assert fit_node(mixed, method="bayes").converged
-            fit = fit_node(mixed, method="mle")
-            assert fit.converged and not fit.used_firth
-            assert fit_node(design((x > 0).astype(float)), method="mle").used_firth
-            assert "scipy.linalg" not in sys.modules
-        """)
-        src = str(Path(abnkit.glm.__file__).parents[1])
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
 
     def test_constant_response_finite_via_firth(self):
         d = DesignMatrix(response=np.ones(30), predictors=np.ones((30, 1)),
