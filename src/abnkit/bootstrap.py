@@ -21,7 +21,7 @@ from .data import Dataset, standardize
 from .errors import AbnError, ConfigError, NodeSetMismatch
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .glm import FitResult, ParamDensity, marginal_densities
-from .heuristic import arc_frequency_matrix
+from .heuristic import arc_frequency_matrix, check_threshold
 from .simulate import SimSpec, simulate_data
 
 MAX_FAILURE_FRACTION = 0.05
@@ -130,6 +130,7 @@ def run_bootstrap(
     if dag.nodes != ds.names:
         raise NodeSetMismatch("DAG node set differs from dataset columns")
     check_replicates(n_replicates)
+    check_threshold(threshold)
     check_support_mode(mode)
     prior = StructuralPrior(structural_prior)
     if constraints is None:

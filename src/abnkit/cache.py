@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .dag import ConstraintSet, Dag
-from .data import Dataset, design_for_mask, design_stack
+from .data import Dataset, design_for_mask, design_stack, mask_parents
 from .errors import AbnError, CacheMismatch, ConfigError, UnenumeratedParentSet
 from .families import FAMILIES
 from .formula import parse_formula, render_formula
@@ -98,7 +98,6 @@ class ScoreCache:
     nodes: tuple[str, ...]
     distributions: tuple[str, ...]
     method: str
-    score_types: tuple[str, ...]
     fingerprint: str
     constraints: ConstraintSet
     masks: tuple[np.ndarray, ...] = field(repr=False)
@@ -112,6 +111,10 @@ class ScoreCache:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def score_types(self) -> tuple[str, ...]:
+        return BAYES_SCORES if self.method == "bayes" else MLE_SCORES
 
     @property
     def n_entries(self) -> int:
@@ -202,9 +205,6 @@ def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Ou
     laid out by :func:`~abnkit.data.design_stack`.  Each fit starts where
     fit_node starts and so takes fit_node's iterates.
     """
-    names, family = ds.names, ds.distributions[node]
-    order = np.array(sorted(range(len(names)), key=names.__getitem__))  # design_stack's order
-    shifts = order.astype(np.uint64)
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
@@ -213,9 +213,8 @@ def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Ou
         width = max(1, STACK_MAX_CELLS // ((1 + size) * ds.n_obs))
         for first in range(0, len(masks), width):
             chunk = masks[first:first + width]
-            bits = np.array(chunk, dtype=np.uint64)[:, None] >> shifts & 1
-            parents = order[np.nonzero(bits)[1]].reshape(len(chunk), size)
-            fit = fit_bayes_stack(*design_stack(ds, node, parents), family, names[node])
+            fit = fit_bayes_stack(*design_stack(ds, node, mask_parents(ds, chunk)),
+                                  ds.distributions[node], ds.names[node])
             for b, mask in enumerate(chunk):
                 error = fit.errors[b]
                 outcomes[mask] = _fit_error(error) if error is not None else (
@@ -275,7 +274,6 @@ def build_cache(
         constraints = ConstraintSet(ds.names)
     if constraints.nodes != ds.names:
         raise CacheMismatch("constraint node set differs from dataset columns")
-    score_types = BAYES_SCORES if method == "bayes" else MLE_SCORES
     n = len(ds.names)
     all_masks = [enumerate_parent_sets(i, constraints) for i in range(n)]
 
@@ -291,7 +289,6 @@ def build_cache(
         nodes=ds.names,
         distributions=ds.distributions,
         method=method,
-        score_types=score_types,
         fingerprint=ds.fingerprint(),
         constraints=constraints,
         masks=tuple(np.array(m, dtype=np.int64) for m in all_masks),
@@ -429,7 +426,6 @@ def cache_from_text(text: str) -> ScoreCache:
         nodes=nodes,
         distributions=distributions,
         method=method,
-        score_types=score_types,
         fingerprint=header["fingerprint"],
         constraints=constraints,
         masks=tuple(masks),

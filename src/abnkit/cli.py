@@ -43,7 +43,8 @@ from .errors import AbnError, ConfigError
 from .exact import StructuralPrior, best_parents_table, most_probable_dag
 from .formula import parse_formula
 from .glm import check_grid_size, fit_dag, marginal_densities
-from .heuristic import HeuristicConfig, heuristic_search, majority_consensus, repair_to_dag
+from .heuristic import (HeuristicConfig, check_threshold, heuristic_search, majority_consensus,
+                        repair_to_dag)
 from .simulate import SimSpec, simulate_dag, simulate_data
 from .strength import discretize, pls_matrix
 
@@ -169,6 +170,7 @@ def cmd_build_cache(args) -> int:
 def cmd_search(args) -> int:
     run = _Run(args)
     if args.mode == "heuristic":
+        check_threshold(args.threshold)
         seed = run.config["seed"] = _resolve_seed(args.seed)
         config = HeuristicConfig(
             algorithm=args.algorithm, restarts=args.restarts, max_steps=args.max_steps,
@@ -250,6 +252,8 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep_parents(args) -> int:
     run = _Run(args)
+    if args.max < 1:
+        raise ConfigError(f"--max needs a parent limit of at least 1, got {args.max}")
     ds, arcs = run.data()
     score = run.config["score"] = _check_method_score(args.method, args.score)
 
@@ -296,6 +300,7 @@ def cmd_simulate(args) -> int:
 def cmd_bootstrap(args) -> int:
     run = _Run(args)
     check_replicates(args.replicates)
+    check_threshold(args.threshold)
     check_grid_size(args.n_grid)
     ds, constraints = run.data()
     dag = run.dag(args.dag)

@@ -329,6 +329,15 @@ def design_stack(ds: Dataset, child: int, parents: np.ndarray) -> tuple[np.ndarr
     return X, y
 
 
+def mask_parents(ds: Dataset, masks: list[int]) -> np.ndarray:
+    """The ``parents`` of :func:`design_stack` for B parent sets of k
+    columns each, given as bitmasks over the columns: a (B, k) array of
+    column indices, each row in name order."""
+    order = np.array(sorted(range(len(ds.names)), key=ds.names.__getitem__))
+    bits = np.array(masks, dtype=np.uint64)[:, None] >> order.astype(np.uint64) & 1
+    return order[np.nonzero(bits)[1]].reshape(len(masks), masks[0].bit_count())
+
+
 def build_design(ds: Dataset, child: str, parent_set: Sequence[str]) -> DesignMatrix:
     """The design of ``child`` on ``parent_set``: :func:`design_stack` of one."""
     parents = list(parent_set)

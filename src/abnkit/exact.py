@@ -20,9 +20,8 @@ in index order, whose candidate equals F(S), so no per-subset choice is
 stored.  Everything the search allocates counts against the memory budget,
 which reaches past the method's practical ceiling (~25 nodes): a 24-node
 search with at most two parents per node (two-byte ranks) needs 0.61 GiB of
-the default 4 GiB, and it took 8.9 s and 665 MiB peak RSS on a 2-vCPU
-host; with every parent set cached, ranks take four bytes, the ranked scores
-and masks take 2.25 GiB, and the need is 3.75 GiB.
+the default 4 GiB; with every parent set cached, ranks take four bytes, the
+ranked scores and masks take 2.25 GiB, and the need is 3.75 GiB.
 
 The Koivisto structure prior's ``log C(n-1, k)`` is
 :func:`abnkit.families.log_choose`, read from a memoised ``log k!`` table
@@ -36,9 +35,9 @@ from math import comb
 
 import numpy as np
 
-from .cache import ScoreCache, default_score_type
+from .cache import ScoreCache
 from .dag import Dag, dag_from_masks
-from .errors import AbnError, MemoryLimit
+from .errors import AbnError, CacheMismatch, MemoryLimit
 from .families import log_choose
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes across everything the exact search allocates
@@ -65,18 +64,13 @@ class StructuralPrior:
         return -log_choose(n_nodes - 1, cardinality)
 
 
-def _rank_dtype(entries: int) -> np.dtype:
-    """Narrowest integer type of the ranks 0..entries of a node's cached sets
-    and its virtual empty entry."""
-    return np.min_scalar_type(entries)
-
-
 def _search_bytes(entries: list[int]) -> int:
     """Peak bytes of an exact search over nodes with ``entries[i]`` cached
     sets, each phase's arrays summed:
 
-    - the rank tables over the 2^(n-1) cells, each node's in its
-      ``_rank_dtype``, and the subset sweep's transposed copy of one table;
+    - the rank tables over the 2^(n-1) cells, each node's in the narrowest
+      type of its ranks 0..entries[i] (the virtual entry is rank 0 or more),
+      and the subset sweep's transposed copy of one table;
     - per ranked entry (the cached sets and the virtual one), its float64
       value and int32 mask, plus at most eight 8-byte arrays over the largest
       node's entries while that node is ranked;
@@ -87,7 +81,7 @@ def _search_bytes(entries: list[int]) -> int:
     n = len(entries)
     others = max(n - 1, 0)
     cells = 1 << others
-    widths = [_rank_dtype(e).itemsize for e in entries]
+    widths = [np.min_scalar_type(e).itemsize for e in entries]
     ranked = [e + 1 for e in entries]
     return (
         (sum(widths) + max(widths, default=0)) * cells
@@ -108,7 +102,7 @@ def _check_budget(entries: list[int], budget: int) -> None:
         )
 
 
-def _node_entries(cache: ScoreCache, prior: StructuralPrior, score_type: str):
+def _node_entries(cache: ScoreCache, prior: StructuralPrior, score_type: str | None):
     """Per node: its cached parent-set masks and their score plus log-prior."""
     n = cache.n_nodes
     log_prior = np.array([prior.log_prior(n, k) for k in range(n)])
@@ -155,12 +149,9 @@ class BestParentTable:
     the rank indexes."""
 
     nodes: tuple[str, ...]
-    score_type: str
-    prior: StructuralPrior
     rank: tuple[np.ndarray, ...] = field(repr=False)
     values: tuple[np.ndarray, ...] = field(repr=False)
     masks: tuple[np.ndarray, ...] = field(repr=False)
-    cache: ScoreCache = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -193,13 +184,12 @@ def best_parents_table(
     """
     n = cache.n_nodes
     _check_budget([len(masks) for masks in cache.masks], memory_budget)
-    score_type = score_type or default_score_type(cache.method)
     rank_all, values_all, masks_all = [], [], []
     for i, (masks, values) in enumerate(_node_entries(cache, prior, score_type)):
         masks = np.concatenate(([0], masks)).astype(np.int32)
         values = np.concatenate(([-np.inf], values))
         order = np.lexsort((masks, np.bitwise_count(masks), -values))
-        dtype = _rank_dtype(len(order) - 1)
+        dtype = np.min_scalar_type(len(order) - 1)
         position = np.empty(len(order), dtype=dtype)
         position[order] = np.arange(len(order), dtype=dtype)
         rank = np.full(1 << (n - 1), position[0], dtype=dtype)
@@ -207,15 +197,8 @@ def best_parents_table(
         rank_all.append(_subset_sweep(rank))
         values_all.append(values[order])
         masks_all.append(masks[order])
-    return BestParentTable(
-        nodes=cache.nodes,
-        score_type=score_type,
-        prior=prior,
-        rank=tuple(rank_all),
-        values=tuple(values_all),
-        masks=tuple(masks_all),
-        cache=cache,
-    )
+    return BestParentTable(nodes=cache.nodes, rank=tuple(rank_all), values=tuple(values_all),
+                           masks=tuple(masks_all))
 
 
 def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
@@ -227,10 +210,9 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     choice is stored: backtracking takes, at each subset S, the first j in
     index order whose candidate ``F(S \\ j) + bs(j, S \\ j)`` equals ``F(S)``,
     the same float64 addition on the same operands, so it is the sink that a
-    strictly-better update in sink order would have kept.  The total is
-    recomputed from the cache entries of the selected parent sets (score plus
-    structural log-prior, summed in node index order) so it satisfies the
-    decomposability identity exactly.
+    strictly-better update in sink order would have kept.  The total sums
+    the selected cells' score plus log-prior in node index order, the terms
+    and the order of :func:`dag_objective`, so the two agree bit for bit.
     """
     n = table.n_nodes
     F = np.full(1 << n, -np.inf)
@@ -247,14 +229,16 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
     S = (1 << n) - 1
     if not np.isfinite(F[S]):
         raise AbnError("no constraint-satisfying DAG exists for this cache")
-    masks = [0] * n
+    terms, masks = [0.0] * n, [0] * n
     while S:
         j = next(j for j in range(n) if S >> j & 1
                  and F[S ^ 1 << j] + table.cell(j, S ^ 1 << j)[0] == F[S])
         S ^= 1 << j
-        masks[j] = table.cell(j, S)[1]
-    dag = dag_from_masks(table.nodes, masks)
-    return dag, dag_objective(table.cache, dag, table.prior, table.score_type)
+        terms[j], masks[j] = table.cell(j, S)
+    total = 0.0
+    for term in terms:  # not sum(), whose float sum is compensated from Python 3.12
+        total += term
+    return dag_from_masks(table.nodes, masks), total
 
 
 def dag_objective(
@@ -265,6 +249,8 @@ def dag_objective(
 ) -> float:
     """Canonical search objective of a DAG: per node, one fused
     ``score + log-prior`` term, accumulated in node index order."""
+    if dag.nodes != cache.nodes:
+        raise CacheMismatch("DAG node set differs from cache")
     n = cache.n_nodes
     total = 0.0
     for i, mask in enumerate(dag.parent_masks()):

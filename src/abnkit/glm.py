@@ -91,7 +91,6 @@ class FitResult:
     coefficients: np.ndarray
     family: str
     method: str
-    n_obs: int
     log_likelihood: float
     neg_hessian: np.ndarray = field(repr=False)
     gaussian_log_precision: float | None = None
@@ -170,13 +169,11 @@ class _Objective:
         self.free_precision = gaussian and self.fixed_precision is None
         if priors is None:  # the derivatives' prior terms are zeros
             self.coef_variance, self.prior_precision = math.inf, 0.0
-            self.shape = self.rate = 0.0
         else:
             self.coef_variance = priors.coef_variance
             self.prior_precision = np.eye(self.width) / priors.coef_variance
             # the N(0, v) coefficient log-prior is this minus |theta|^2 / 2v
             self.coef_norm = -0.5 * self.width * np.log(2.0 * np.pi * priors.coef_variance)
-            self.shape, self.rate = PRECISION_SHAPE, PRECISION_RATE
         self.gram = self.Xt @ self.X if gaussian else None
         self.log_factorial = families.log_y_factorial(y) if family == "poisson" else None
 
@@ -220,7 +217,7 @@ class _Objective:
             sq = np.add.reduce(theta**2, axis=1)
             joint = ll + (self.coef_norm - 0.5 * sq / self.coef_variance)
             if self.free_precision:  # Gamma(a, rate b) on tau, as a density of log tau
-                a, b = self.shape, self.rate
+                a, b = PRECISION_SHAPE, PRECISION_RATE
                 joint += PRECISION_LOG_NORM + a * log_precision - b * tau
         return joint, (ll, eta, mu)
 
@@ -241,7 +238,7 @@ class _Objective:
             if not self.free_precision:
                 return coef_grad, coef_curv
             rr = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-            a, b = self.shape, self.rate
+            a, b = PRECISION_SHAPE, PRECISION_RATE
             grad = np.column_stack([coef_grad, 0.5 * y.shape[1] - 0.5 * tau * rr + a - b * tau])
             curv = np.empty((len(params), p + 1, p + 1))
             curv[:, :p, :p] = coef_curv
@@ -265,21 +262,30 @@ class _Diverged(FitError):
     pass
 
 
+def _each(fn, error: type[Exception], fill: float, *stacks: np.ndarray):
+    """``fn(*stacks)`` of a stack of problems, one per row of each array in
+    ``stacks``, and each problem's ``error`` or None.  When the stack raises
+    ``error``, each problem runs as a stack of one; the results are then
+    shaped like the last array in ``stacks``, and a failing problem's is ``fill``."""
+    try:
+        return fn(*stacks), [None] * len(stacks[0])
+    except error:
+        out, errors = np.full_like(stacks[-1], fill), [None] * len(stacks[0])
+    for k in range(len(out)):
+        try:
+            out[k] = fn(*(s[k:k + 1] for s in stacks))[0]
+        except error as exc:
+            errors[k] = exc
+    return out, errors
+
+
 def _solve(a: np.ndarray, b: np.ndarray):
     """Solutions (B, P) of a stack of systems ``a x = b``, ``a`` (B, P, P)
     and ``b`` (B, P), each by the LAPACK call of a stack of one, and each
     system's LinAlgError or None; a singular system's solution is 0."""
-    try:
-        # a (B, P, 1) right-hand side: NumPy 2 solves a (B, P) one as one matrix
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], [None] * len(b)
-    except np.linalg.LinAlgError:  # find the singular systems
-        x, errors = np.zeros_like(b), [None] * len(b)
-        for k in range(len(b)):
-            try:
-                x[k] = np.linalg.solve(a[k:k + 1], b[k:k + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError as exc:
-                errors[k] = exc
-        return x, errors
+    # a (B, P, 1) right-hand side: NumPy 2 solves a (B, P) one as one matrix
+    return _each(lambda a, b: np.linalg.solve(a, b[:, :, None])[:, :, 0],
+                 np.linalg.LinAlgError, 0.0, a, b)
 
 
 def _ascend(value, derivatives, params: np.ndarray, live: list[int] | None = None):
@@ -450,9 +456,8 @@ def _fit_mle_once(design: DesignMatrix) -> FitResult:
         if not converged:
             raise _Diverged("Newton ascent did not converge")
     return FitResult(labels=design.labels, coefficients=theta, family=fam, method="mle",
-                     n_obs=design.n_obs, log_likelihood=ll, neg_hessian=info,
-                     gaussian_log_precision=log_prec, used_firth=used_firth,
-                     converged=converged)
+                     log_likelihood=ll, neg_hessian=info, gaussian_log_precision=log_prec,
+                     used_firth=used_firth, converged=converged)
 
 
 def _fit_mle(design: DesignMatrix) -> FitResult:
@@ -557,15 +562,9 @@ def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str, child: str,
             # the reported likelihood uses exp(log tau), not tau itself
             terms = families.loglik_terms(family, post.y, eta, math.exp(lam[0]))
             ll = np.add.reduce(terms, axis=1)
-        try:
-            mlik = _laplace(joint, params.shape[1], neg_h)
-        except NonPositiveDefiniteHessian:  # find the fits it failed
-            mlik = np.full(len(joint), np.nan)
-            for b, error in enumerate(errors):
-                try:
-                    mlik[b] = _laplace(joint[b:b + 1], params.shape[1], neg_h[b:b + 1])[0]
-                except NonPositiveDefiniteHessian as exc:
-                    errors[b] = error or exc
+        mlik, failed = _each(lambda h, j: _laplace(j, params.shape[1], h),
+                             NonPositiveDefiniteHessian, np.nan, neg_h, joint)
+        errors = [e or x for e, x in zip(errors, failed)]
     return BayesStack(theta, lam, ll, neg_h, mlik, converged, errors)
 
 
@@ -576,8 +575,7 @@ def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
         raise fit.errors[0]
     lam = None if fit.log_precisions is None else float(fit.log_precisions[0])
     return FitResult(labels=design.labels, coefficients=fit.modes[0], family=design.family,
-                     method="bayes", n_obs=design.n_obs,
-                     log_likelihood=float(fit.log_likelihoods[0]),
+                     method="bayes", log_likelihood=float(fit.log_likelihoods[0]),
                      neg_hessian=fit.neg_hessians[0], gaussian_log_precision=lam,
                      mlik=float(fit.mliks[0]), converged=fit.converged[0])
 
@@ -679,8 +677,6 @@ class ParamDensity:
     density: np.ndarray
     probabilities: np.ndarray
     area: float
-    mode: float
-    sd: float
 
 
 def marginal_densities(fit: FitResult, n_grid: int = 1000) -> list[ParamDensity]:
@@ -716,6 +712,5 @@ def marginal_densities(fit: FitResult, n_grid: int = 1000) -> list[ParamDensity]
             )
         area = float(np.trapezoid(density, grid))
         out.append(ParamDensity(label=label, grid=grid, density=density,
-                                probabilities=density / density.sum(), area=area,
-                                mode=float(mode), sd=sd))
+                                probabilities=density / density.sum(), area=area))
     return out

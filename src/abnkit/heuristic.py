@@ -246,6 +246,12 @@ def arc_frequency_matrix(dags: list[Dag]) -> np.ndarray:
     return freq / len(dags)
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ConfigError unless the support threshold lies in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
+
+
 def majority_consensus(
     dags: list[Dag], threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,6 +261,7 @@ def majority_consensus(
     frequency meets the threshold.  Each direction counts separately, so the
     result may be cyclic (see :func:`repair_to_dag`).
     """
+    check_threshold(threshold)
     freq = arc_frequency_matrix(dags)
     kept = (freq >= threshold) & ~np.eye(len(freq), dtype=bool)
     return kept.astype(np.int8), freq

@@ -26,7 +26,6 @@ class DiscretizedData:
     names: tuple[str, ...]
     indices: np.ndarray = field(repr=False)  # (n_obs, n_cols) int64
     edges: tuple[np.ndarray, ...]
-    rule: str
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -84,7 +83,7 @@ def discretize(ds: Dataset, rule: str = "fixed_k", fixed_k: int = 8) -> Discreti
             edges = np.linspace(x.min(), x.max(), k + 1)[1:-1]
         indices[:, j] = np.searchsorted(edges, x, side="right")
         edges_out.append(edges)
-    return DiscretizedData(names=ds.names, indices=indices, edges=tuple(edges_out), rule=rule)
+    return DiscretizedData(names=ds.names, indices=indices, edges=tuple(edges_out))
 
 
 def _cell_counts(rows: np.ndarray) -> np.ndarray:

@@ -142,7 +142,6 @@ def random_cache(
         nodes=nodes,
         distributions=("gaussian",) * n,
         method="bayes",
-        score_types=("mlik",),
         fingerprint="test",
         constraints=constraints,
         masks=tuple(masks),

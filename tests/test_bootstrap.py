@@ -249,6 +249,17 @@ class TestRunBootstrap:
             run_bootstrap(fits, dag, ds, n_replicates=3, seed=1, **bad)
         assert calls == []
 
+    @pytest.mark.parametrize("threshold", [1.7, -3.0])
+    def test_threshold_fails_before_any_replicate(self, small_model, monkeypatch, threshold):
+        dag, ds, fits = small_model
+        calls = []
+        monkeypatch.setattr(abnkit.bootstrap, "build_cache",
+                            lambda *args, **kwargs: calls.append(args))
+        message = rf"^threshold must lie in \[0, 1\], got {threshold}$"
+        with pytest.raises(ConfigError, match=message):
+            run_bootstrap(fits, dag, ds, n_replicates=3, seed=1, threshold=threshold)
+        assert calls == []
+
     def test_grid_posteriors_cover_all_parameters(self, small_model):
         dag, ds, fits = small_model
         grids = model_grid_posteriors(dag, fits)

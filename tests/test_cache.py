@@ -753,3 +753,9 @@ class TestMalformedText:
     def test_bad_diagnostic_line(self, lines):
         with pytest.raises(CacheMismatch):
             cache_from_text("\n".join([*lines, "# diag\t9\t0\tboom"]) + "\n")
+
+    def test_blank_body_line_is_skipped(self, lines):
+        body = next(k for k, line in enumerate(lines) if line[:1].isdigit())
+        text = "\n".join(lines) + "\n"
+        blank = "\n".join([*lines[:body + 1], "", "  ", *lines[body + 1:]]) + "\n"
+        assert cache_to_text(cache_from_text(blank)) == text

@@ -12,7 +12,7 @@ import pytest
 
 import abnkit.bootstrap
 from abnkit.cli import build_parser, main
-from abnkit.dag import dag_from_text, format_adjacency
+from abnkit.dag import dag_from_text, dag_to_text, format_adjacency
 from abnkit.data import Dataset, format_dist_spec
 from abnkit.simulate import SimSpec, simulate_data
 
@@ -104,6 +104,15 @@ class TestSearchCommand:
                     "--out", tmp_path / "x", "--jobs", "1"])
         assert code == 1
         assert "ERROR ConfigError" in capsys.readouterr().err
+
+    def test_mle_with_mlik_rejected(self, workspace, tmp_path, capsys):
+        code = run(["search", "exact", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--method", "mle", "--score", "mlik",
+                    "--out", tmp_path / "x", "--jobs", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ConfigError: score 'mlik' requires --method bayes"]
+        assert not (tmp_path / "x").exists()
 
     def test_mle_bic_search_runs(self, workspace, tmp_path):
         code = run(["search", "exact", "--data", workspace / "data.csv",
@@ -220,6 +229,24 @@ class TestCacheConstraints:
             err = capsys.readouterr().err.splitlines()
             assert err == [f"ERROR ConstraintError: row {lines[2].split()[0]!r} has a "
                            "non-numeric entry"]
+
+    def test_files_naming_other_nodes_are_one_error_line(self, workspace, tmp_path, capsys):
+        other = tmp_path / "other.txt"  # the data's names in another order
+        other.write_text(dag_to_text(dag_from_arcs(("g", "p", "b"), ())))
+        data = ["--data", workspace / "data.csv", "--dists", workspace / "dists.txt"]
+        for argv, line in [
+            (["fit", *data, "--dag", other],
+             "ERROR ConfigError: DAG nodes differ from data columns"),
+            (["strength", *data, "--dag", other],
+             "ERROR ConfigError: DAG nodes differ from data columns"),
+            (["search", "exact", *data, "--max-parents", "1", "--ban", other],
+             "ERROR ConfigError: constraint matrix nodes ('g', 'p', 'b') differ from data "
+             "columns"),
+        ]:
+            capsys.readouterr()
+            assert run([*argv, "--out", tmp_path / "out", "--jobs", "1"]) == 1
+            assert capsys.readouterr().err.splitlines() == [line]
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: text[:-3], "simulation spec is not JSON"),
@@ -576,6 +603,28 @@ class TestOutOfRangeOptions:
         assert run([*argv, *flags, "--out", tmp_path / "out", "--jobs", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR "), err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "heuristic", "--seed", "1", "--threshold", "1.7"],
+         "threshold must lie in [0, 1], got 1.7"),
+        (["search", "heuristic", "--seed", "1", "--threshold", "-3"],
+         "threshold must lie in [0, 1], got -3.0"),
+        (["bootstrap", "--dag", "dag.txt", "--seed", "1", "--threshold", "1.7"],
+         "threshold must lie in [0, 1], got 1.7"),
+        (["bootstrap", "--dag", "dag.txt", "--seed", "1", "--threshold", "-3"],
+         "threshold must lie in [0, 1], got -3.0"),
+        (["sweep-parents", "--max", "0"], "--max needs a parent limit of at least 1, got 0"),
+        (["sweep-parents", "--max", "-2"], "--max needs a parent limit of at least 1, got -2"),
+    ], ids=["heuristic-threshold-high", "heuristic-threshold-negative",
+            "bootstrap-threshold-high", "bootstrap-threshold-negative", "max-zero",
+            "max-negative"])
+    def test_rejected_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        # no input file exists: a check made after reading one would report that
+        missing = ["--data", tmp_path / "data.csv", "--dists", tmp_path / "dists.txt"]
+        capsys.readouterr()
+        assert run([*argv, *missing, "--out", tmp_path / "out", "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"ERROR ConfigError: {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("command", [

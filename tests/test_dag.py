@@ -277,6 +277,21 @@ class TestTextFormats:
         with pytest.raises(ConstraintError):
             parse_adjacency("node a b\na 0\nb 0 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        (" \n\n", "empty adjacency text"),
+        ("node a b\na 0 0\n", "expected 2 rows, found 1"),
+        ("node a b\na 0 0\nb 0 0\nc 0 0\n", "expected 2 rows, found 3"),
+        ("node a b\na 0 0\nc 1 0\n", "row 1 named 'c', expected 'b'"),
+    ], ids=["empty", "too-few-rows", "too-many-rows", "wrong-row-name"])
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ConstraintError, match=f"^{message}$"):
+            parse_adjacency(text)
+
+    @pytest.mark.parametrize("entry", ["2", "-1", "0.5"])
+    def test_dag_entries_must_be_binary(self, entry):
+        with pytest.raises(ConstraintError, match="^adjacency entries must be 0/1$"):
+            dag_from_text(f"node a b\na 0 0\nb {entry} 0\n")
+
     def test_dot_contains_shapes_and_arcs(self, case_study_dag):
         dists = {
             "AR": "binomial", "pneumS": "binomial", "female": "binomial",
@@ -344,7 +359,7 @@ class TestNodeNames:
                  for i in range(n)]
         cache = ScoreCache(
             nodes=tuple(names), distributions=("gaussian",) * n, method="bayes",
-            score_types=("mlik",), fingerprint="test", constraints=constraints,
+            fingerprint="test", constraints=constraints,
             masks=tuple(masks),
             scores=tuple(-np.arange(1.0, len(m) + 1)[:, None] for m in masks),
         )

@@ -143,6 +143,40 @@ class TestLoad:
         assert dists == {"a": "binomial", "c": "gaussian"}
         assert group == "farm"
 
+    @pytest.mark.parametrize("text, message", [
+        ("a=binomial\nc gaussian\n", "dist spec line 2: expected key=value, got 'c gaussian'"),
+        ("a=weibull\n", "dist spec line 1: 'weibull' is not one of "
+                         "('binomial', 'gaussian', 'poisson')"),
+        ("# only a comment\ngroup_var=farm\n", "dist spec declares no columns"),
+    ], ids=["no-equals", "unknown-family", "no-columns"])
+    def test_malformed_dist_spec(self, text, message):
+        with pytest.raises(DataError) as info:
+            parse_dist_spec(text)
+        assert str(info.value) == message
+
+    def test_header_only_csv(self, csv_file):
+        path = csv_file("a,c\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, {"a": "binomial", "c": "gaussian"})
+        assert str(info.value) == f"{path}: need a header and at least one data row"
+
+    def test_row_of_the_wrong_width(self, csv_file):
+        path = csv_file("a,c\n1,0.5\n0\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, {"a": "binomial", "c": "gaussian"})
+        assert str(info.value) == f"{path}: row 3 has 1 fields, expected 2"
+
+    def test_numeric_binomial_levels_other_than_zero_one(self, csv_file):
+        with pytest.raises(BadLevelCount) as info:
+            load_dataset(csv_file("a\n1\n2\n1\n"), {"a": "binomial"})
+        assert str(info.value) == ("binomial column 'a' must have exactly the levels "
+                                   "0 and 1, found [1.0, 2.0]")
+
+    def test_non_numeric_gaussian_column(self, csv_file):
+        with pytest.raises(DataError) as info:
+            load_dataset(csv_file("c\n0.5\nhigh\n"), {"c": "gaussian"})
+        assert str(info.value) == "column 'c' declared gaussian but is not numeric"
+
 
 def _bench_models():
     """The benchmark's seeded model generators, ``bench/models.py``."""

@@ -3,15 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abnkit.cache import build_cache
-from abnkit.dag import ConstraintSet, dag_from_masks, find_cycle
+from abnkit.cache import ScoreCache, build_cache
+from abnkit.dag import ConstraintSet, Dag, dag_from_masks, find_cycle
 from abnkit.data import standardize
-from abnkit.errors import AbnError, MemoryLimit
+from abnkit.errors import AbnError, CacheMismatch, MemoryLimit
 from abnkit.exact import (
     DEFAULT_MEMORY_BUDGET,
     StructuralPrior,
     _check_budget,
-    _rank_dtype,
     _search_bytes,
     _subset_sweep,
     best_parents_table,
@@ -49,10 +48,10 @@ def oracle_table_cell(cache, prior, i, S):
     return max(items, key=lambda item: (item[0], -bin(item[1]).count("1"), -item[1]))
 
 
-def oracle_most_probable_dag(table):
+def oracle_most_probable_dag(table, cache, prior):
     """The sink recursion with a choice array: per (layer, sink) a candidate
     replaces ``F`` only when strictly better, and backtracking follows the
-    stored sinks."""
+    stored sinks; the total is the DAG's ``dag_objective`` under ``prior``."""
     n = table.n_nodes
     size = 1 << n
     F = np.full(size, -np.inf)
@@ -79,7 +78,7 @@ def oracle_most_probable_dag(table):
         S ^= 1 << j
         masks[j] = table.cell(j, S)[1]
     dag = dag_from_masks(table.nodes, masks)
-    return dag, dag_objective(table.cache, dag, table.prior, table.score_type)
+    return dag, dag_objective(cache, dag, prior)
 
 
 def other_subsets(n, i):
@@ -196,10 +195,15 @@ class TestBestParentsTable:
 
     def test_rank_dtype_is_the_narrowest(self):
         # ranks run from 0 to the number of cached sets (the virtual entry)
-        assert _rank_dtype(255) == np.uint8
-        assert _rank_dtype(256) == np.uint16
-        assert _rank_dtype(65_535) == np.uint16
-        assert _rank_dtype(65_536) == np.uint32
+        for n, entries, dtype in [(9, 255, np.uint8), (9, 256, np.uint16),
+                                  (17, 65_535, np.uint16), (17, 65_536, np.uint32)]:
+            nodes = tuple(f"x{i}" for i in range(n))
+            empty = (np.zeros(1, np.int64),) * (n - 1)  # the other nodes cache the empty set
+            masks = (np.arange(entries, dtype=np.int64) << 1, *empty)
+            cache = ScoreCache(nodes=nodes, distributions=("gaussian",) * n, method="bayes",
+                               fingerprint="test", constraints=ConstraintSet(nodes),
+                               masks=masks, scores=tuple(-np.ones((len(m), 1)) for m in masks))
+            assert best_parents_table(cache).rank[0].dtype == dtype
 
     def test_memory_limit(self):
         rng = np.random.default_rng(4)
@@ -285,9 +289,15 @@ class TestMostProbable:
                 np.floor(scores, out=scores)
             table = best_parents_table(cache, prior)
             dag, total = most_probable_dag(table)
-            oracle_dag, oracle_total = oracle_most_probable_dag(table)
+            oracle_dag, oracle_total = oracle_most_probable_dag(table, cache, prior)
             assert np.array_equal(dag.adjacency, oracle_dag.adjacency)
             assert total == oracle_total
+
+    def test_dag_objective_rejects_other_nodes(self):
+        cache = random_cache(3, np.random.default_rng(21))
+        for nodes in [("x0", "x2", "x1"), ("x0", "x1", "y2"), ("x0", "x1")]:
+            with pytest.raises(CacheMismatch, match="^DAG node set differs from cache$"):
+                dag_objective(cache, Dag(nodes))
 
     def test_output_satisfies_constraints(self):
         rng = np.random.default_rng(20)
@@ -324,7 +334,7 @@ class TestMostProbable:
 
         cache2 = ScoreCache(
             nodes=cache.nodes, distributions=cache.distributions,
-            method="bayes", score_types=("mlik",), fingerprint="test",
+            method="bayes", fingerprint="test",
             constraints=cache.constraints, masks=tuple(masks2), scores=tuple(scores2),
         )
         dag2, total2 = most_probable_dag(best_parents_table(cache2, prior))

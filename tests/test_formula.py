@@ -72,6 +72,14 @@ class TestParse:
         with pytest.raises(FormulaError):
             parse_formula("~a", ["a", "b"])
 
+    def test_two_bars(self):
+        with pytest.raises(FormulaError, match=r"^term 'a\|b\|c' has more than one '\|'$"):
+            parse_formula("~a|b|c", ["a", "b", "c"])
+
+    def test_empty_parent_list(self):
+        with pytest.raises(FormulaError, match="^empty parent list$"):
+            parse_formula("~a|", ["a", "b"])
+
     def test_child_list_with_dot_parents_expands_cartesian(self):
         m = parse_formula("~a:b|.", ["a", "b", "c"])
         assert m[0, 1] == 1 and m[0, 2] == 1  # a <- b, c

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from abnkit.cache import build_cache
 from abnkit.dag import ConstraintSet, Dag, dag_from_masks, descendants, find_cycle, row_masks
 from abnkit.data import standardize
-from abnkit.errors import NodeSetMismatch
+from abnkit.errors import ConfigError, NodeSetMismatch
 from abnkit.exact import StructuralPrior, best_parents_table, dag_objective, most_probable_dag
 from abnkit.heuristic import (
     HeuristicConfig,
@@ -343,6 +343,11 @@ class TestConsensus:
     def test_node_set_mismatch(self, asia_dag):
         with pytest.raises(NodeSetMismatch):
             arc_frequency_matrix([asia_dag, Dag(("a", "b"))])
+
+    @pytest.mark.parametrize("threshold", [1.7, -3.0, 1.0 + 1e-9, math.nan])
+    def test_threshold_outside_unit_interval(self, asia_dag, threshold):
+        with pytest.raises(ConfigError, match=r"^threshold must lie in \[0, 1\], got "):
+            majority_consensus([asia_dag], threshold=threshold)
 
 
 class TestRepair:
