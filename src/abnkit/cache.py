@@ -2,11 +2,12 @@
 
 For every node, all parent sets compatible with the constraints (retained
 subset, banned excluded, cardinality limit) are enumerated as bitmasks over
-the node index order and scored once: a node's bayes sets in stacks of one
-cardinality, laid out by :func:`~abnkit.data.design_stack`, its MLE sets by
-one :func:`~abnkit.glm.fit_node` each.  The cache is the single input of
-both search backends; a dataset fingerprint guards against scoring one
-dataset and searching another.
+the node index order and scored once.  A node's sets are laid out by
+:func:`~abnkit.data.design_stack` in stacks of one cardinality, whatever the
+method: a bayes stack is fitted by one :func:`~abnkit.glm.fit_bayes_stack`,
+an MLE stack by one :func:`~abnkit.glm.fit_node` per design.  The cache is
+the single input of both search backends; a dataset fingerprint guards
+against scoring one dataset and searching another.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .dag import ConstraintSet, Dag
-from .data import Dataset, design_for_mask, design_stack, mask_parents
+from .data import Dataset, DesignMatrix, design_stack, mask_parents
 from .errors import AbnError, CacheMismatch, ConfigError, UnenumeratedParentSet
 from .families import FAMILIES
 from .formula import parse_formula, render_formula
@@ -29,8 +30,8 @@ BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
 # Exceptions a single hard fit may raise; they mark that fit failed.
 FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
-# A node's bayes parent sets of one cardinality are fitted in stacks of as
-# many as fit STACK_MAX_CELLS design numbers (512 KiB).
+# A node's parent sets of one cardinality are laid out in stacks of as many
+# as fit STACK_MAX_CELLS design numbers (512 KiB).
 STACK_MAX_CELLS = 2**16
 # Parent sets are int64 bitmasks over the node order, so bit 63 stays clear.
 MAX_NODES = 63
@@ -42,6 +43,16 @@ Outcome = tuple[tuple[float, ...] | None, list[str]]
 def default_score_type(method: str) -> str:
     """The score a method reports when none is named."""
     return "mlik" if method == "bayes" else "bic"
+
+
+def ordered_sum(terms) -> float:
+    """The float sum of ``terms`` added left to right, every total of
+    per-node terms: not ``sum()``, whose float sum is compensated from
+    Python 3.12, so the same terms give the same bits on every Python."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def check_jobs(jobs: int) -> None:
@@ -104,10 +115,6 @@ class ScoreCache:
     scores: tuple[np.ndarray, ...] = field(repr=False)
     diagnostics: tuple[tuple[int, int, str], ...] = ()
 
-    def __post_init__(self):
-        lookup = tuple(dict(zip(m.tolist(), range(len(m)))) for m in self.masks)
-        object.__setattr__(self, "_lookup", lookup)
-
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -135,12 +142,11 @@ class ScoreCache:
 
     def score(self, node: int, mask: int, score_type: str | None = None) -> float:
         st = self.score_index(score_type or default_score_type(self.method))
-        try:
-            row = self._lookup[node][mask]
-        except KeyError:
+        masks = self.masks[node]
+        row = int(np.searchsorted(masks, mask))
+        if masks[row:row + 1].tolist() != [mask]:
             raise UnenumeratedParentSet(
-                f"parent set {mask:#x} of node {self.nodes[node]!r} was never enumerated"
-            ) from None
+                f"parent set {mask:#x} of node {self.nodes[node]!r} was never enumerated")
         return float(self.scores[node][row, st])
 
     def score_vector(self, node: int, score_type: str | None = None) -> np.ndarray:
@@ -156,17 +162,19 @@ class ScoreCache:
         if constraints.nodes != self.nodes:
             raise CacheMismatch("constraint node set differs from cache")
         masks, scores = [], []
-        for i, lookup in enumerate(self._lookup):
-            wanted = enumerate_parent_sets(i, constraints)
-            for mask in wanted:
-                if mask not in lookup:
-                    parents = [name for j, name in enumerate(self.nodes) if mask >> j & 1]
-                    raise CacheMismatch(
-                        f"cache has no entry for node {self.nodes[i]!r} with parents "
-                        f"{{{','.join(parents)}}}; rebuild it under these constraints"
-                    )
-            masks.append(np.array(wanted, dtype=np.int64))
-            scores.append(self.scores[i][[lookup[m] for m in wanted]])
+        for i, cached in enumerate(self.masks):
+            wanted = np.array(enumerate_parent_sets(i, constraints), dtype=np.int64)
+            rows = np.searchsorted(cached, wanted)
+            # a set above every cached one finds the -1 appended past the end
+            missing = wanted[np.append(cached, -1)[rows] != wanted]
+            if len(missing):
+                parents = [name for j, name in enumerate(self.nodes) if missing[0] >> j & 1]
+                raise CacheMismatch(
+                    f"cache has no entry for node {self.nodes[i]!r} with parents "
+                    f"{{{','.join(parents)}}}; rebuild it under these constraints"
+                )
+            masks.append(wanted)
+            scores.append(self.scores[i][rows])
         allowed = [set(m.tolist()) for m in masks]
         return replace(
             self,
@@ -186,10 +194,8 @@ class ScoreCache:
         """Decomposable total: sum of per-node scores over the DAG's parent sets."""
         if dag.nodes != self.nodes:
             raise CacheMismatch("DAG node set differs from cache")
-        total = 0.0
-        for i, mask in enumerate(dag.parent_masks()):
-            total += self.score(i, mask, score_type)
-        return total
+        return ordered_sum(self.score(i, mask, score_type)
+                           for i, mask in enumerate(dag.parent_masks()))
 
 
 def _fit_error(exc: Exception) -> Outcome:
@@ -197,39 +203,13 @@ def _fit_error(exc: Exception) -> Outcome:
     return None, [f"{type(exc).__name__}: {exc}"]
 
 
-def _stacked_fits(ds: Dataset, node: int, node_masks: list[int]) -> dict[int, Outcome]:
-    """Outcomes of a node's bayes fits, keyed by mask.
-
-    The sets are fitted by :func:`~abnkit.glm.fit_bayes_stack`, one
-    cardinality at a time, in stacks of up to STACK_MAX_CELLS design numbers
-    laid out by :func:`~abnkit.data.design_stack`.  Each fit starts where
-    fit_node starts and so takes fit_node's iterates.
-    """
-    layers: dict[int, list[int]] = {}
-    for mask in node_masks:
-        layers.setdefault(mask.bit_count(), []).append(mask)
-    outcomes = {}
-    for size, masks in layers.items():
-        width = max(1, STACK_MAX_CELLS // ((1 + size) * ds.n_obs))
-        for first in range(0, len(masks), width):
-            chunk = masks[first:first + width]
-            fit = fit_bayes_stack(*design_stack(ds, node, mask_parents(ds, chunk)),
-                                  ds.distributions[node], ds.names[node])
-            for b, mask in enumerate(chunk):
-                error = fit.errors[b]
-                outcomes[mask] = _fit_error(error) if error is not None else (
-                    (float(fit.mliks[b]),), [] if fit.converged[b] else ["unconverged"])
-    return outcomes
-
-
-def _fit_one(ds: Dataset, node: int, mask: int) -> Outcome:
+def _mle_outcome(design: DesignMatrix, n_candidates: int) -> Outcome:
     """The outcome of one MLE :func:`fit_node` fit."""
-    design = design_for_mask(ds, node, mask)
     try:
         fit = fit_node(design, method="mle")
         if fit.dropped_predictors:  # the kept design's score is not this parent set's
             return None, fit.status()[:1]
-        fs = frequentist_scores(fit, ds.n_obs, len(ds.names) - 1)
+        fs = frequentist_scores(fit, design.n_obs, n_candidates)
         return (fs.loglik, fs.aic, fs.bic, fs.mdl), fit.status()
     except FIT_ERRORS as exc:
         return _fit_error(exc)
@@ -238,10 +218,38 @@ def _fit_one(ds: Dataset, node: int, mask: int) -> Outcome:
 def _score_one_node(
     ds: Dataset, node: int, node_masks: list[int], method: str
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
-    if method == "bayes":
-        outcomes, n_scores = _stacked_fits(ds, node, node_masks), len(BAYES_SCORES)
-    else:
-        outcomes, n_scores = {m: _fit_one(ds, node, m) for m in node_masks}, len(MLE_SCORES)
+    """A node's scores, one row per mask, and its notes.
+
+    The sets are laid out by :func:`~abnkit.data.design_stack` one
+    cardinality at a time, in stacks of up to STACK_MAX_CELLS design
+    numbers.  A bayes stack is fitted by :func:`~abnkit.glm.fit_bayes_stack`,
+    whose fits start where fit_node starts and so take fit_node's iterates;
+    an MLE stack by one fit_node per design, each laid out as
+    :func:`~abnkit.data.build_design` lays out its stack of one.
+    """
+    child, family = ds.names[node], ds.distributions[node]
+    layers: dict[int, list[int]] = {}
+    for mask in node_masks:
+        layers.setdefault(mask.bit_count(), []).append(mask)
+    outcomes: dict[int, Outcome] = {}
+    for size, masks in layers.items():
+        width = max(1, STACK_MAX_CELLS // ((1 + size) * ds.n_obs))
+        for first in range(0, len(masks), width):
+            chunk = masks[first:first + width]
+            parents = mask_parents(ds, chunk)
+            X, y = design_stack(ds, node, parents)
+            if method == "bayes":
+                fit = fit_bayes_stack(X, y, family, child)
+                for mask, error, mlik, converged in zip(chunk, fit.errors, fit.mliks,
+                                                        fit.converged):
+                    outcomes[mask] = _fit_error(error) if error is not None else (
+                        (float(mlik),), [] if converged else ["unconverged"])
+            else:
+                for mask, row, design in zip(chunk, parents.tolist(), X):
+                    labels = ("(Intercept)", *(ds.names[j] for j in row))
+                    outcomes[mask] = _mle_outcome(DesignMatrix(y, design, labels, child, family),
+                                                  len(ds.names) - 1)
+    n_scores = len(BAYES_SCORES if method == "bayes" else MLE_SCORES)
     block = np.full((len(node_masks), n_scores), -np.inf)
     notes: list[tuple[int, int, str]] = []
     for k, mask in enumerate(node_masks):

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bootstrap import check_replicates, run_bootstrap
 from .cache import (MLE_SCORES, build_cache, cache_from_text, cache_to_text, check_jobs,
-                    default_score_type)
+                    default_score_type, ordered_sum)
 from .dag import (
     ConstraintSet,
     Dag,
@@ -191,11 +191,12 @@ def cmd_search(args) -> int:
         table = best_parents_table(cache, prior, score_type=score)
         dag, total = most_probable_dag(table)
         run.config["total_objective"] = total
-        run.config["total_score"] = total_score = cache.dag_score(dag, score)
+        node_scores = [cache.score(i, mask, score) for i, mask in enumerate(dag.parent_masks())]
+        run.config["total_score"] = total_score = ordered_sum(node_scores)
         breakdown = ["node\tparents\tscore"]
-        for i, (node, mask) in enumerate(zip(dag.nodes, dag.parent_masks())):
+        for node, node_score in zip(dag.nodes, node_scores):
             parents = ":".join(sorted(dag.parents(node))) or "-"
-            breakdown.append(f"{node}\t{parents}\t{cache.score(i, mask, score):.17g}")
+            breakdown.append(f"{node}\t{parents}\t{node_score:.17g}")
         run.write("scores.tsv", "\n".join(breakdown) + "\n")
     else:
         trace = heuristic_search(cache, config, prior=prior, score_type=score,
@@ -232,7 +233,7 @@ def cmd_fit(args) -> int:
     fits = _fit_coefficients(run, ds, dag, args.method)
     scores = {node: fit.mlik if args.method == "bayes" else fit.log_likelihood
               for node, fit in fits.items()}
-    total = sum(scores.values())
+    total = ordered_sum(scores.values())
     # a degraded fit says so: pruned predictors, Firth's penalty, no convergence
     score_rows = [f"{node}\t{scores[node]:.17g}\t{' '.join(fits[node].status()) or '-'}"
                   for node in dag.nodes]

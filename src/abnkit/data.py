@@ -350,9 +350,3 @@ def build_design(ds: Dataset, child: str, parent_set: Sequence[str]) -> DesignMa
     X, y = design_stack(ds, index, np.array([[ds.index(p) for p in order]], dtype=np.intp))
     return DesignMatrix(response=y, predictors=X[0], labels=("(Intercept)", *order),
                         child=child, family=ds.distributions[index])
-
-
-def design_for_mask(ds: Dataset, child_index: int, parent_mask: int) -> DesignMatrix:
-    """Design matrix for a parent set given as a bitmask over column indices."""
-    parents = [ds.names[j] for j in range(len(ds.names)) if parent_mask >> j & 1]
-    return build_design(ds, ds.names[child_index], parents)

@@ -35,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from .cache import ScoreCache
+from .cache import ScoreCache, ordered_sum
 from .dag import Dag, dag_from_masks
 from .errors import AbnError, CacheMismatch, MemoryLimit
 from .families import log_choose
@@ -235,10 +235,7 @@ def most_probable_dag(table: BestParentTable) -> tuple[Dag, float]:
                  and F[S ^ 1 << j] + table.cell(j, S ^ 1 << j)[0] == F[S])
         S ^= 1 << j
         terms[j], masks[j] = table.cell(j, S)
-    total = 0.0
-    for term in terms:  # not sum(), whose float sum is compensated from Python 3.12
-        total += term
-    return dag_from_masks(table.nodes, masks), total
+    return dag_from_masks(table.nodes, masks), ordered_sum(terms)
 
 
 def dag_objective(
@@ -252,9 +249,5 @@ def dag_objective(
     if dag.nodes != cache.nodes:
         raise CacheMismatch("DAG node set differs from cache")
     n = cache.n_nodes
-    total = 0.0
-    for i, mask in enumerate(dag.parent_masks()):
-        total += cache.score(i, mask, score_type) + prior.log_prior(
-            n, bin(mask).count("1")
-        )
-    return total
+    return ordered_sum(cache.score(i, mask, score_type) + prior.log_prior(n, mask.bit_count())
+                       for i, mask in enumerate(dag.parent_masks()))

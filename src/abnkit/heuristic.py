@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import ScoreCache, default_score_type, parallel_map
+from .cache import ScoreCache, ordered_sum, parallel_map
 from .dag import Dag, dag_from_masks, descendants, find_cycle, row_masks
 from .errors import ConfigError, EmptyCache, NodeSetMismatch
 from .exact import StructuralPrior, _node_entries
@@ -74,7 +74,7 @@ class SearchTrace:
 
 
 def objective_tables(
-    cache: ScoreCache, prior: StructuralPrior, score_type: str
+    cache: ScoreCache, prior: StructuralPrior, score_type: str | None
 ) -> list[dict[int, float]]:
     """Per node, ``{parent mask: score + log-prior}`` over the cached sets: the
     exact DP's objective as lookup tables."""
@@ -92,7 +92,7 @@ class _State:
         self.node_scores = [tables[i][m] for i, m in enumerate(self.masks)]
 
     def total(self) -> float:
-        return float(sum(self.node_scores))
+        return ordered_sum(self.node_scores)
 
     def valid_moves(self) -> list[tuple[Move, float]]:
         """All admissible single-arc moves with their score deltas, in the
@@ -157,7 +157,8 @@ def _randomize_start(state: _State, rng: np.random.Generator) -> None:
 
 
 def _run_restart(
-    cache: ScoreCache,
+    nodes: tuple[str, ...],
+    retained: list[int],
     tables: list[dict[int, float]],
     config: HeuristicConfig,
     restart_index: int,
@@ -165,7 +166,7 @@ def _run_restart(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(restart_index,))
     )
-    state = _State(tables, row_masks(cache.constraints.retained))
+    state = _State(tables, retained)
     _randomize_start(state, rng)
 
     best_score, best_masks = state.total(), list(state.masks)
@@ -201,7 +202,7 @@ def _run_restart(
                 best_score, best_masks = total, list(state.masks)
         trail.append(best_score)
 
-    return RestartTrace(dag=dag_from_masks(cache.nodes, best_masks), score=best_score,
+    return RestartTrace(dag=dag_from_masks(nodes, best_masks), score=best_score,
                         best_scores=tuple(trail))
 
 
@@ -222,8 +223,9 @@ def heuristic_search(
     """
     if cache.n_entries == 0:
         raise EmptyCache("score cache has no entries")
-    tables = objective_tables(cache, prior, score_type or default_score_type(cache.method))
-    tasks = [(cache, tables, config, k) for k in range(config.restarts)]
+    tables = objective_tables(cache, prior, score_type)
+    retained = row_masks(cache.constraints.retained)
+    tasks = [(cache.nodes, retained, tables, config, k) for k in range(config.restarts)]
     return SearchTrace(restarts=tuple(parallel_map(_run_restart, tasks, jobs)))
 
 

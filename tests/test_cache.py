@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,15 +15,16 @@ from abnkit.cache import (
     cache_from_text,
     cache_to_text,
     enumerate_parent_sets,
+    ordered_sum,
     parallel_map,
 )
 from abnkit.dag import ConstraintSet, Dag
-from abnkit.data import Dataset, design_for_mask, standardize
+from abnkit.data import Dataset, build_design, standardize
 from abnkit.errors import (AbnError, CacheMismatch, ConfigError, FitError,
                            UnenumeratedParentSet)
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
-from abnkit.glm import fit_dag, fit_node
+from abnkit.glm import fit_dag, fit_node, frequentist_scores
 from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
 from conftest import (CASE_STUDY_ARCS, CASE_STUDY_DISTS, CASE_STUDY_NODES, dag_from_arcs,
@@ -84,7 +87,13 @@ class TestBuildCache:
         dag = Dag(ds.names, np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         total = cache.dag_score(dag)
         parts = [cache.score(i, m) for i, m in enumerate(dag.parent_masks())]
-        assert total == sum(parts)
+        assert total == reduce(operator.add, parts, 0.0)  # left to right, on every Python
+
+    def test_ordered_sum_adds_left_to_right(self):
+        # a compensated sum (sum() from Python 3.12) gives 1.0
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        assert ordered_sum(iter([0.1, 0.2, 0.3])).hex() == ((0.1 + 0.2) + 0.3).hex()
+        assert ordered_sum([]) == 0.0
 
     def test_mle_cache_has_four_scores(self):
         ds = mixed_dataset(80, 1)
@@ -137,6 +146,19 @@ class TestBuildCache:
         banned_mask = 1 << nodes.index("b")
         with pytest.raises(UnenumeratedParentSet):
             cache.score(nodes.index("g"), banned_mask)
+
+    @pytest.mark.parametrize("mask", [0, 0b0010, 0b1000, 0b1110, 0b10000],
+                             ids=["below-0", "below-2", "between", "above-14", "above-16"])
+    def test_lookup_outside_the_cached_masks_fails(self, mask):
+        # a keeps c and may not have b: its sets are {c} (4) and {c,d} (12)
+        ds = _overflow_dataset()
+        cons = ConstraintSet(ds.names, banned=parse_formula("~a|b", ds.names),
+                             retained=parse_formula("~a|c", ds.names), max_parents=2)
+        cache = build_cache(ds, cons)
+        assert cache.masks[0].tolist() == [0b0100, 0b1100]
+        assert cache.score(0, 0b1100) == cache.scores[0][1, 0]
+        with pytest.raises(UnenumeratedParentSet, match=f"parent set {mask:#x} of node 'a'"):
+            cache.score(0, mask)
 
     def test_failed_fit_recorded_not_fatal(self):
         # magnitudes around 1e160 overflow the profiled variance: the node is
@@ -357,6 +379,10 @@ def _hard_dataset(n_obs: int, seed: int) -> Dataset:
                                   "gaussian", "binomial"))
 
 
+def _mask_names(ds: Dataset, mask: int) -> list[str]:
+    return [name for j, name in enumerate(ds.names) if mask >> j & 1]
+
+
 def _fit_node_loop(ds: Dataset, cons: ConstraintSet, nodes=None):
     """The bayes scores and notes of one fit_node call per parent set, of
     every node or of those in ``nodes``."""
@@ -364,7 +390,7 @@ def _fit_node_loop(ds: Dataset, cons: ConstraintSet, nodes=None):
     for i in range(len(ds.names)) if nodes is None else nodes:
         for mask in enumerate_parent_sets(i, cons):
             try:
-                fit = fit_node(design_for_mask(ds, i, mask))
+                fit = fit_node(build_design(ds, ds.names[i], _mask_names(ds, mask)))
             except FIT_ERRORS as exc:
                 scores[i, mask] = -np.inf
                 notes.append((i, mask, f"{type(exc).__name__}: {exc}"))
@@ -374,6 +400,31 @@ def _fit_node_loop(ds: Dataset, cons: ConstraintSet, nodes=None):
                 notes.extend((i, mask, word) for word in fit.status())
             else:
                 scores[i, mask] = -np.inf
+                notes.append((i, mask, "non-finite score"))
+    return scores, notes
+
+
+def _mle_fit_node_loop(ds: Dataset, cons: ConstraintSet):
+    """The MLE scores and notes of one fit_node call and its
+    frequentist_scores per parent set."""
+    scores, notes = {}, []
+    for i in range(len(ds.names)):
+        for mask in enumerate_parent_sets(i, cons):
+            scores[i, mask] = (-np.inf,) * 4
+            try:
+                fit = fit_node(build_design(ds, ds.names[i], _mask_names(ds, mask)), "mle")
+            except FIT_ERRORS as exc:
+                notes.append((i, mask, f"{type(exc).__name__}: {exc}"))
+                continue
+            if fit.dropped_predictors:
+                notes.append((i, mask, fit.status()[0]))
+                continue
+            fs = frequentist_scores(fit, ds.n_obs, len(ds.names) - 1)
+            values = (fs.loglik, fs.aic, fs.bic, fs.mdl)
+            if all(map(math.isfinite, values)):
+                scores[i, mask] = values
+                notes.extend((i, mask, word) for word in fit.status())
+            else:
                 notes.append((i, mask, "non-finite score"))
     return scores, notes
 
@@ -545,6 +596,23 @@ class TestStackedScoring:
         _assert_bit_equal(cache, scores)
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
+    @pytest.mark.parametrize("n_obs", [30, 341])
+    def test_mle_scores_and_notes_are_fit_nodes(self, monkeypatch, n_obs, pairs):
+        # an MLE stack is fitted by one fit_node per design
+        if pairs:
+            monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * n_obs)
+        ds = _hard_dataset(n_obs, n_obs)
+        cons = ConstraintSet(ds.names, max_parents=3)
+        cache = build_cache(ds, cons, method="mle")
+        scores, notes = _mle_fit_node_loop(ds, cons)
+        assert sorted(cache.diagnostics) == sorted(notes)
+        kinds = {word.partition(":")[0] for _, _, word in notes}
+        assert {"firth", "pruned", "_Diverged"} <= kinds, kinds
+        for (i, mask), want in scores.items():
+            got = [cache.score(i, mask, st) for st in cache.score_types]
+            assert [v.hex() for v in got] == [float(v).hex() for v in want], (i, mask)
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("data", [
         lambda: _case_study_data(341, 1),
         lambda: _case_study_data(341, 2),
@@ -681,6 +749,18 @@ class TestRestrict:
             cache.restrict(ConstraintSet(nodes, max_parents=1))
         with pytest.raises(CacheMismatch):
             cache.restrict(ConstraintSet(("x", "y", "z")))
+
+    @pytest.mark.parametrize("ban, missing", [("~a|b", "{b}"), ("~a|d", "{b,c}")],
+                             ids=["between", "above-the-largest"])
+    def test_names_the_first_missing_set(self, ban, missing):
+        # a's cached sets are {}, {c}, {d} (a hole at {b}) or {}, {b}, {c}
+        # (the wanted {b,c} lies above them), and a's larger sets are missing too
+        ds = _overflow_dataset()
+        nodes = ds.names
+        cache = build_cache(ds, ConstraintSet(nodes, banned=parse_formula(ban, nodes),
+                                              max_parents=1))
+        with pytest.raises(CacheMismatch, match=f"node 'a' with parents \\{missing}; "):
+            cache.restrict(ConstraintSet(nodes, max_parents=2))
 
 
 class TestMalformedText:

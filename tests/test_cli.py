@@ -301,6 +301,25 @@ class TestOtherCommands:
         scores = (out / "node-scores.tsv").read_text()
         assert scores.splitlines()[-1].startswith("total\t")
 
+    def test_fit_total_adds_left_to_right(self, workspace, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        import abnkit.cli
+        from abnkit.glm import fit_dag
+
+        def fits_scoring(ds, dag, method):  # a compensated sum (Python 3.12's sum()) gives 1.0
+            fits = fit_dag(ds, dag, method)
+            return {node: replace(fits[node], mlik=mlik)
+                    for node, mlik in zip(dag.nodes, (1e16, 1.0, -1e16))}
+
+        monkeypatch.setattr(abnkit.cli, "fit_dag", fits_scoring)
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", workspace / "data.csv", "--dists", workspace / "dists.txt",
+                    "--dag", workspace / "true-dag.txt", "--out", out, "--jobs", "1"]) == 0
+        assert (out / "node-scores.tsv").read_text().splitlines()[-1] == "total\t0"
+        manifest = json.loads((out / "manifest-fit.json").read_text())
+        assert manifest["config"]["total_mlik"] == 0.0
+
     def test_fit_names_the_predictors_it_dropped(self, tmp_path):
         # b is a copy of a, so y ~ a + b has no unique MLE and one copy goes
         rng = np.random.default_rng(3)

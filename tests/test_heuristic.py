@@ -76,6 +76,10 @@ class TestSearch:
         state = _State(objective_tables(chain_cache, UNIF, "mlik"), best.dag.parent_masks())
         assert all(delta <= 1e-9 for _, delta in state.valid_moves())
 
+    def test_total_adds_left_to_right(self):
+        # a compensated sum (sum() from Python 3.12) gives 1.0
+        assert _State([{0: 1e16}, {0: 1.0}, {0: -1e16}], [0, 0, 0]).total() == 0.0
+
     def test_fixed_seed_reproducible(self, chain_cache):
         config = HeuristicConfig(algorithm="simulated_annealing", restarts=4,
                                  max_steps=120, seed=11)
@@ -309,7 +313,8 @@ class TestStepLoopMatchesOracle:
             config = HeuristicConfig(algorithm=algorithm, max_steps=60, tabu_length=3,
                                      seed=int(rng.integers(2**31)))
             for k in range(2):
-                got = _run_restart(cache, tables, config, k)
+                got = _run_restart(cache.nodes, row_masks(cache.constraints.retained),
+                                   tables, config, k)
                 want = oracle_restart(cache, tables, config, k)
                 assert got.dag == want.dag
                 assert got.score.hex() == want.score.hex()
