@@ -83,8 +83,8 @@ def _draw_simspec(
     )
 
 
-def _one_replicate(k, dag, families_map, grids, n_obs, seed, constraints, prior,
-                   standardized):
+def _one_replicate(dag, families_map, grids, n_obs, seed, constraints, prior,
+                   standardized, k):
     """Simulate, score and search replicate ``k``; its gaussian columns are
     standardised when the original dataset's were."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
@@ -136,13 +136,8 @@ def run_bootstrap(
     if constraints is None:
         constraints = ConstraintSet(ds.names)
     grids = model_grid_posteriors(dag, fits, n_grid=n_grid)
-    families_map = ds.dist_map()
-    tasks = [
-        (k, dag, families_map, grids, ds.n_obs, seed, constraints, prior,
-         ds.standardized)
-        for k in range(n_replicates)
-    ]
-    results = parallel_map(_one_replicate, tasks, jobs)
+    shared = (dag, ds.dist_map(), grids, ds.n_obs, seed, constraints, prior, ds.standardized)
+    results = parallel_map(_one_replicate, shared, [(k,) for k in range(n_replicates)], jobs)
 
     dags: list[Dag] = []
     scores: list[float] = []
@@ -182,6 +177,7 @@ def prune_by_support(
     arc with the support of both directions.  The result is a subgraph of
     the original, hence automatically acyclic.
     """
+    check_threshold(threshold)
     check_support_mode(mode)
     if mode == "undirected":
         support = support + support.T

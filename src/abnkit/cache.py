@@ -60,16 +60,29 @@ def check_jobs(jobs: int) -> None:
         raise ConfigError(f"need at least one worker process, got {jobs}")
 
 
-def parallel_map(fn, tasks, jobs: int) -> list:
-    """``[fn(*task) for task in tasks]``, run in ``min(jobs, len(tasks))``
-    worker processes when that is more than one; results keep the task order
-    either way."""
+def _start_worker(fn, shared: tuple) -> None:
+    """Pool initializer: keep what every task of this worker shares."""
+    global _worker_call
+    _worker_call = fn, shared
+
+
+def _run_task(task: tuple):
+    fn, shared = _worker_call
+    return fn(*shared, *task)
+
+
+def parallel_map(fn, shared: tuple, tasks, jobs: int) -> list:
+    """``[fn(*shared, *task) for task in tasks]``, run in ``min(jobs,
+    len(tasks))`` worker processes when that is more than one; results keep
+    the task order either way.  ``fn`` and ``shared`` reach each worker once,
+    through the pool initializer, so a task carries only its own arguments."""
     check_jobs(jobs)
     jobs = min(jobs, len(tasks))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*task) for task in tasks]
+        with ProcessPoolExecutor(jobs, initializer=_start_worker,
+                                 initargs=(fn, shared)) as pool:
+            return list(pool.map(_run_task, tasks))
+    return [fn(*shared, *task) for task in tasks]
 
 
 def enumerate_parent_sets(node: int, constraints: ConstraintSet) -> list[int]:
@@ -216,7 +229,7 @@ def _mle_outcome(design: DesignMatrix, n_candidates: int) -> Outcome:
 
 
 def _score_one_node(
-    ds: Dataset, node: int, node_masks: list[int], method: str
+    ds: Dataset, method: str, node: int, node_masks: list[int]
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
     """A node's scores, one row per mask, and its notes.
 
@@ -282,11 +295,8 @@ def build_cache(
         constraints = ConstraintSet(ds.names)
     if constraints.nodes != ds.names:
         raise CacheMismatch("constraint node set differs from dataset columns")
-    n = len(ds.names)
-    all_masks = [enumerate_parent_sets(i, constraints) for i in range(n)]
-
-    tasks = [(ds, i, all_masks[i], method) for i in range(n)]
-    results = parallel_map(_score_one_node, tasks, jobs)
+    all_masks = [enumerate_parent_sets(i, constraints) for i in range(len(ds.names))]
+    results = parallel_map(_score_one_node, (ds, method), list(enumerate(all_masks)), jobs)
 
     diagnostics: list[tuple[int, int, str]] = []
     blocks = []

@@ -52,8 +52,8 @@ class HeuristicConfig:
             raise ConfigError("restarts, max_steps, tabu_length must be positive")
         if not 0 < self.cooling_factor < 1:
             raise ConfigError("cooling_factor must lie in (0, 1)")
-        if self.initial_temperature <= 0:
-            raise ConfigError("initial_temperature must be positive")
+        if not 0 < self.initial_temperature < math.inf:
+            raise ConfigError("initial_temperature must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,10 @@ def heuristic_search(
     """
     if cache.n_entries == 0:
         raise EmptyCache("score cache has no entries")
-    tables = objective_tables(cache, prior, score_type)
-    retained = row_masks(cache.constraints.retained)
-    tasks = [(cache.nodes, retained, tables, config, k) for k in range(config.restarts)]
-    return SearchTrace(restarts=tuple(parallel_map(_run_restart, tasks, jobs)))
+    shared = (cache.nodes, row_masks(cache.constraints.retained),
+              objective_tables(cache, prior, score_type), config)
+    tasks = [(k,) for k in range(config.restarts)]
+    return SearchTrace(restarts=tuple(parallel_map(_run_restart, shared, tasks, jobs)))
 
 
 # --------------------------------------------------------------------------

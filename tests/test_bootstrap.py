@@ -42,8 +42,8 @@ class TestSupportMatrix:
         assert np.array_equal(directed, asia_dag.adjacency.astype(float))
         # no arc of a DAG has its reversal, so each undirected support is 1
         assert prune_by_support(asia_dag, directed, 1.0, mode="undirected") == asia_dag
-        assert prune_by_support(asia_dag, directed, 1.0 + 1e-9,
-                                mode="undirected").n_arcs == 0
+        with pytest.raises(ConfigError, match="threshold must lie in"):
+            prune_by_support(asia_dag, directed, 1.0 + 1e-9, mode="undirected")
 
     def test_opposite_arcs(self):
         a = dag_from_arcs(("x", "y"), (("x", "y"),))
@@ -53,7 +53,8 @@ class TestSupportMatrix:
         # undirected support sums both directions: 0.5 + 0.5
         assert prune_by_support(a, directed, 0.5 + 1e-9, mode="directed").n_arcs == 0
         assert prune_by_support(a, directed, 1.0, mode="undirected") == a
-        assert prune_by_support(a, directed, 1.0 + 1e-9, mode="undirected").n_arcs == 0
+        with pytest.raises(ConfigError, match="threshold must lie in"):
+            prune_by_support(a, directed, 1.0 + 1e-9, mode="undirected")
 
     def test_mismatched_nodes(self, asia_dag):
         with pytest.raises(NodeSetMismatch):
@@ -70,10 +71,12 @@ class TestPrune:
         out = prune_by_support(asia_dag, support, threshold=0.0)
         assert out == asia_dag
 
-    def test_threshold_above_one_empties(self, asia_dag):
+    def test_threshold_outside_the_unit_interval_rejected(self, asia_dag):
         support = asia_dag.adjacency.astype(float)  # unanimous
-        out = prune_by_support(asia_dag, support, threshold=1.0 + 1e-9)
-        assert out.n_arcs == 0
+        assert prune_by_support(asia_dag, support, threshold=1.0) == asia_dag
+        for threshold in (1.0 + 1e-9, -1e-9, float("nan")):
+            with pytest.raises(ConfigError, match="threshold must lie in"):
+                prune_by_support(asia_dag, support, threshold=threshold)
 
     def test_monotone_in_threshold(self, asia_dag):
         rng = np.random.default_rng(0)

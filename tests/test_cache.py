@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import abnkit.cache
 import abnkit.glm
+from abnkit.bootstrap import run_bootstrap
 from abnkit.cache import (
     FIT_ERRORS,
     build_cache,
@@ -25,6 +26,7 @@ from abnkit.errors import (AbnError, CacheMismatch, ConfigError, FitError,
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
 from abnkit.glm import fit_dag, fit_node, frequentist_scores
+from abnkit.heuristic import HeuristicConfig, heuristic_search
 from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
 from conftest import (CASE_STUDY_ARCS, CASE_STUDY_DISTS, CASE_STUDY_NODES, dag_from_arcs,
@@ -128,13 +130,72 @@ class TestBuildCache:
             raise AssertionError("a pool was started for one task")
 
         monkeypatch.setattr(abnkit.cache, "ProcessPoolExecutor", no_pool)
-        assert parallel_map(math.hypot, [(3.0, 4.0)], jobs=4) == [5.0]
-        assert parallel_map(math.hypot, [], jobs=4) == []
+        assert parallel_map(math.hypot, (3.0,), [(4.0,)], jobs=4) == [5.0]
+        assert parallel_map(math.hypot, (3.0,), [], jobs=4) == []
+
+    @pytest.mark.parametrize("run", ["build_cache", "heuristic_search", "run_bootstrap"])
+    def test_tasks_carry_no_shared_input(self, monkeypatch, run):
+        """What a pool sends per task is the task's own indices and masks; the
+        dataset, objective tables and grid posteriors go to each worker once,
+        through the initializer, and the results are the serial ones."""
+        sent = []
+
+        class RecordingPool:
+            """Runs in this process and keeps what a real pool would send."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+                sent.append(initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                sent.append(tasks)
+                return map(fn, tasks)
+
+        ds = mixed_dataset(60, 2)
+        cons = ConstraintSet(ds.names, max_parents=2)
+        cache = build_cache(ds, cons)
+        dag = dag_from_arcs(ds.names, (("g", "b"), ("b", "p")))
+        fits = fit_dag(ds, dag)
+        calls = {
+            "build_cache": lambda jobs: cache_to_text(build_cache(ds, cons, jobs=jobs)),
+            "heuristic_search": lambda jobs: heuristic_search(
+                cache, HeuristicConfig(restarts=3, seed=1), jobs=jobs),
+            "run_bootstrap": lambda jobs: run_bootstrap(
+                fits, dag, ds, n_replicates=3, seed=1, n_grid=50, jobs=jobs).support.tolist(),
+        }
+        serial = calls[run](1)
+        monkeypatch.setattr(abnkit.cache, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(abnkit.cache, "_worker_call", None, raising=False)
+        assert calls[run](2) == serial
+
+        def leaves(item):
+            if isinstance(item, (list, tuple)):
+                for part in item:
+                    yield from leaves(part)
+            else:
+                yield item
+
+        (fn, shared), per_task = sent
+        assert len(per_task) == 3  # nodes, restarts or replicates
+        assert all(type(leaf) is int for leaf in leaves(per_task))
+        assert fn.__name__ == {"build_cache": "_score_one_node",
+                               "heuristic_search": "_run_restart",
+                               "run_bootstrap": "_one_replicate"}[run]
+        if run == "build_cache":
+            assert shared[0] is ds
+        else:  # the objective tables, or the grid posteriors of every node
+            assert isinstance(shared[2], (list, dict)) and len(shared[2]) == 3
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ConfigError, match=f"need at least one worker process, got {jobs}"):
-            parallel_map(math.hypot, [(3.0, 4.0)], jobs=jobs)
+            parallel_map(math.hypot, (3.0,), [(4.0,)], jobs=jobs)
         with pytest.raises(ConfigError):
             build_cache(mixed_dataset(20, 1), jobs=jobs)
 

@@ -634,9 +634,13 @@ class TestOutOfRangeOptions:
          "threshold must lie in [0, 1], got -3.0"),
         (["sweep-parents", "--max", "0"], "--max needs a parent limit of at least 1, got 0"),
         (["sweep-parents", "--max", "-2"], "--max needs a parent limit of at least 1, got -2"),
+        (["search", "heuristic", "--seed", "1", "--algorithm", "simulated_annealing",
+          "--temperature", "nan"], "initial_temperature must be positive and finite"),
+        (["search", "heuristic", "--seed", "1", "--algorithm", "simulated_annealing",
+          "--temperature", "inf"], "initial_temperature must be positive and finite"),
     ], ids=["heuristic-threshold-high", "heuristic-threshold-negative",
             "bootstrap-threshold-high", "bootstrap-threshold-negative", "max-zero",
-            "max-negative"])
+            "max-negative", "temperature-nan", "temperature-inf"])
     def test_rejected_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         # no input file exists: a check made after reading one would report that
         missing = ["--data", tmp_path / "data.csv", "--dists", tmp_path / "dists.txt"]

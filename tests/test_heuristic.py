@@ -121,6 +121,12 @@ class TestSearch:
         for restart in trace.restarts:
             assert ("a", "b") in restart.dag.arcs()
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        # a NaN temperature would reject every downhill move, an infinite one accept all
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            HeuristicConfig(algorithm="simulated_annealing", initial_temperature=temperature)
+
 
 def dfs_path(masks, start, goal) -> bool:
     """Directed path start -> ... -> goal by depth-first search; ``masks[i]``
