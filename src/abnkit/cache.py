@@ -5,9 +5,11 @@ subset, banned excluded, cardinality limit) are enumerated as bitmasks over
 the node index order and scored once.  A node's sets are laid out by
 :func:`~abnkit.data.design_stack` in stacks of one cardinality, whatever the
 method: a bayes stack is fitted by one :func:`~abnkit.glm.fit_bayes_stack`,
-an MLE stack by one :func:`~abnkit.glm.fit_node` per design.  The cache is
-the single input of both search backends; a dataset fingerprint guards
-against scoring one dataset and searching another.
+a binomial or poisson MLE stack by one :func:`~abnkit.glm.fit_mle_stack`,
+whose degraded fits :func:`~abnkit.glm.fit_node` fits again, and a gaussian
+MLE stack by one fit_node per design.  The cache is the single input of
+both search backends; a dataset fingerprint guards against scoring one
+dataset and searching another.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .data import Dataset, DesignMatrix, design_stack, mask_parents
 from .errors import AbnError, CacheMismatch, ConfigError, UnenumeratedParentSet
 from .families import FAMILIES
 from .formula import parse_formula, render_formula
-from .glm import fit_bayes_stack, fit_node, frequentist_scores
+from .glm import FitResult, fit_bayes_stack, fit_mle_stack, fit_node, frequentist_scores
 
 BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
@@ -216,10 +218,12 @@ def _fit_error(exc: Exception) -> Outcome:
     return None, [f"{type(exc).__name__}: {exc}"]
 
 
-def _mle_outcome(design: DesignMatrix, n_candidates: int) -> Outcome:
-    """The outcome of one MLE :func:`fit_node` fit."""
+def _mle_outcome(design: DesignMatrix, n_candidates: int,
+                 fit: FitResult | None = None) -> Outcome:
+    """The outcome of the MLE fit ``fit`` of ``design``, or of one
+    :func:`fit_node` fit when there is none."""
     try:
-        fit = fit_node(design, method="mle")
+        fit = fit or fit_node(design, method="mle")
         if fit.dropped_predictors:  # the kept design's score is not this parent set's
             return None, fit.status()[:1]
         fs = frequentist_scores(fit, design.n_obs, n_candidates)
@@ -236,8 +240,12 @@ def _score_one_node(
     The sets are laid out by :func:`~abnkit.data.design_stack` one
     cardinality at a time, in stacks of up to STACK_MAX_CELLS design
     numbers.  A bayes stack is fitted by :func:`~abnkit.glm.fit_bayes_stack`,
-    whose fits start where fit_node starts and so take fit_node's iterates;
-    an MLE stack by one fit_node per design, each laid out as
+    whose fits start where fit_node starts and so take fit_node's iterates.
+    A binomial or poisson MLE stack is fitted by
+    :func:`~abnkit.glm.fit_mle_stack`, whose fits take fit_node's iterates
+    too; a fit that fails there or does not converge is fitted again by
+    fit_node, which decides on Firth's penalty and pruning.  A gaussian MLE
+    stack is fitted by one fit_node per design, each laid out as
     :func:`~abnkit.data.build_design` lays out its stack of one.
     """
     child, family = ds.names[node], ds.distributions[node]
@@ -258,10 +266,15 @@ def _score_one_node(
                     outcomes[mask] = _fit_error(error) if error is not None else (
                         (float(mlik),), [] if converged else ["unconverged"])
             else:
-                for mask, row, design in zip(chunk, parents.tolist(), X):
+                fits = None if family == "gaussian" else fit_mle_stack(X, y, family)
+                for k, (mask, row) in enumerate(zip(chunk, parents.tolist())):
                     labels = ("(Intercept)", *(ds.names[j] for j in row))
-                    outcomes[mask] = _mle_outcome(DesignMatrix(y, design, labels, child, family),
-                                                  len(ds.names) - 1)
+                    fit = None
+                    if fits is not None and fits.errors[k] is None and fits.converged[k]:
+                        fit = FitResult(labels, fits.coefficients[k], family, "mle",
+                                        float(fits.log_likelihoods[k]), fits.neg_hessians[k])
+                    outcomes[mask] = _mle_outcome(DesignMatrix(y, X[k], labels, child, family),
+                                                  len(ds.names) - 1, fit)
     n_scores = len(BAYES_SCORES if method == "bayes" else MLE_SCORES)
     block = np.full((len(node_masks), n_scores), -np.inf)
     notes: list[tuple[int, int, str]] = []

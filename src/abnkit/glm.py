@@ -18,17 +18,17 @@ the log-prior of a bayes fit) of a stack of designs of one response, with
 its derivatives.  One Newton ascent with step halving, :func:`_ascend`,
 climbs a stack, each problem with its own halving and convergence test; its
 final state holds the log-likelihoods and its final curvatures are the
-information.  The MLE and Firth fits are stacks of one.  Every bayes fit,
-of every family, is :func:`fit_bayes_stack`: the score cache
-(:mod:`abnkit.cache`) fits a node's parent sets of one cardinality in
-stacks, :func:`fit_node` fits a stack of one, and each problem's arithmetic
-is the same in both, so each stacked fit's own result, failed or
-unconverged fits included, is bit for bit fit_node's.  A binomial or poisson
-evaluation's means, from :func:`families.loglik_mean`'s one ``exp``, pass
-on to the derivatives of the same iterate.  No fit or evaluation computes a
-log-gamma: the precision prior's normaliser is the constant
-``PRECISION_LOG_NORM``, and the poisson ``log y!`` and the MDL penalty read
-the memoised ``log k!`` table of :func:`families.log_factorials`.
+information.  Every bayes fit is :func:`fit_bayes_stack`, every binomial or
+poisson MLE ascent :func:`fit_mle_stack`, and the Firth fit a stack of one.
+The score cache (:mod:`abnkit.cache`) fits a node's parent sets of one
+cardinality in stacks, :func:`fit_node` fits a stack of one, and each
+problem's arithmetic is the same in both, so each stacked fit's own result,
+failed or unconverged fits included, is bit for bit fit_node's.  A binomial
+or poisson evaluation's means, from :func:`families.loglik_mean`'s one
+``exp``, pass on to the derivatives of the same iterate.  No fit or
+evaluation computes a log-gamma: the precision prior's normaliser is the
+constant ``PRECISION_LOG_NORM``, and the poisson ``log y!`` and the MDL
+penalty read the memoised ``log k!`` table of :func:`families.log_factorials`.
 
 All scores are stored in larger-is-better orientation.
 """
@@ -366,36 +366,13 @@ def _ascend_one(value, derivatives, params: np.ndarray):
 
 
 def _irls(design: DesignMatrix):
-    """Binomial or poisson MLE by Newton ascent of the log-likelihood, which
-    for the canonical links is IRLS: (theta, log-likelihood, converged,
-    information).  Raises _Diverged."""
-    obj = _Objective.of(design)
-    X, y = design.predictors, design.response
-    binomial = design.family == "binomial"
-    if not binomial and not np.any(y):
-        # sum(-exp(eta)) rises toward 0 as the intercept falls: no finite MLE
-        raise _Diverged("all-zero poisson response")
-    sign = 2.0 * y - 1.0
-
-    def score(theta, state):
-        # an iterate that classifies every 0/1 response certifies that no finite MLE exists
-        if binomial and (sign * state[1]).min() > 0:
-            raise _Diverged("complete separation")
-        return obj.grad_curvature(theta, state)
-
-    # start from the first IRLS step: weighted least squares at mu0
-    mu = (y + 0.5) / 2.0 if binomial else y + 0.5
-    w = families.irls_weights(design.family, mu)
-    wx = X * w[:, None]
-    z = families.link(design.family, mu) + (y - mu) / w
-    try:
-        theta = np.linalg.solve(X.T @ wx, wx.T @ z)
-    except np.linalg.LinAlgError:
-        raise _Diverged("singular weighted design")
-    theta, ll, _, info, converged = _ascend_one(obj.evaluate, score, theta)
-    if not np.all(np.abs(theta) <= UNBOUNDED_COEF):  # NaN fails too
-        raise _Diverged("non-finite or unbounded estimates")
-    return theta, ll, converged, info
+    """:func:`fit_mle_stack` of a stack of one: (theta, log-likelihood,
+    converged, information).  Raises its _Diverged."""
+    theta, ll, info, converged, (error,) = fit_mle_stack(
+        design.predictors[None], design.response, design.family)
+    if error is not None:
+        raise error
+    return theta[0], float(ll[0]), converged[0], info[0]
 
 
 def _firth(design: DesignMatrix):
@@ -497,6 +474,63 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
         raise AllPredictorsDropped(f"node {design.child!r}: every predictor was removed and "
                                    "the intercept-only fallback is still non-finite")
     return replace(fit, dropped_predictors=tuple(dropped))
+
+
+class MleStack(NamedTuple):
+    """MLE fits of a stack of B designs: the estimates (B, p), log-likelihoods
+    (B,), negative Hessians (B, p, p), whether each fit converged, and the
+    _Diverged that failed it or None."""
+
+    coefficients: np.ndarray
+    log_likelihoods: np.ndarray
+    neg_hessians: np.ndarray
+    converged: list[bool]
+    errors: list[Exception | None]
+
+
+def fit_mle_stack(X: np.ndarray, y: np.ndarray, family: str) -> MleStack:
+    """Binomial or poisson MLE fits of a stack of designs, ``X`` (B, n, p),
+    of one response ``y``, laid out by :func:`~abnkit.data.design_stack`, by
+    one Newton ascent of the log-likelihood: IRLS, for the canonical links.
+
+    Each fit starts from IRLS's first weighted least-squares step and takes
+    the iterates and last bits of a stack of one.  It fails, first reason
+    first, on an all-zero poisson response, a singular start, an iterate
+    that certifies complete separation (where it stops), singular
+    curvature, or non-finite estimates or any beyond UNBOUNDED_COEF.
+    """
+    # overflow/underflow is detected explicitly via finiteness checks
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        obj = _Objective(X, y, family)
+        binomial = family == "binomial"
+        # start from the first IRLS step: weighted least squares at mu0
+        mu = (y + 0.5) / 2.0 if binomial else y + 0.5
+        w = families.irls_weights(family, mu)
+        wx = X * w[:, None]
+        z = families.link(family, mu) + (y - mu) / w
+        theta, failed = _solve(obj.Xt @ wx, wx.transpose(0, 2, 1) @ z)
+        errors = [error and _Diverged("singular weighted design") for error in failed]
+        if not binomial and not np.any(y):
+            # sum(-exp(eta)) rises toward 0 as the intercept falls: no finite MLE
+            errors = [_Diverged("all-zero poisson response") for _ in errors]
+        live, sign = [b for b, error in enumerate(errors) if error is None], 2.0 * y - 1.0
+
+        def score(theta, state):
+            grad, curv = obj.grad_curvature(theta, state)
+            if binomial:
+                # an iterate that classifies every 0/1 response certifies that
+                # no finite MLE exists; a zero gradient stops its problem there
+                for b in np.flatnonzero((sign * state[1]).min(axis=1) > 0).tolist():
+                    errors[b], grad[b] = errors[b] or _Diverged("complete separation"), 0.0
+            return grad, curv
+
+        theta, ll, _, info, converged, singular = _ascend(obj.evaluate, score, theta, live)
+        bounded = np.all(np.abs(theta) <= UNBOUNDED_COEF, axis=1).tolist()  # NaN fails too
+        for b in live:
+            if errors[b] is None and (singular[b] or not bounded[b]):
+                errors[b] = _Diverged("singular curvature" if singular[b]
+                                      else "non-finite or unbounded estimates")
+    return MleStack(theta, ll, info, converged, errors)
 
 
 class BayesStack(NamedTuple):
@@ -618,18 +652,14 @@ def fit_dag(ds: Dataset, dag: Dag, method: str = "bayes") -> dict[str, FitResult
     }
 
 
-def _spd_logdet(matrix: np.ndarray):
-    """log det of a positive definite matrix, or of each in a stack."""
+def _laplace(joint, n_params: int, neg_hessian: np.ndarray):
+    """Laplace's log-evidence at a mode, or at each of a stack of modes."""
     try:
-        chol = np.linalg.cholesky(matrix)
+        chol = np.linalg.cholesky(neg_hessian)
     except np.linalg.LinAlgError:
         raise NonPositiveDefiniteHessian(
             "negative Hessian is not positive definite at the reported mode")
-    return 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
-
-
-def _laplace(joint, n_params: int, neg_hessian: np.ndarray):
-    logdet = _spd_logdet(neg_hessian)
+    logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
     return joint + 0.5 * n_params * np.log(2.0 * np.pi) - 0.5 * logdet
 
 

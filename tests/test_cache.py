@@ -1,6 +1,7 @@
 import math
 import operator
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,6 +497,14 @@ def _assert_bit_equal(cache, scores):
         assert cache.score(i, mask).hex() == float(want).hex(), (i, mask)
 
 
+def _assert_mle_bit_equal(cache, scores):
+    """Each cached MLE score of every type is the fit_node loop's, to the
+    last bit."""
+    for (i, mask), want in scores.items():
+        got = [cache.score(i, mask, st) for st in cache.score_types]
+        assert [v.hex() for v in got] == [float(v).hex() for v in want], (i, mask)
+
+
 def _case_study_data(n_obs: int, seed: int) -> Dataset:
     """Standardized data in the pig-growth case study's layout: five binomial
     nodes, one poisson and two gaussian (age, adg) on its ten arcs."""
@@ -637,12 +646,29 @@ class TestExtremeData:
             except FitError:
                 pass
 
+    @settings(max_examples=40, deadline=None)
+    @given(_extreme_mixed_datasets())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mle_caches_are_fit_nodes(self, case):
+        """Separated, all-zero and 1e15-count members share MLE stacks with
+        clean ones, in whole layers and in stacks of 2; every entry's scores
+        and notes are one fit_node call's."""
+        ds, _ = case
+        cons = ConstraintSet(ds.names, max_parents=3)
+        scores, notes = _mle_fit_node_loop(ds, cons)
+        for cells in (abnkit.cache.STACK_MAX_CELLS, 8 * ds.n_obs):
+            with mock.patch.object(abnkit.cache, "STACK_MAX_CELLS", cells):
+                cache = build_cache(ds, cons, method="mle")
+            assert sorted(cache.diagnostics) == sorted(notes), cells
+            _assert_mle_bit_equal(cache, scores)
+
 
 class TestStackedScoring:
-    """A node's bayes sets, of every family, are fitted per cardinality in
-    stacks of up to STACK_MAX_CELLS design numbers, laid out by
-    data.design_stack as build_design lays out each one; each score is
-    fit_node's to the last bit, and each note is fit_node's."""
+    """A node's bayes sets, of every family, and its binomial and poisson MLE
+    sets are fitted per cardinality in stacks of up to STACK_MAX_CELLS
+    design numbers, laid out by data.design_stack as build_design lays out
+    each one; each score is fit_node's to the last bit, and each note is
+    fit_node's."""
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])
@@ -659,7 +685,8 @@ class TestStackedScoring:
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])
     def test_mle_scores_and_notes_are_fit_nodes(self, monkeypatch, n_obs, pairs):
-        # an MLE stack is fitted by one fit_node per design
+        # separated, all-zero and singular members of a binomial or poisson
+        # MLE stack are fitted again by fit_node, which adds Firth and pruning
         if pairs:
             monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * n_obs)
         ds = _hard_dataset(n_obs, n_obs)
@@ -669,9 +696,36 @@ class TestStackedScoring:
         assert sorted(cache.diagnostics) == sorted(notes)
         kinds = {word.partition(":")[0] for _, _, word in notes}
         assert {"firth", "pruned", "_Diverged"} <= kinds, kinds
-        for (i, mask), want in scores.items():
-            got = [cache.score(i, mask, st) for st in cache.score_types]
-            assert [v.hex() for v in got] == [float(v).hex() for v in want], (i, mask)
+        _assert_mle_bit_equal(cache, scores)
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
+    @pytest.mark.parametrize("data", [
+        lambda: _case_study_data(341, 1),
+        lambda: _case_study_data(341, 2),
+        lambda: _case_study_data(341, 3),
+        lambda: _criterion7_data(1000, 1),
+    ], ids=["case-study-341-s1", "case-study-341-s2", "case-study-341-s3", "criterion7-1000"])
+    def test_clean_mle_stacks_never_reach_fit_node(self, monkeypatch, data, pairs):
+        # every binomial and poisson fit of clean data is clean, so each is
+        # its stack's own, and only the gaussian sets call fit_node
+        ds = data()
+        if pairs:
+            monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * ds.n_obs)
+        families = []
+
+        def counted(design, method):
+            families.append(design.family)
+            return fit_node(design, method)
+
+        monkeypatch.setattr(abnkit.cache, "fit_node", counted)
+        cons = ConstraintSet(ds.names, max_parents=3)
+        cache = build_cache(ds, cons, method="mle")
+        scores, notes = _mle_fit_node_loop(ds, cons)
+        assert notes == [] and cache.diagnostics == ()
+        _assert_mle_bit_equal(cache, scores)
+        gaussian_sets = sum(len(enumerate_parent_sets(i, cons))
+                            for i, family in enumerate(ds.distributions) if family == "gaussian")
+        assert families == ["gaussian"] * gaussian_sets
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("data", [
@@ -741,13 +795,14 @@ class TestStackedScoring:
             assert len([m for m in enumerate_parent_sets(i, cons) if m.bit_count() == 3]) == 4
         _assert_bit_equal(cache, scores)
 
+    @pytest.mark.parametrize("method", ["bayes", "mle"])
     @pytest.mark.parametrize("n_obs", [200, 5000],
                              ids=["one-stack-per-layer", "several-stacks-per-layer"])
-    def test_text_identical_across_jobs(self, n_obs):
+    def test_text_identical_across_jobs(self, n_obs, method):
         ds = _hard_dataset(n_obs, 9)
         cons = ConstraintSet(ds.names, max_parents=2)
-        serial = cache_to_text(build_cache(ds, cons, jobs=1))
-        assert serial == cache_to_text(build_cache(ds, cons, jobs=2))
+        serial = cache_to_text(build_cache(ds, cons, method=method, jobs=1))
+        assert serial == cache_to_text(build_cache(ds, cons, method=method, jobs=2))
 
     @settings(max_examples=40, deadline=None)
     @given(_gaussian_heavy_datasets())
