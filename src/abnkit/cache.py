@@ -4,17 +4,17 @@ For every node, all parent sets compatible with the constraints (retained
 subset, banned excluded, cardinality limit) are enumerated as bitmasks over
 the node index order and scored once.  A node's sets are laid out by
 :func:`~abnkit.data.design_stack` in stacks of one cardinality, whatever the
-method: a bayes stack is fitted by one :func:`~abnkit.glm.fit_bayes_stack`,
-a binomial or poisson MLE stack by one :func:`~abnkit.glm.fit_mle_stack`,
-whose degraded fits :func:`~abnkit.glm.fit_node` fits again, and a gaussian
-MLE stack by one fit_node per design.  The cache is the single input of
-both search backends; a dataset fingerprint guards against scoring one
-dataset and searching another.
+method, and each stack is fitted by one :func:`~abnkit.glm.fit_bayes_stack`
+or :func:`~abnkit.glm.fit_mle_stack`; a fit that failed or did not converge
+there is fitted again by :func:`~abnkit.glm.fit_node`.  The cache is the
+single input of both search backends; a dataset fingerprint guards against
+scoring one dataset and searching another.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -26,7 +26,7 @@ from .data import Dataset, DesignMatrix, design_stack, mask_parents
 from .errors import AbnError, CacheMismatch, ConfigError, UnenumeratedParentSet
 from .families import FAMILIES
 from .formula import parse_formula, render_formula
-from .glm import FitResult, fit_bayes_stack, fit_mle_stack, fit_node, frequentist_scores
+from .glm import fit_bayes_stack, fit_mle_stack, fit_node, information_criteria
 
 BAYES_SCORES = ("mlik",)
 MLE_SCORES = ("loglik", "aic", "bic", "mdl")
@@ -39,7 +39,7 @@ STACK_MAX_CELLS = 2**16
 MAX_NODES = 63
 # A fit's cache entry before its finiteness test: the scores, None for a
 # failed fit, and the diagnostic or status words.
-Outcome = tuple[tuple[float, ...] | None, list[str]]
+Outcome = tuple[Sequence[float] | None, list[str]]
 
 
 def default_score_type(method: str) -> str:
@@ -213,23 +213,18 @@ class ScoreCache:
                            for i, mask in enumerate(dag.parent_masks()))
 
 
-def _fit_error(exc: Exception) -> Outcome:
-    """The outcome of a fit that raised ``exc``."""
-    return None, [f"{type(exc).__name__}: {exc}"]
-
-
-def _mle_outcome(design: DesignMatrix, n_candidates: int,
-                 fit: FitResult | None = None) -> Outcome:
-    """The outcome of the MLE fit ``fit`` of ``design``, or of one
-    :func:`fit_node` fit when there is none."""
+def _refit(design: DesignMatrix, method: str, n_candidates: int) -> Outcome:
+    """The outcome of one :func:`fit_node` fit of ``design``."""
     try:
-        fit = fit or fit_node(design, method="mle")
+        fit = fit_node(design, method=method)
         if fit.dropped_predictors:  # the kept design's score is not this parent set's
             return None, fit.status()[:1]
-        fs = frequentist_scores(fit, design.n_obs, n_candidates)
-        return (fs.loglik, fs.aic, fs.bic, fs.mdl), fit.status()
+        if method == "bayes":
+            return (fit.mlik,), fit.status()
+        return information_criteria(fit.log_likelihood, design.width, design.family,
+                                    design.n_obs, n_candidates), fit.status()
     except FIT_ERRORS as exc:
-        return _fit_error(exc)
+        return None, [f"{type(exc).__name__}: {exc}"]
 
 
 def _score_one_node(
@@ -239,16 +234,14 @@ def _score_one_node(
 
     The sets are laid out by :func:`~abnkit.data.design_stack` one
     cardinality at a time, in stacks of up to STACK_MAX_CELLS design
-    numbers.  A bayes stack is fitted by :func:`~abnkit.glm.fit_bayes_stack`,
-    whose fits start where fit_node starts and so take fit_node's iterates.
-    A binomial or poisson MLE stack is fitted by
-    :func:`~abnkit.glm.fit_mle_stack`, whose fits take fit_node's iterates
-    too; a fit that fails there or does not converge is fitted again by
-    fit_node, which decides on Firth's penalty and pruning.  A gaussian MLE
-    stack is fitted by one fit_node per design, each laid out as
-    :func:`~abnkit.data.build_design` lays out its stack of one.
+    numbers, and each stack is fitted by one
+    :func:`~abnkit.glm.fit_bayes_stack` or :func:`~abnkit.glm.fit_mle_stack`,
+    whose fits take fit_node's iterates.  A fit that converged without error
+    is scored from the stack's own arrays; any other is fitted again by
+    fit_node, which decides on Firth's penalty, pruning and the error.
     """
     child, family = ds.names[node], ds.distributions[node]
+    n_candidates = len(ds.names) - 1
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
@@ -260,21 +253,20 @@ def _score_one_node(
             parents = mask_parents(ds, chunk)
             X, y = design_stack(ds, node, parents)
             if method == "bayes":
-                fit = fit_bayes_stack(X, y, family, child)
-                for mask, error, mlik, converged in zip(chunk, fit.errors, fit.mliks,
-                                                        fit.converged):
-                    outcomes[mask] = _fit_error(error) if error is not None else (
-                        (float(mlik),), [] if converged else ["unconverged"])
+                fits = fit_bayes_stack(X, y, family, child)
+                scores = fits.mliks[:, None]
             else:
-                fits = None if family == "gaussian" else fit_mle_stack(X, y, family)
-                for k, (mask, row) in enumerate(zip(chunk, parents.tolist())):
-                    labels = ("(Intercept)", *(ds.names[j] for j in row))
-                    fit = None
-                    if fits is not None and fits.errors[k] is None and fits.converged[k]:
-                        fit = FitResult(labels, fits.coefficients[k], family, "mle",
-                                        float(fits.log_likelihoods[k]), fits.neg_hessians[k])
-                    outcomes[mask] = _mle_outcome(DesignMatrix(y, X[k], labels, child, family),
-                                                  len(ds.names) - 1, fit)
+                fits = fit_mle_stack(X, y, family)
+                scores = np.column_stack(information_criteria(
+                    fits.log_likelihoods, 1 + size, family, ds.n_obs, n_candidates))
+            for k, (mask, row, error, converged) in enumerate(zip(
+                    chunk, scores.tolist(), fits.errors, fits.converged)):
+                if error is None and converged:
+                    outcomes[mask] = row, []
+                else:
+                    labels = ("(Intercept)", *(ds.names[j] for j in parents[k].tolist()))
+                    outcomes[mask] = _refit(DesignMatrix(y, X[k], labels, child, family),
+                                            method, n_candidates)
     n_scores = len(BAYES_SCORES if method == "bayes" else MLE_SCORES)
     block = np.full((len(node_masks), n_scores), -np.inf)
     notes: list[tuple[int, int, str]] = []

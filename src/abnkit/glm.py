@@ -18,9 +18,10 @@ the log-prior of a bayes fit) of a stack of designs of one response, with
 its derivatives.  One Newton ascent with step halving, :func:`_ascend`,
 climbs a stack, each problem with its own halving and convergence test; its
 final state holds the log-likelihoods and its final curvatures are the
-information.  Every bayes fit is :func:`fit_bayes_stack`, every binomial or
-poisson MLE ascent :func:`fit_mle_stack`, and the Firth fit a stack of one.
-The score cache (:mod:`abnkit.cache`) fits a node's parent sets of one
+information.  Every bayes fit is :func:`fit_bayes_stack` and every MLE
+fit :func:`fit_mle_stack`, gaussian least squares included; both return a
+:class:`FitStack`, and the Firth fit is an ascent of a stack of one.  The
+score cache (:mod:`abnkit.cache`) fits a node's parent sets of one
 cardinality in stacks, :func:`fit_node` fits a stack of one, and each
 problem's arithmetic is the same in both, so each stacked fit's own result,
 failed or unconverged fits included, is bit for bit fit_node's.  A binomial
@@ -355,29 +356,10 @@ def _ascend(value, derivatives, params: np.ndarray, live: list[int] | None = Non
     return params, f_old, state, curv, converged, singular
 
 
-def _ascend_one(value, derivatives, params: np.ndarray):
-    """:func:`_ascend` of a stack of one from ``params`` (P,): (params,
-    objective, state, curvature, converged).  Singular curvature raises
-    _Diverged."""
-    params, f, state, curv, converged, singular = _ascend(value, derivatives, params[None])
-    if singular[0]:
-        raise _Diverged("singular curvature")
-    return params[0], float(f[0]), state, curv[0], converged[0]
-
-
-def _irls(design: DesignMatrix):
-    """:func:`fit_mle_stack` of a stack of one: (theta, log-likelihood,
-    converged, information).  Raises its _Diverged."""
-    theta, ll, info, converged, (error,) = fit_mle_stack(
-        design.predictors[None], design.response, design.family)
-    if error is not None:
-        raise error
-    return theta[0], float(ll[0]), converged[0], info[0]
-
-
-def _firth(design: DesignMatrix):
+def _firth(design: DesignMatrix) -> FitResult:
     """Firth-penalized logistic fit: maximizes ll + 0.5*logdet(X'WX) from
-    zero.  Returns (theta, log-likelihood, converged, information)."""
+    zero, by :func:`_ascend` of a stack of one.  Singular curvature raises
+    _Diverged."""
     obj = _Objective.of(design)
     X, y = design.predictors, design.response
 
@@ -397,44 +379,26 @@ def _firth(design: DesignMatrix):
         h = np.einsum("ij,ji->i", X, np.linalg.solve(info, wx.T))
         return (X.T @ (y - mu + h * (0.5 - mu)))[None], info[None]
 
-    theta, _, (ll, *_), info, converged = _ascend_one(
-        penalized, modified_score, np.zeros(X.shape[1]))
-    return theta, float(ll[0]), converged, info
+    theta, _, (ll, *_), info, converged, singular = _ascend(
+        penalized, modified_score, np.zeros((1, X.shape[1])))
+    if singular[0]:
+        raise _Diverged("singular curvature")
+    return FitResult(labels=design.labels, coefficients=theta[0], family="binomial",
+                     method="mle", log_likelihood=float(ll[0]), neg_hessian=info[0],
+                     used_firth=True, converged=converged[0])
 
 
 def _fit_mle_once(design: DesignMatrix) -> FitResult:
-    """One MLE fit of the whole design; raises _Diverged."""
-    fam = design.family
-    log_prec, used_firth, converged = None, False, True
-    if fam == "gaussian":
-        X, y = design.predictors, design.response
-        theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-        if rank < design.width:
-            raise _Diverged("rank-deficient design")
-        if not np.all(np.isfinite(theta)):
-            raise _Diverged("non-finite least-squares solution")
-        # the precision is profiled out at n / RSS
-        eta = X @ theta
-        tau = 1.0 / max(float(np.sum((y - eta) ** 2)) / design.n_obs, 1e-300)
-        ll = float(np.sum(families.loglik_terms("gaussian", y, eta, tau)))
-        log_prec = float(np.log(tau))
-        # the information uses exp(log tau), the precision the fit reports
-        info = math.exp(log_prec) * (X.T @ X)
-    elif fam == "binomial":
-        try:
-            theta, ll, converged, info = _irls(design)
-        except _Diverged:
-            converged = False
-        if not converged:
-            theta, ll, converged, info = _firth(design)  # may raise _Diverged
-            used_firth = True
-    else:
-        theta, ll, converged, info = _irls(design)
-        if not converged:
-            raise _Diverged("Newton ascent did not converge")
-    return FitResult(labels=design.labels, coefficients=theta, family=fam, method="mle",
-                     log_likelihood=ll, neg_hessian=info, gaussian_log_precision=log_prec,
-                     used_firth=used_firth, converged=converged)
+    """One MLE fit of the whole design, :func:`fit_mle_stack` of a stack of
+    one; a binomial fit that fails there or does not converge is fitted
+    again with Firth's penalty.  Raises _Diverged or LinAlgError."""
+    fit = fit_mle_stack(design.predictors[None], design.response, design.family)
+    if design.family == "binomial" and not (fit.errors[0] is None and fit.converged[0]):
+        return _firth(design)
+    fit = _fit_result(fit, design)
+    if not fit.converged:
+        raise _Diverged("Newton ascent did not converge")
+    return fit
 
 
 def _fit_mle(design: DesignMatrix) -> FitResult:
@@ -476,31 +440,76 @@ def _fit_mle(design: DesignMatrix) -> FitResult:
     return replace(fit, dropped_predictors=tuple(dropped))
 
 
-class MleStack(NamedTuple):
-    """MLE fits of a stack of B designs: the estimates (B, p), log-likelihoods
-    (B,), negative Hessians (B, p, p), whether each fit converged, and the
-    _Diverged that failed it or None."""
+class FitStack(NamedTuple):
+    """Fits of a stack of B designs of one response, by either method: the
+    estimates or modes (B, p), the gaussian log-precisions (B,) or None,
+    log-likelihoods (B,), negative Hessians (B, P, P) in the optimized
+    parameters, the Laplace log-evidences (B,) of bayes fits or None,
+    whether each fit converged, and the error that failed it or None."""
 
     coefficients: np.ndarray
+    log_precisions: np.ndarray | None
     log_likelihoods: np.ndarray
     neg_hessians: np.ndarray
+    mliks: np.ndarray | None
     converged: list[bool]
     errors: list[Exception | None]
 
 
-def fit_mle_stack(X: np.ndarray, y: np.ndarray, family: str) -> MleStack:
-    """Binomial or poisson MLE fits of a stack of designs, ``X`` (B, n, p),
-    of one response ``y``, laid out by :func:`~abnkit.data.design_stack`, by
-    one Newton ascent of the log-likelihood: IRLS, for the canonical links.
+def _fit_result(fit: FitStack, design: DesignMatrix) -> FitResult:
+    """The FitResult of ``fit``, the fit of ``design`` as a stack of one, or
+    its error raised."""
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    lam = None if fit.log_precisions is None else float(fit.log_precisions[0])
+    mlik = None if fit.mliks is None else float(fit.mliks[0])
+    return FitResult(labels=design.labels, coefficients=fit.coefficients[0],
+                     family=design.family, method="mle" if mlik is None else "bayes",
+                     log_likelihood=float(fit.log_likelihoods[0]),
+                     neg_hessian=fit.neg_hessians[0], gaussian_log_precision=lam, mlik=mlik,
+                     converged=fit.converged[0])
 
-    Each fit starts from IRLS's first weighted least-squares step and takes
-    the iterates and last bits of a stack of one.  It fails, first reason
-    first, on an all-zero poisson response, a singular start, an iterate
-    that certifies complete separation (where it stops), singular
-    curvature, or non-finite estimates or any beyond UNBOUNDED_COEF.
+
+def fit_mle_stack(X: np.ndarray, y: np.ndarray, family: str) -> FitStack:
+    """MLE fits of a stack of designs, ``X`` (B, n, p), of one response
+    ``y``, laid out by :func:`~abnkit.data.design_stack`; each fit takes the
+    last bits of a stack of one.
+
+    A gaussian fit is one least-squares solve of its design, with the
+    precision profiled out at n / RSS; it fails on a rank-deficient design
+    or a non-finite solution.  Binomial and poisson fits are one Newton
+    ascent of the stack's log-likelihood: IRLS, for the canonical links.
+    Each starts from IRLS's first weighted least-squares step and takes the
+    iterates of a stack of one.  It fails, first reason first, on an
+    all-zero poisson response, a singular start, an iterate that certifies
+    complete separation (where it stops), singular curvature, or non-finite
+    estimates or any beyond UNBOUNDED_COEF.
     """
     # overflow/underflow is detected explicitly via finiteness checks
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if family == "gaussian":
+            n_sets, n_obs, p = X.shape
+            theta, lam = np.full((n_sets, p), np.nan), np.full(n_sets, np.nan)
+            ll, info = lam.copy(), np.full((n_sets, p, p), np.nan)
+            errors: list[Exception | None] = [None] * n_sets
+            for b, x in enumerate(X):
+                try:
+                    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+                except np.linalg.LinAlgError as exc:
+                    errors[b] = exc
+                    continue
+                if rank < p or not np.all(np.isfinite(beta)):
+                    errors[b] = _Diverged("rank-deficient design" if rank < p
+                                          else "non-finite least-squares solution")
+                    continue
+                # the precision is profiled out at n / RSS
+                eta = x @ beta
+                tau = 1.0 / max(float(np.sum((y - eta) ** 2)) / n_obs, 1e-300)
+                theta[b], lam[b] = beta, np.log(tau)
+                ll[b] = np.sum(families.loglik_terms("gaussian", y, eta, tau))
+                # the information uses exp(log tau), the precision the fit reports
+                info[b] = math.exp(lam[b]) * (x.T @ x)
+            return FitStack(theta, lam, ll, info, None, [True] * n_sets, errors)
         obj = _Objective(X, y, family)
         binomial = family == "binomial"
         # start from the first IRLS step: weighted least squares at mu0
@@ -530,26 +539,11 @@ def fit_mle_stack(X: np.ndarray, y: np.ndarray, family: str) -> MleStack:
             if errors[b] is None and (singular[b] or not bounded[b]):
                 errors[b] = _Diverged("singular curvature" if singular[b]
                                       else "non-finite or unbounded estimates")
-    return MleStack(theta, ll, info, converged, errors)
-
-
-class BayesStack(NamedTuple):
-    """Bayes fits of a stack of B designs: the coefficient modes (B, p), the
-    gaussian log-precisions (B,) or None, log-likelihoods (B,), negative
-    Hessians (B, P, P) in the optimized parameters and Laplace log-evidences
-    (B,), whether each fit converged, and the error that failed it or None."""
-
-    modes: np.ndarray
-    log_precisions: np.ndarray | None
-    log_likelihoods: np.ndarray
-    neg_hessians: np.ndarray
-    mliks: np.ndarray
-    converged: list[bool]
-    errors: list[Exception | None]
+    return FitStack(theta, None, ll, info, None, converged, errors)
 
 
 def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str, child: str,
-                    priors: PriorSpec = PriorSpec()) -> BayesStack:
+                    priors: PriorSpec = PriorSpec()) -> FitStack:
     """Bayes fits of a stack of designs of node ``child``'s response ``y``
     by one Newton ascent.
 
@@ -599,19 +593,7 @@ def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str, child: str,
         mlik, failed = _each(lambda h, j: _laplace(j, params.shape[1], h),
                              NonPositiveDefiniteHessian, np.nan, neg_h, joint)
         errors = [e or x for e, x in zip(errors, failed)]
-    return BayesStack(theta, lam, ll, neg_h, mlik, converged, errors)
-
-
-def _fit_bayes(design: DesignMatrix, priors: PriorSpec) -> FitResult:
-    fit = fit_bayes_stack(design.predictors[None], design.response, design.family,
-                          design.child, priors)
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
-    lam = None if fit.log_precisions is None else float(fit.log_precisions[0])
-    return FitResult(labels=design.labels, coefficients=fit.modes[0], family=design.family,
-                     method="bayes", log_likelihood=float(fit.log_likelihoods[0]),
-                     neg_hessian=fit.neg_hessians[0], gaussian_log_precision=lam,
-                     mlik=float(fit.mliks[0]), converged=fit.converged[0])
+    return FitStack(theta, lam, ll, neg_h, mlik, converged, errors)
 
 
 # --------------------------------------------------------------------------
@@ -638,7 +620,8 @@ def fit_node(design: DesignMatrix, method: str = "bayes",
         if method == "mle":
             return _fit_mle(design)
         if method == "bayes":
-            return _fit_bayes(design, priors)
+            return _fit_result(fit_bayes_stack(design.predictors[None], design.response,
+                                               design.family, design.child, priors), design)
     raise ValueError(f"unknown method {method!r}; expected 'bayes' or 'mle'")
 
 
@@ -671,25 +654,30 @@ class FrequentistScores:
     mdl: float
 
 
-def frequentist_scores(
-    fit: FitResult, n_obs: int, n_candidate_parents: int
-) -> FrequentistScores:
-    """Larger-is-better frequentist scores for an MLE fit.
+def information_criteria(ll, n_coefficients: int, family: str, n_obs: int,
+                         n_candidate_parents: int) -> tuple:
+    """Larger-is-better (loglik, aic, bic, mdl) of the MLE log-likelihood
+    ``ll``, a float or an array of fits of one width.
 
     ``k`` counts every estimated parameter (variance included for gaussian
     nodes).  The MDL adds to BIC a structure-encoding penalty of
     ``log C(n_candidate_parents, k - 1)``, the cost of naming which
     predictors enter; the binomial index is clamped to the valid range.
     """
-    if fit.method != "mle":
-        raise FitError("frequentist_scores needs an mle fit")
-    k = len(fit.coefficients) + (1 if fit.family == "gaussian" else 0)
-    ll = fit.log_likelihood
-    aic = ll - k
+    k = n_coefficients + (1 if family == "gaussian" else 0)
     bic = ll - 0.5 * k * math.log(n_obs)
     pick = min(max(k - 1, 0), n_candidate_parents)
-    mdl = bic - families.log_choose(n_candidate_parents, pick)
-    return FrequentistScores(loglik=ll, aic=aic, bic=bic, mdl=mdl)
+    return ll, ll - k, bic, bic - families.log_choose(n_candidate_parents, pick)
+
+
+def frequentist_scores(
+    fit: FitResult, n_obs: int, n_candidate_parents: int
+) -> FrequentistScores:
+    """The :func:`information_criteria` of an MLE fit."""
+    if fit.method != "mle":
+        raise FitError("frequentist_scores needs an mle fit")
+    return FrequentistScores(*information_criteria(
+        fit.log_likelihood, len(fit.coefficients), fit.family, n_obs, n_candidate_parents))
 
 
 def check_grid_size(n_grid: int) -> None:

@@ -10,6 +10,7 @@ them from posterior grids before calling :func:`simulate_data`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,11 @@ class SimSpec:
                 raise AbnError(
                     f"node {node!r} needs coefficients for exactly {sorted(expected)}"
                 )
-            if fam == "gaussian":
-                if self.sd.get(node, 0.0) <= 0.0:
-                    raise AbnError(f"gaussian node {node!r} needs a positive sd")
+            if not all(map(math.isfinite, coefs.values())):
+                raise ConfigError(f"node {node!r} has a non-finite coefficient")
+            # NaN fails the comparison too
+            if fam == "gaussian" and not 0.0 < self.sd.get(node, 0.0) < math.inf:
+                raise ConfigError(f"gaussian node {node!r} needs a positive finite sd")
         if self.n_obs < 1:
             raise AbnError("n_obs must be positive")
 

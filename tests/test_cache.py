@@ -26,7 +26,7 @@ from abnkit.errors import (AbnError, CacheMismatch, ConfigError, FitError,
                            UnenumeratedParentSet)
 from abnkit.exact import StructuralPrior, best_parents_table, most_probable_dag
 from abnkit.formula import parse_formula
-from abnkit.glm import fit_dag, fit_node, frequentist_scores
+from abnkit.glm import fit_bayes_stack, fit_dag, fit_node, frequentist_scores
 from abnkit.heuristic import HeuristicConfig, heuristic_search
 from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
@@ -664,11 +664,10 @@ class TestExtremeData:
 
 
 class TestStackedScoring:
-    """A node's bayes sets, of every family, and its binomial and poisson MLE
-    sets are fitted per cardinality in stacks of up to STACK_MAX_CELLS
-    design numbers, laid out by data.design_stack as build_design lays out
-    each one; each score is fit_node's to the last bit, and each note is
-    fit_node's."""
+    """A node's parent sets, of either method and every family, are fitted
+    per cardinality in stacks of up to STACK_MAX_CELLS design numbers, laid
+    out by data.design_stack as build_design lays out each one; each score
+    is fit_node's to the last bit, and each note is fit_node's."""
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])
@@ -685,8 +684,8 @@ class TestStackedScoring:
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("n_obs", [30, 341])
     def test_mle_scores_and_notes_are_fit_nodes(self, monkeypatch, n_obs, pairs):
-        # separated, all-zero and singular members of a binomial or poisson
-        # MLE stack are fitted again by fit_node, which adds Firth and pruning
+        # separated, all-zero, singular and rank-deficient members of an MLE
+        # stack are fitted again by fit_node, which adds Firth and pruning
         if pairs:
             monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * n_obs)
         ds = _hard_dataset(n_obs, n_obs)
@@ -706,8 +705,8 @@ class TestStackedScoring:
         lambda: _criterion7_data(1000, 1),
     ], ids=["case-study-341-s1", "case-study-341-s2", "case-study-341-s3", "criterion7-1000"])
     def test_clean_mle_stacks_never_reach_fit_node(self, monkeypatch, data, pairs):
-        # every binomial and poisson fit of clean data is clean, so each is
-        # its stack's own, and only the gaussian sets call fit_node
+        # every fit of clean data is clean, so each is its stack's own and
+        # no family calls fit_node
         ds = data()
         if pairs:
             monkeypatch.setattr(abnkit.cache, "STACK_MAX_CELLS", 8 * ds.n_obs)
@@ -723,9 +722,7 @@ class TestStackedScoring:
         scores, notes = _mle_fit_node_loop(ds, cons)
         assert notes == [] and cache.diagnostics == ()
         _assert_mle_bit_equal(cache, scores)
-        gaussian_sets = sum(len(enumerate_parent_sets(i, cons))
-                            for i, family in enumerate(ds.distributions) if family == "gaussian")
-        assert families == ["gaussian"] * gaussian_sets
+        assert "gaussian" in ds.distributions and families == []
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["whole-layers", "stacks-of-2"])
     @pytest.mark.parametrize("data", [
@@ -745,10 +742,26 @@ class TestStackedScoring:
         assert notes == [] and not any(i in gaussian for i, _, _ in cache.diagnostics)
         _assert_bit_equal(cache, scores)
 
-    def test_gaussian_edge_cases_are_fit_nodes(self):
+    def test_gaussian_edge_cases_are_fit_nodes(self, monkeypatch):
+        # each stacked fit that failed or did not converge, and no other, is
+        # fitted again by one fit_node call
+        degraded, refits = [], []
+
+        def stacked(*args):
+            fits = fit_bayes_stack(*args)
+            degraded.extend(e is not None or not c for e, c in zip(fits.errors, fits.converged))
+            return fits
+
+        def refit(design, method):
+            refits.append(method)
+            return fit_node(design, method)
+
+        monkeypatch.setattr(abnkit.cache, "fit_bayes_stack", stacked)
+        monkeypatch.setattr(abnkit.cache, "fit_node", refit)
         ds = _gaussian_edge_dataset()
         cons = ConstraintSet(ds.names, max_parents=2)
         cache = build_cache(ds, cons)
+        assert refits == ["bayes"] * sum(degraded) and 0 < len(refits) < len(degraded)
         scores, notes = _fit_node_loop(ds, cons)
         assert sorted(cache.diagnostics) == sorted(notes)
         _assert_bit_equal(cache, scores)

@@ -272,9 +272,16 @@ class TestCacheConstraints:
          "simulation spec has a value of the wrong type: n_obs must be a whole number"),
         (lambda text: json.dumps({**json.loads(text), "seed": True}),
          "simulation spec has a value of the wrong type: seed must be a whole number"),
+        # json.loads reads the literals NaN and Infinity as floats
+        (lambda text: text.replace('"b": {\n      "(Intercept)": -0.2',
+                                   '"b": {\n      "(Intercept)": NaN'),
+         "node 'b' has a non-finite coefficient"),
+        (lambda text: text.replace('"g": 1.0', '"g": Infinity'),
+         "gaussian node 'g' needs a positive finite sd"),
     ], ids=["not-json", "no-adjacency", "unknown-family", "n-obs-string",
             "coefficient-string", "adjacency-string", "families-list", "sd-null",
-            "top-level-list", "n-obs-fraction", "seed-boolean"])
+            "top-level-list", "n-obs-fraction", "seed-boolean", "coefficient-nan",
+            "sd-infinity"])
     def test_malformed_spec_is_one_error_line(self, workspace, tmp_path, capsys,
                                               edit, message):
         bad = tmp_path / "spec.json"

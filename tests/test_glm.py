@@ -19,11 +19,11 @@ from abnkit.exact import StructuralPrior
 from abnkit.glm import (
     PriorSpec,
     _ascend,
-    _ascend_one,
     _Diverged,
-    _irls,
+    _fit_mle_once,
     _laplace,
     _Objective,
+    fit_mle_stack,
     fit_node,
     frequentist_scores,
     marginal_densities,
@@ -112,6 +112,38 @@ class TestIrls:
                 denom = max(1.0, np.max(np.abs(grad)))
                 assert np.max(np.abs(grad - numeric)) / denom < 1e-4, (priors, seed)
 
+    def test_gaussian_stack_is_fit_nodes(self):
+        # each clean member's numbers are fit_node's to the last bit; a
+        # member with a duplicated column and one at overflow scale fail on
+        # their own, and their errors are their stacks of one's
+        rng = np.random.default_rng(4)
+        y, (a, b, c) = rng.normal(size=40), rng.normal(size=(3, 40))
+        members = [(a, b), (a, a), (b, c), (a, 1e200 * c), (c, a)]
+        X = np.empty((len(members), 40, 3))  # row-major, as design_stack lays it out
+        X[:, :, 0] = 1.0
+        for k, (u, v) in enumerate(members):
+            X[k, :, 1], X[k, :, 2] = u, v
+        stack = fit_mle_stack(X, y, "gaussian")
+        assert stack.mliks is None and stack.converged == [True] * 5
+
+        def hexes(values):
+            return [float(x).hex() for x in np.ravel(values)]
+
+        for k in range(5):
+            design = DesignMatrix(response=y, predictors=X[k], labels=("(Intercept)", "u", "v"),
+                                  child="y", family="gaussian")
+            if k in (1, 3):
+                assert str(stack.errors[k]) == "rank-deficient design"
+                with pytest.raises(_Diverged, match="rank-deficient design"):
+                    _fit_mle_once(design)
+                continue
+            fit = fit_node(design, method="mle")
+            assert stack.errors[k] is None and fit.status() == []
+            assert hexes(stack.coefficients[k]) == hexes(fit.coefficients)
+            assert hexes(stack.log_likelihoods[k]) == hexes(fit.log_likelihood)
+            assert hexes(stack.log_precisions[k]) == hexes(fit.gaussian_log_precision)
+            assert hexes(stack.neg_hessians[k]) == hexes(fit.neg_hessian)
+
     def test_no_observations(self):
         d = DesignMatrix(response=np.zeros(0), predictors=np.ones((0, 1)),
                          labels=("(Intercept)",), child="y", family="gaussian")
@@ -137,9 +169,10 @@ class TestIrls:
         d = DesignMatrix(response=np.append(y, 0.0), predictors=X,
                          labels=("(Intercept)", "x"), child="y", family="poisson")
         with np.errstate(all="ignore"):
-            theta, _, converged, _ = _irls(d)
+            stack = fit_mle_stack(X[None], d.response, "poisson")
+            theta = stack.coefficients[0]
             mu = np.exp(X @ theta)
-        assert converged and mu[-1] == 0.0
+        assert stack.errors == [None] and stack.converged == [True] and mu[-1] == 0.0
         np.testing.assert_allclose(theta, [0.1513626643965747, 0.7129195051298354],
                                    rtol=1e-12)
         fit = fit_node(d, method="mle")
@@ -427,8 +460,6 @@ class TestAscend:
             assert [x.hex() for x in params[b].tolist()] == [
                 x.hex() for x in alone[0][0].tolist()]
             assert np.allclose(params[b], np.linalg.solve(h[b], g[b]), rtol=1e-14)
-        with pytest.raises(_Diverged, match="singular curvature"):
-            _ascend_one(*_quadratics(g[1:2], h[1:2]), np.zeros(2))
 
 
 class TestSharedArithmetic:

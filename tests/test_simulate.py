@@ -1,10 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from abnkit.bootstrap import _draw_simspec, model_grid_posteriors
 from abnkit.dag import find_cycle, info_metrics, topological_order
 from abnkit.data import build_design
-from abnkit.errors import AbnError, PoissonOverflow
+from abnkit.errors import AbnError, ConfigError, PoissonOverflow
 from abnkit.glm import fit_dag, fit_node
 from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
@@ -100,6 +103,28 @@ class TestSimulateData:
         )
         with pytest.raises(PoissonOverflow):
             simulate_data(spec)
+
+    @pytest.mark.parametrize("intercept, sd, message", [
+        (math.nan, 1.0, "node 'b' has a non-finite coefficient"),
+        (-math.inf, 1.0, "node 'b' has a non-finite coefficient"),
+        (0.0, math.inf, "gaussian node 'a' needs a positive finite sd"),
+        (0.0, math.nan, "gaussian node 'a' needs a positive finite sd"),
+    ], ids=["nan-intercept", "infinite-intercept", "infinite-sd", "nan-sd"])
+    def test_non_finite_values_rejected(self, intercept, sd, message):
+        # a NaN binomial intercept would simulate an all-zero column, and an
+        # infinite sd a dataset that fails to load
+        from conftest import dag_from_arcs
+
+        raw = {"nodes": ["a", "b"], "adjacency": [[0, 0], [1, 0]],
+               "families": {"a": "gaussian", "b": "binomial"},
+               "coefficients": {"a": {"(Intercept)": 0.0},
+                                "b": {"(Intercept)": intercept, "a": 1.0}},
+               "sd": {"a": sd}, "n_obs": 50, "seed": 1}
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SimSpec(dag=dag_from_arcs(("a", "b"), (("a", "b"),)), families=raw["families"],
+                    coefficients=raw["coefficients"], sd=raw["sd"])
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SimSpec.from_json(json.dumps(raw))  # written as NaN or Infinity
 
     def test_spec_json_round_trip(self):
         spec = self._binary_spec(50, 3)
