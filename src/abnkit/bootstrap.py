@@ -29,12 +29,10 @@ MAX_FAILURE_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    replicate_dags: tuple[Dag, ...]
-    replicate_scores: tuple[float, ...]
-    arc_counts: tuple[int, ...]
+    replicates: tuple[tuple[int, Dag, float], ...]  # (index, dag, score) of each success
     support: np.ndarray = field(repr=False)
     pruned: Dag
-    failures: tuple[tuple[int, str], ...] = ()
+    failures: tuple[tuple[int, str], ...] = ()  # (index, message) of each failure
 
 
 def check_replicates(n_replicates: int) -> None:
@@ -139,30 +137,18 @@ def run_bootstrap(
     shared = (dag, ds.dist_map(), grids, ds.n_obs, seed, constraints, prior, ds.standardized)
     results = parallel_map(_one_replicate, shared, [(k,) for k in range(n_replicates)], jobs)
 
-    dags: list[Dag] = []
-    scores: list[float] = []
-    failures: list[tuple[int, str]] = []
-    for k, adjacency, score, err in results:
-        if err is not None:
-            failures.append((k, err))
-            continue
-        dags.append(Dag(ds.names, adjacency))
-        scores.append(score)
+    replicates = tuple((k, Dag(ds.names, adjacency), score)
+                       for k, adjacency, score, err in results if err is None)
+    failures = tuple((k, err) for k, _, _, err in results if err is not None)
     if len(failures) > MAX_FAILURE_FRACTION * n_replicates:
         raise AbnError(
             f"{len(failures)}/{n_replicates} bootstrap replicates failed; "
             f"first: {failures[0][1]}"
         )
-    support = arc_frequency_matrix(dags)
+    support = arc_frequency_matrix([d for _, d, _ in replicates])
     pruned = prune_by_support(dag, support, threshold=threshold, mode=mode)
-    return BootstrapReport(
-        replicate_dags=tuple(dags),
-        replicate_scores=tuple(scores),
-        arc_counts=tuple(d.n_arcs for d in dags),
-        support=support,
-        pruned=pruned,
-        failures=tuple(failures),
-    )
+    return BootstrapReport(replicates=replicates, support=support, pruned=pruned,
+                           failures=failures)
 
 
 def prune_by_support(

@@ -177,8 +177,8 @@ def cmd_search(args) -> int:
             tabu_length=args.tabu_length, initial_temperature=args.temperature,
             cooling_factor=args.cooling, seed=seed,
         )
-    ds, constraints = run.data()
     score = run.config["score"] = _check_method_score(args.method, args.score)
+    ds, constraints = run.data()
     if args.cache:
         cache = cache_from_text(run.read(args.cache))
         cache.check_dataset(ds)
@@ -192,7 +192,6 @@ def cmd_search(args) -> int:
         dag, total = most_probable_dag(table)
         run.config["total_objective"] = total
         node_scores = [cache.score(i, mask, score) for i, mask in enumerate(dag.parent_masks())]
-        run.config["total_score"] = total_score = ordered_sum(node_scores)
         breakdown = ["node\tparents\tscore"]
         for node, node_score in zip(dag.nodes, node_scores):
             parents = ":".join(sorted(dag.parents(node))) or "-"
@@ -203,7 +202,6 @@ def cmd_search(args) -> int:
                                  jobs=args.jobs)
         dag = trace.best().dag
         run.config["total_objective"] = trace.best().score
-        total_score = cache.dag_score(dag, score)
         lines = ["restart\tstep\tbest_score"]
         for r, restart in enumerate(trace.restarts):
             for s, value in enumerate(restart.best_scores):
@@ -214,6 +212,7 @@ def cmd_search(args) -> int:
         consensus = repair_to_dag(kept, freq, cache.nodes)
         run.write("consensus-dag.txt", dag_to_text(consensus))
 
+    run.config["total_score"] = total_score = cache.dag_score(dag, score)
     run.write("dag.txt", dag_to_text(dag))
     run.write("dag.dot", dag_to_dot(dag, ds.dist_map()))
     _fit_coefficients(run, ds, dag, args.method)
@@ -255,8 +254,8 @@ def cmd_sweep_parents(args) -> int:
     run = _Run(args)
     if args.max < 1:
         raise ConfigError(f"--max needs a parent limit of at least 1, got {args.max}")
-    ds, arcs = run.data()
     score = run.config["score"] = _check_method_score(args.method, args.score)
+    ds, arcs = run.data()
 
     def limited(limit: int) -> ConstraintSet:
         return ConstraintSet(ds.names, banned=arcs.banned, retained=arcs.retained,
@@ -265,7 +264,8 @@ def cmd_sweep_parents(args) -> int:
     rows = ["max_parents\ttotal_score\tn_arcs"]
     best = []
     full = build_cache(ds, limited(args.max), method=args.method, jobs=args.jobs)
-    for limit in range(1, args.max + 1):
+    # no limit below the most parents a node retains admits any DAG
+    for limit in range(max(1, int(arcs.retained.sum(axis=1).max())), args.max + 1):
         cache = full.restrict(limited(limit))
         table = best_parents_table(cache, StructuralPrior(args.prior), score_type=score)
         dag, _ = most_probable_dag(table)
@@ -315,16 +315,16 @@ def cmd_bootstrap(args) -> int:
     )
     run.write("support.txt", format_adjacency(ds.names, report.support, fmt=".17g"))
     rows = ["replicate\tn_arcs\tscore"]
-    for k, (arcs, sc) in enumerate(zip(report.arc_counts, report.replicate_scores)):
-        rows.append(f"{k}\t{arcs}\t{sc:.17g}")
+    rows += [f"{k}\t{d.n_arcs}\t{sc:.17g}" for k, d, sc in report.replicates]
     run.write("replicates.tsv", "\n".join(rows) + "\n")
     run.write("pruned-dag.txt", dag_to_text(report.pruned))
     run.write("pruned-dag.dot", dag_to_dot(report.pruned, ds.dist_map()))
     if report.failures:
         run.write("failures.tsv",
                   "\n".join(f"{k}\t{msg}" for k, msg in report.failures) + "\n")
-    print(f"{len(report.replicate_dags)} replicates; original {dag.n_arcs} arcs, "
-          f"median replicate {int(np.median(report.arc_counts))}, "
+    arc_counts = [d.n_arcs for _, d, _ in report.replicates]
+    print(f"{len(arc_counts)} replicates; original {dag.n_arcs} arcs, "
+          f"median replicate {int(np.median(arc_counts))}, "
           f"pruned {report.pruned.n_arcs}")
     return run.finish("bootstrap")
 

@@ -565,8 +565,9 @@ def fit_bayes_stack(X: np.ndarray, y: np.ndarray, family: str, child: str,
         params = np.zeros((len(X), p + post.free_precision))
         errors: list[Exception | None] = [None] * len(X)
         if family == "gaussian":
-            params[:, :p], errors = _solve(post.gram + post.prior_precision,
+            params[:, :p], failed = _solve(post.gram + post.prior_precision,
                                            (post.Xt @ y[:, None])[:, :, 0])
+            errors = [e and _Diverged(f"node {child!r}: singular start") for e in failed]
         elif family == "binomial":
             params[:, 0] = families.link(family, min(max(float(np.mean(y)), 1e-3), 1 - 1e-3))
         else:

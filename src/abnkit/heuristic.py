@@ -59,8 +59,12 @@ class HeuristicConfig:
 @dataclass(frozen=True)
 class RestartTrace:
     dag: Dag
-    score: float
-    best_scores: tuple[float, ...]
+    best_scores: tuple[float, ...]  # best objective at the start and after each step
+
+    @property
+    def score(self) -> float:
+        """The objective of ``dag``, the last of the best scores."""
+        return self.best_scores[-1]
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,7 @@ def _run_restart(
                 best_score, best_masks = total, list(state.masks)
         trail.append(best_score)
 
-    return RestartTrace(dag=dag_from_masks(nodes, best_masks), score=best_score,
-                        best_scores=tuple(trail))
+    return RestartTrace(dag=dag_from_masks(nodes, best_masks), best_scores=tuple(trail))
 
 
 def heuristic_search(

@@ -21,11 +21,10 @@ RULES = ("fixed_k", "sturges", "scott", "freedman_diaconis")
 
 @dataclass(frozen=True)
 class DiscretizedData:
-    """Per-column integer bin indices plus the edges that produced them."""
+    """Per-column integer bin indices."""
 
     names: tuple[str, ...]
     indices: np.ndarray = field(repr=False)  # (n_obs, n_cols) int64
-    edges: tuple[np.ndarray, ...]
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -66,12 +65,10 @@ def discretize(ds: Dataset, rule: str = "fixed_k", fixed_k: int = 8) -> Discreti
     if rule == "fixed_k" and fixed_k < 1:
         raise ConfigError(f"fixed_k needs at least one bin, got {fixed_k}")
     indices = np.zeros((ds.n_obs, len(ds.names)), dtype=np.int64)
-    edges_out = []
-    for j, (name, dist) in enumerate(zip(ds.names, ds.distributions)):
+    for j, dist in enumerate(ds.distributions):
         x = ds.columns[:, j]
         if dist == "binomial":
             indices[:, j] = x.astype(np.int64)
-            edges_out.append(np.array([0.5]))
             continue
         k = _n_bins(rule, x, fixed_k)
         if k <= 1 or x.max() == x.min():
@@ -82,8 +79,7 @@ def discretize(ds: Dataset, rule: str = "fixed_k", fixed_k: int = 8) -> Discreti
         else:
             edges = np.linspace(x.min(), x.max(), k + 1)[1:-1]
         indices[:, j] = np.searchsorted(edges, x, side="right")
-        edges_out.append(edges)
-    return DiscretizedData(names=ds.names, indices=indices, edges=tuple(edges_out))
+    return DiscretizedData(names=ds.names, indices=indices)
 
 
 def _cell_counts(rows: np.ndarray) -> np.ndarray:

@@ -112,16 +112,15 @@ class TestRunBootstrap:
         report = run_bootstrap(fits, dag, ds, n_replicates=1, seed=3,
                                structural_prior="uninformative")
         assert set(np.unique(report.support)) <= {0.0, 1.0}
-        assert np.array_equal(report.support, report.replicate_dags[0].adjacency)
+        assert np.array_equal(report.support, report.replicates[0][1].adjacency)
 
     def test_deterministic_under_seed(self, small_model):
         dag, ds, fits = small_model
         kwargs = dict(n_replicates=6, seed=11, structural_prior="uninformative")
         a = run_bootstrap(fits, dag, ds, **kwargs)
         b = run_bootstrap(fits, dag, ds, **kwargs)
-        assert a.arc_counts == b.arc_counts
+        assert a.replicates == b.replicates
         assert np.array_equal(a.support, b.support)
-        assert a.replicate_scores == b.replicate_scores
         assert a.pruned == b.pruned
 
     def test_parallel_matches_serial(self, small_model):
@@ -130,7 +129,7 @@ class TestRunBootstrap:
         serial = run_bootstrap(fits, dag, ds, jobs=1, **kwargs)
         parallel = run_bootstrap(fits, dag, ds, jobs=2, **kwargs)
         assert np.array_equal(serial.support, parallel.support)
-        assert serial.replicate_scores == parallel.replicate_scores
+        assert serial.replicates == parallel.replicates
 
     @pytest.mark.parametrize(
         "error", [ValueError, np.linalg.LinAlgError, FloatingPointError, OverflowError]
@@ -150,7 +149,7 @@ class TestRunBootstrap:
         report = run_bootstrap(fits, dag, ds, n_replicates=20, seed=23,
                                structural_prior="uninformative")
         assert report.failures == ((1, f"{error.__name__}: lam too large"),)
-        assert len(report.replicate_dags) == 19
+        assert [k for k, _, _ in report.replicates] == [0, *range(2, 20)]
 
     def test_more_failures_than_the_fraction_abort(self, small_model, monkeypatch):
         dag, ds, fits = small_model
@@ -188,7 +187,7 @@ class TestRunBootstrap:
                                structural_prior="uninformative", jobs=1)
         assert report.failures == (
             (1, "AbnError: node 'p' has -inf scores for every parent set"),)
-        assert len(report.replicate_dags) == 19
+        assert [k for k, _, _ in report.replicates] == [0, *range(2, 20)]
 
     def test_true_arcs_dominate_spurious(self, small_model):
         dag, ds, fits = small_model
@@ -240,7 +239,7 @@ class TestRunBootstrap:
                                structural_prior="uninformative", jobs=1)
         assert len(calls) == (3 if standardized else 0)
         total = sum(f.mlik for f in fits.values())
-        assert all(abs(s - total) < 0.25 * abs(total) for s in report.replicate_scores)
+        assert all(abs(s - total) < 0.25 * abs(total) for _, _, s in report.replicates)
 
     @pytest.mark.parametrize("bad", [dict(structural_prior="bogus"), dict(mode="bogus")])
     def test_bad_options_fail_before_any_replicate(self, small_model, monkeypatch, bad):

@@ -766,8 +766,9 @@ class TestStackedScoring:
         assert sorted(cache.diagnostics) == sorted(notes)
         _assert_bit_equal(cache, scores)
         assert {word.partition(":")[0] for _, _, word in notes} == {
-            "unconverged", "FitError", "NonPositiveDefiniteHessian", "LinAlgError"}
+            "unconverged", "FitError", "NonPositiveDefiniteHessian", "_Diverged"}
         assert (0, 8, "FitError: node 'g': the residual sum of squares overflows") in notes
+        assert (0, 48, "_Diverged: node 'g': singular start") in notes
         tame = 0b1000111  # g, dup, near and z: their fits among themselves are finite
         for (i, mask), score in scores.items():
             assert math.isfinite(score) or not (tame >> i & 1 and mask & tame == mask), (i, mask)

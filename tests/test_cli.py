@@ -76,7 +76,7 @@ class TestSearchCommand:
             b = (outs[1] / artifact).read_bytes()
             assert a == b, artifact
 
-    def test_heuristic_with_seed(self, workspace, tmp_path):
+    def test_heuristic_with_seed(self, workspace, tmp_path, capsys):
         out = tmp_path / "h"
         code = run(["search", "heuristic", "--data", workspace / "data.csv",
                     "--dists", workspace / "dists.txt", "--max-parents", "2",
@@ -86,6 +86,9 @@ class TestSearchCommand:
         trace = (out / "trace.tsv").read_text().splitlines()
         assert trace[0] == "restart\tstep\tbest_score"
         assert (out / "consensus-dag.txt").exists()
+        # the manifest records the total the run prints, as an exact search's does
+        config = json.loads((out / "manifest-search.json").read_text())["config"]
+        assert f"total mlik = {config['total_score']:.4f}" in capsys.readouterr().out
 
     def test_heuristic_artifacts_identical_across_jobs(self, workspace, tmp_path):
         files = []
@@ -349,6 +352,25 @@ class TestOtherCommands:
         coefficients = (out / "coefficients.txt").read_text()
         assert "y|a" in coefficients and "y|b" not in coefficients
 
+    @pytest.mark.parametrize("command", [["fit"], ["bootstrap", "--seed", "1"]])
+    def test_singular_gaussian_start_is_one_error_line(self, tmp_path, capsys, command):
+        # b is a copy of a, both at 1e10, so y's start solve is singular
+        rng = np.random.default_rng(3)
+        a = 1e10 * rng.normal(size=50)
+        ds = Dataset(("a", "b", "y"), np.column_stack([a, a, rng.normal(size=50)]),
+                     ("gaussian",) * 3)
+        (tmp_path / "data.csv").write_text(ds.to_csv())
+        (tmp_path / "dists.txt").write_text(format_dist_spec(ds.dist_map()))
+        dag = dag_from_arcs(ds.names, (("a", "y"), ("b", "y")))
+        (tmp_path / "dag.txt").write_text(format_adjacency(dag.nodes, dag.adjacency))
+        capsys.readouterr()
+        assert run([*command, "--data", tmp_path / "data.csv", "--dists", tmp_path / "dists.txt",
+                    "--dag", tmp_path / "dag.txt", "--no-standardize",
+                    "--out", tmp_path / "out", "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR _Diverged: node 'y': singular start"]
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_parents_monotone(self, workspace, tmp_path):
         out = tmp_path / "sweep"
         code = run(["sweep-parents", "--data", workspace / "data.csv",
@@ -358,6 +380,15 @@ class TestOtherCommands:
         rows = (out / "sweep.tsv").read_text().splitlines()[1:]
         totals = [float(r.split("\t")[1]) for r in rows]
         assert totals == sorted(totals)
+
+    def test_sweep_parents_starts_at_the_retained_parents(self, workspace, tmp_path):
+        out = tmp_path / "sweep"
+        assert run(["sweep-parents", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--retain", "~p|g:b", "--max", "2",
+                    "--out", out, "--jobs", "1"]) == 0
+        rows = [r.split("\t") for r in (out / "sweep.tsv").read_text().splitlines()]
+        assert [r[0] for r in rows] == ["max_parents", "2"]
+        assert int(rows[1][2]) >= 2
 
     def test_sweep_parents_has_no_max_parents_flag(self, workspace, capsys):
         with pytest.raises(SystemExit):
@@ -400,8 +431,10 @@ class TestOtherCommands:
         assert len(rows) == 5
         assert (out / "pruned-dag.txt").exists()
 
-    def test_bootstrap_writes_its_failures(self, workspace, tmp_path, monkeypatch):
-        # one failed replicate of 20 is MAX_FAILURE_FRACTION: the run records it
+    @pytest.fixture
+    def failed_replicate_1(self, workspace, tmp_path, monkeypatch):
+        """The output directory of a 20-replicate bootstrap whose replicate 1
+        fails: one failure of 20 is MAX_FAILURE_FRACTION, so the run records it."""
         draws = []
 
         def flaky_simulate(spec):
@@ -417,10 +450,18 @@ class TestOtherCommands:
                     "--dag", workspace / "true-dag.txt", "--max-parents", "1",
                     "--replicates", "20", "--seed", "2", "--n-grid", "100",
                     "--out", out, "--jobs", "1"]) == 0
+        return out
+
+    def test_bootstrap_writes_its_failures(self, failed_replicate_1):
+        out = failed_replicate_1
         assert (out / "failures.tsv").read_text() == "1\tValueError: draw 2\n"
         assert len((out / "replicates.tsv").read_text().splitlines()) == 1 + 19
         manifest = json.loads((out / "manifest-bootstrap.json").read_text())
         assert "failures.tsv" in manifest["outputs"]
+
+    def test_replicate_rows_carry_their_own_index(self, failed_replicate_1):
+        rows = (failed_replicate_1 / "replicates.tsv").read_text().splitlines()
+        assert [int(row.split("\t")[0]) for row in rows[1:]] == [0, *range(2, 20)]
 
     def test_strength_output(self, workspace, tmp_path):
         out = tmp_path / "ls"
@@ -645,9 +686,13 @@ class TestOutOfRangeOptions:
           "--temperature", "nan"], "initial_temperature must be positive and finite"),
         (["search", "heuristic", "--seed", "1", "--algorithm", "simulated_annealing",
           "--temperature", "inf"], "initial_temperature must be positive and finite"),
+        (["search", "exact", "--score", "bic"], "score 'bic' requires --method mle"),
+        (["sweep-parents", "--method", "mle", "--score", "mlik"],
+         "score 'mlik' requires --method bayes"),
     ], ids=["heuristic-threshold-high", "heuristic-threshold-negative",
             "bootstrap-threshold-high", "bootstrap-threshold-negative", "max-zero",
-            "max-negative", "temperature-nan", "temperature-inf"])
+            "max-negative", "temperature-nan", "temperature-inf", "search-score",
+            "sweep-score"])
     def test_rejected_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         # no input file exists: a check made after reading one would report that
         missing = ["--data", tmp_path / "data.csv", "--dists", tmp_path / "dists.txt"]

@@ -43,9 +43,9 @@ class TestSearch:
         a = dag_from_arcs(("x", "y"), (("x", "y"),))
         b = dag_from_arcs(("x", "y"), (("y", "x"),))
         trace = SearchTrace(restarts=(
-            RestartTrace(Dag(("x", "y")), -3.0, (-3.0,)),
-            RestartTrace(a, -1.0, (-2.0, -1.0)),
-            RestartTrace(b, -1.0, (-1.5, -1.0)),
+            RestartTrace(Dag(("x", "y")), (-3.0,)),
+            RestartTrace(a, (-2.0, -1.0)),
+            RestartTrace(b, (-1.5, -1.0)),
         ))
         assert trace.best() is trace.restarts[1]
 
@@ -285,8 +285,7 @@ def oracle_restart(cache, tables, config, restart_index) -> RestartTrace:
                     best_masks = list(state.masks)
             temperature *= config.cooling_factor
             trail.append(best_score)
-    return RestartTrace(dag=dag_from_masks(cache.nodes, best_masks), score=best_score,
-                        best_scores=tuple(trail))
+    return RestartTrace(dag=dag_from_masks(cache.nodes, best_masks), best_scores=tuple(trail))
 
 
 def holed_cache(n: int, rng: np.random.Generator):

@@ -32,8 +32,7 @@ class TestDiscretize:
         ds = _gaussian_ds(rng.normal(size=341))
         disc = discretize(ds, rule="sturges")
         # ceil(log2(341)) + 1 = 10 bins
-        assert len(disc.edges[0]) == 9
-        assert disc.column("g").max() <= 9
+        assert disc.column("g").max() == 9
 
     def test_constant_column_single_bin(self):
         ds = _gaussian_ds(np.ones(50))
