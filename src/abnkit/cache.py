@@ -2,19 +2,21 @@
 
 For every node, all parent sets compatible with the constraints (retained
 subset, banned excluded, cardinality limit) are enumerated as bitmasks over
-the node index order and scored once.  A node's sets are laid out by
+the node index order and fitted once.  A node's sets are laid out by
 :func:`~abnkit.data.design_stack` in stacks of one cardinality, whatever the
 method, and each stack is fitted by one :func:`~abnkit.glm.fit_bayes_stack`
 or :func:`~abnkit.glm.fit_mle_stack`; a fit that failed or did not converge
-there is fitted again by :func:`~abnkit.glm.fit_node`.  The cache is the
-single input of both search backends; a dataset fingerprint guards against
-scoring one dataset and searching another.
+there is fitted again by :func:`~abnkit.glm.fit_node`.  The cache keeps one
+number per set, its Laplace mlik or its MLE log-likelihood, and derives the
+AIC, BIC and MDL of an MLE cache where they are read.  It is the single
+input of both search backends; a dataset fingerprint guards against scoring
+one dataset and searching another.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -37,9 +39,9 @@ FIT_ERRORS = (AbnError, np.linalg.LinAlgError, ValueError)
 STACK_MAX_CELLS = 2**16
 # Parent sets are int64 bitmasks over the node order, so bit 63 stays clear.
 MAX_NODES = 63
-# A fit's cache entry before its finiteness test: the scores, None for a
-# failed fit, and the diagnostic or status words.
-Outcome = tuple[Sequence[float] | None, list[str]]
+# A fit's cache entry before its finiteness test: the fitted number, None
+# for a failed fit, and the diagnostic or status words.
+Outcome = tuple[float | None, list[str]]
 
 
 def default_score_type(method: str) -> str:
@@ -112,11 +114,14 @@ def enumerate_parent_sets(node: int, constraints: ConstraintSet) -> list[int]:
 
 @dataclass(frozen=True)
 class ScoreCache:
-    """Immutable map (node, parent set) -> score vector.
+    """Immutable map (node, parent set) -> score.
 
     ``masks[i]`` lists node i's enumerated parent sets in ascending bitmask
-    order; ``scores[i]`` is the aligned (n_sets, n_score_types) block.
-    Failed fits carry -inf scores and a diagnostic message.  A finite entry
+    order; ``scores[i]`` is the aligned 1-D array of each set's fitted
+    number: its Laplace mlik (bayes) or its MLE log-likelihood (mle).  An
+    MLE set's AIC, BIC and MDL are derived from that number, the set's
+    width, the node's family, ``n_obs`` and the node count where they are
+    read.  Failed fits carry -inf and a diagnostic message.  A finite entry
     whose fit used Firth's penalty or did not converge carries the status
     message ``firth`` or ``unconverged``.
     """
@@ -125,6 +130,7 @@ class ScoreCache:
     distributions: tuple[str, ...]
     method: str
     fingerprint: str
+    n_obs: int
     constraints: ConstraintSet
     masks: tuple[np.ndarray, ...] = field(repr=False)
     scores: tuple[np.ndarray, ...] = field(repr=False)
@@ -145,28 +151,25 @@ class ScoreCache:
     @property
     def n_failed(self) -> int:
         """Entries whose scores are -inf."""
-        return sum(int(np.isneginf(s[:, 0]).sum()) for s in self.scores)
-
-    def score_index(self, score_type: str) -> int:
-        try:
-            return self.score_types.index(score_type)
-        except ValueError:
-            raise AbnError(
-                f"score type {score_type!r} not in cache (has {self.score_types})"
-            ) from None
+        return sum(int(np.isneginf(s).sum()) for s in self.scores)
 
     def score(self, node: int, mask: int, score_type: str | None = None) -> float:
-        st = self.score_index(score_type or default_score_type(self.method))
         masks = self.masks[node]
         row = int(np.searchsorted(masks, mask))
         if masks[row:row + 1].tolist() != [mask]:
             raise UnenumeratedParentSet(
                 f"parent set {mask:#x} of node {self.nodes[node]!r} was never enumerated")
-        return float(self.scores[node][row, st])
+        return float(self.score_vector(node, score_type)[row])
 
     def score_vector(self, node: int, score_type: str | None = None) -> np.ndarray:
-        st = self.score_index(score_type or default_score_type(self.method))
-        return self.scores[node][:, st]
+        score_type = score_type or default_score_type(self.method)
+        if score_type not in self.score_types:
+            raise AbnError(f"score type {score_type!r} not in cache (has {self.score_types})")
+        if score_type in ("mlik", "loglik"):
+            return self.scores[node]
+        widths = 1 + np.bitwise_count(self.masks[node])
+        return information_criteria(self.scores[node], widths, self.distributions[node],
+                                    self.n_obs, self.n_nodes - 1)[MLE_SCORES.index(score_type)]
 
     def restrict(self, constraints: ConstraintSet) -> ScoreCache:
         """The entries ``constraints`` allow, with their scores and diagnostics.
@@ -213,16 +216,13 @@ class ScoreCache:
                            for i, mask in enumerate(dag.parent_masks()))
 
 
-def _refit(design: DesignMatrix, method: str, n_candidates: int) -> Outcome:
+def _refit(design: DesignMatrix, method: str) -> Outcome:
     """The outcome of one :func:`fit_node` fit of ``design``."""
     try:
         fit = fit_node(design, method=method)
         if fit.dropped_predictors:  # the kept design's score is not this parent set's
             return None, fit.status()[:1]
-        if method == "bayes":
-            return (fit.mlik,), fit.status()
-        return information_criteria(fit.log_likelihood, design.width, design.family,
-                                    design.n_obs, n_candidates), fit.status()
+        return fit.mlik if method == "bayes" else fit.log_likelihood, fit.status()
     except FIT_ERRORS as exc:
         return None, [f"{type(exc).__name__}: {exc}"]
 
@@ -230,18 +230,17 @@ def _refit(design: DesignMatrix, method: str, n_candidates: int) -> Outcome:
 def _score_one_node(
     ds: Dataset, method: str, node: int, node_masks: list[int]
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
-    """A node's scores, one row per mask, and its notes.
+    """A node's fitted numbers, one per mask, and its notes.
 
     The sets are laid out by :func:`~abnkit.data.design_stack` one
     cardinality at a time, in stacks of up to STACK_MAX_CELLS design
     numbers, and each stack is fitted by one
     :func:`~abnkit.glm.fit_bayes_stack` or :func:`~abnkit.glm.fit_mle_stack`,
     whose fits take fit_node's iterates.  A fit that converged without error
-    is scored from the stack's own arrays; any other is fitted again by
+    keeps the stack's mlik or log-likelihood; any other is fitted again by
     fit_node, which decides on Firth's penalty, pruning and the error.
     """
     child, family = ds.names[node], ds.distributions[node]
-    n_candidates = len(ds.names) - 1
     layers: dict[int, list[int]] = {}
     for mask in node_masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
@@ -252,33 +251,27 @@ def _score_one_node(
             chunk = masks[first:first + width]
             parents = mask_parents(ds, chunk)
             X, y = design_stack(ds, node, parents)
-            if method == "bayes":
-                fits = fit_bayes_stack(X, y, family, child)
-                scores = fits.mliks[:, None]
-            else:
-                fits = fit_mle_stack(X, y, family)
-                scores = np.column_stack(information_criteria(
-                    fits.log_likelihoods, 1 + size, family, ds.n_obs, n_candidates))
-            for k, (mask, row, error, converged) in enumerate(zip(
-                    chunk, scores.tolist(), fits.errors, fits.converged)):
+            fits = (fit_bayes_stack(X, y, family, child) if method == "bayes"
+                    else fit_mle_stack(X, y, family))
+            values = fits.log_likelihoods if fits.mliks is None else fits.mliks
+            for k, (mask, value, error, converged) in enumerate(zip(
+                    chunk, values.tolist(), fits.errors, fits.converged)):
                 if error is None and converged:
-                    outcomes[mask] = row, []
+                    outcomes[mask] = value, []
                 else:
                     labels = ("(Intercept)", *(ds.names[j] for j in parents[k].tolist()))
-                    outcomes[mask] = _refit(DesignMatrix(y, X[k], labels, child, family),
-                                            method, n_candidates)
-    n_scores = len(BAYES_SCORES if method == "bayes" else MLE_SCORES)
-    block = np.full((len(node_masks), n_scores), -np.inf)
+                    outcomes[mask] = _refit(DesignMatrix(y, X[k], labels, child, family), method)
+    scores = np.full(len(node_masks), -np.inf)
     notes: list[tuple[int, int, str]] = []
     for k, mask in enumerate(node_masks):
-        scores, words = outcomes[mask]
-        if scores is not None:
-            if all(map(math.isfinite, scores)):
-                block[k] = scores  # a finite entry's degraded fit is flagged, not failed
+        value, words = outcomes[mask]
+        if value is not None:
+            if math.isfinite(value):
+                scores[k] = value  # a finite entry's degraded fit is flagged, not failed
             else:
                 words = ["non-finite score"]
         notes.extend((node, mask, word) for word in words)
-    return block, notes
+    return scores, notes
 
 
 def build_cache(
@@ -304,18 +297,19 @@ def build_cache(
     results = parallel_map(_score_one_node, (ds, method), list(enumerate(all_masks)), jobs)
 
     diagnostics: list[tuple[int, int, str]] = []
-    blocks = []
-    for block, notes in results:
-        blocks.append(block)
+    scores = []
+    for node_scores, notes in results:
+        scores.append(node_scores)
         diagnostics.extend(notes)
     return ScoreCache(
         nodes=ds.names,
         distributions=ds.distributions,
         method=method,
         fingerprint=ds.fingerprint(),
+        n_obs=ds.n_obs,
         constraints=constraints,
         masks=tuple(np.array(m, dtype=np.int64) for m in all_masks),
-        scores=tuple(blocks),
+        scores=tuple(scores),
         diagnostics=tuple(diagnostics),
     )
 
@@ -324,7 +318,7 @@ def build_cache(
 # portable text serialization
 # --------------------------------------------------------------------------
 
-_CACHE_MAGIC = "# abnkit score cache v1"
+_CACHE_MAGIC = "# abnkit score cache v2"
 
 
 def cache_to_text(cache: ScoreCache) -> str:
@@ -332,7 +326,7 @@ def cache_to_text(cache: ScoreCache) -> str:
         _CACHE_MAGIC,
         f"fingerprint={cache.fingerprint}",
         f"method={cache.method}",
-        f"score_types={','.join(cache.score_types)}",
+        f"n_obs={cache.n_obs}",
         f"nodes={','.join(cache.nodes)}",
         f"distributions={','.join(cache.distributions)}",
         f"max_parents={','.join(str(v) for v in cache.constraints.max_parents)}",
@@ -340,15 +334,14 @@ def cache_to_text(cache: ScoreCache) -> str:
         f"retained={render_formula(cache.constraints.retained, cache.nodes)}",
     ]
     for i in range(cache.n_nodes):
-        for k, mask in enumerate(cache.masks[i]):
-            for s, st in enumerate(cache.score_types):
-                lines.append(f"{i}\t{int(mask)}\t{st}\t{cache.scores[i][k, s]:.17g}")
+        for mask, score in zip(cache.masks[i].tolist(), cache.scores[i].tolist()):
+            lines.append(f"{i}\t{mask}\t{score:.17g}")
     for node, mask, message in cache.diagnostics:
         lines.append(f"# diag\t{node}\t{mask}\t{message}")
     return "\n".join(lines) + "\n"
 
 
-_HEADER_KEYS = ("fingerprint", "method", "score_types", "nodes", "distributions",
+_HEADER_KEYS = ("fingerprint", "method", "n_obs", "nodes", "distributions",
                 "max_parents", "banned", "retained")
 
 
@@ -367,6 +360,8 @@ def _body_fields(line: str, count: int, n_nodes: int) -> list:
 
 
 def cache_from_text(text: str) -> ScoreCache:
+    """The cache :func:`cache_to_text` wrote; each node's lines must hold
+    exactly the parent sets its header's constraints enumerate."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _CACHE_MAGIC:
         raise CacheMismatch("not a score cache file")
@@ -385,14 +380,13 @@ def cache_from_text(text: str) -> ScoreCache:
     method = header["method"]
     if method not in ("bayes", "mle"):
         raise CacheMismatch(f"cache header method={method} is neither bayes nor mle")
+    n_obs = int(header["n_obs"]) if header["n_obs"].isdecimal() else 0
+    if n_obs < 1:
+        raise CacheMismatch(f"cache header n_obs={header['n_obs']} is not an integer >= 1")
     nodes = tuple(header["nodes"].split(","))
     if len(nodes) > MAX_NODES:
         raise CacheMismatch(f"cache header names {len(nodes)} nodes; "
                             f"parent-set bitmasks support at most {MAX_NODES}")
-    score_types = tuple(header["score_types"].split(","))
-    if score_types != (BAYES_SCORES if method == "bayes" else MLE_SCORES):
-        raise CacheMismatch(f"cache header score_types={header['score_types']} "
-                            f"are not the scores of method={method}")
     distributions = tuple(header["distributions"].split(","))
     if len(distributions) != len(nodes) or not set(distributions) <= set(FAMILIES):
         raise CacheMismatch(f"cache header distributions={header['distributions']} "
@@ -407,7 +401,7 @@ def cache_from_text(text: str) -> ScoreCache:
         retained=parse_formula(header["retained"], nodes),
         max_parents=limits,
     )
-    per_node: dict[int, dict[int, dict[str, float]]] = {i: {} for i in range(len(nodes))}
+    per_node: list[list[tuple[int, float]]] = [[] for _ in nodes]
     diagnostics = []
     for line in lines[body_start:]:
         if not line.strip():
@@ -416,40 +410,32 @@ def cache_from_text(text: str) -> ScoreCache:
             node, mask, message = _body_fields(line.removeprefix("# diag\t"), 3, len(nodes))
             diagnostics.append((node, mask, message))
             continue
-        node, mask, st, value = _body_fields(line, 4, len(nodes))
-        if st not in score_types:
-            raise CacheMismatch(f"score type {st!r} is not in the header's score_types "
-                                f"in line {line!r}")
-        entry = per_node[node].setdefault(mask, {})
-        if st in entry:
-            raise CacheMismatch(f"second {st} score of node {node} parent mask {mask} "
-                                f"in line {line!r}")
+        node, mask, value = _body_fields(line, 3, len(nodes))
         try:
             score = float(value)
         except ValueError:
             score = math.nan
         if not (math.isfinite(score) or score == -math.inf):
             raise CacheMismatch(f"score {value!r} is neither finite nor -inf in line {line!r}")
-        entry[st] = score
-    masks = []
-    scores = []
-    for i in range(len(nodes)):
-        entries = per_node[i]
-        node_masks = sorted(entries)
-        try:
-            values = [entries[mask][st] for mask in node_masks for st in score_types]
-        except KeyError:
-            mask = next(m for m in node_masks if len(entries[m]) < len(score_types))
-            lacking = [st for st in score_types if st not in entries[mask]]
-            raise CacheMismatch(f"node {nodes[i]!r} parent mask {mask} lacks "
-                                f"score types {','.join(lacking)}") from None
-        masks.append(np.array(node_masks, dtype=np.int64))
-        scores.append(np.array(values, dtype=float).reshape(len(node_masks), len(score_types)))
+        per_node[node].append((mask, score))
+    masks, scores = [], []
+    for i, entries in enumerate(per_node):
+        entries.sort()
+        got = [mask for mask, _ in entries]
+        wanted = enumerate_parent_sets(i, constraints)
+        if got != wanted:
+            have, want = Counter(got), Counter(wanted)
+            mask = min(m for m in have | want if have[m] != want[m])
+            raise CacheMismatch(f"node {nodes[i]!r} parent mask {mask} has {have[mask]} cache "
+                                f"lines; its header's constraints call for {want[mask]}")
+        masks.append(np.array(got, dtype=np.int64))
+        scores.append(np.array([score for _, score in entries]))
     return ScoreCache(
         nodes=nodes,
         distributions=distributions,
         method=method,
         fingerprint=header["fingerprint"],
+        n_obs=n_obs,
         constraints=constraints,
         masks=tuple(masks),
         scores=tuple(scores),

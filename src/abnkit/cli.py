@@ -50,11 +50,13 @@ from .strength import discretize, pls_matrix
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    generated = secrets.randbelow(2**31)
-    print(f"seed not supplied; using generated seed {generated}")
-    return generated
+    """``seed``, which must not be negative, or a generated seed, printed."""
+    if seed is None:
+        seed = secrets.randbelow(2**31)
+        print(f"seed not supplied; using generated seed {seed}")
+    elif seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
+    return seed
 
 
 def _check_method_score(method: str, score: str | None) -> str:
@@ -287,8 +289,10 @@ def cmd_simulate(args) -> int:
         run.write("dag.dot", dag_to_dot(dag))
         print(f"simulated DAG with {dag.n_arcs} arcs over {args.nodes} nodes")
         return run.finish("simulate-dag")
+    # the spec's own seed stands unless --seed replaces it
+    overrides = {"n_obs": args.n_obs,
+                 "seed": None if args.seed is None else _resolve_seed(args.seed)}
     spec = SimSpec.from_json(run.read(args.spec))
-    overrides = {"n_obs": args.n_obs, "seed": args.seed}
     spec = replace(spec, **{key: value for key, value in overrides.items() if value is not None})
     ds = simulate_data(spec)
     run.config.update(n_obs=spec.n_obs, seed=spec.seed)
@@ -303,9 +307,9 @@ def cmd_bootstrap(args) -> int:
     check_replicates(args.replicates)
     check_threshold(args.threshold)
     check_grid_size(args.n_grid)
+    seed = run.config["seed"] = _resolve_seed(args.seed)
     ds, constraints = run.data()
     dag = run.dag(args.dag)
-    seed = run.config["seed"] = _resolve_seed(args.seed)
     fits = fit_dag(ds, dag, method="bayes")
     report = run_bootstrap(
         fits, dag, ds, constraints,

@@ -44,8 +44,10 @@ def _as_binary_matrix(matrix, n: int) -> np.ndarray:
     m = np.asarray(matrix)
     if m.shape != (n, n):
         raise ConstraintError(f"expected a {n}x{n} matrix, got {m.shape}")
-    m = (m != 0).astype(np.int8)
-    return m
+    binary = (m != 0).astype(np.int8)
+    if not np.array_equal(m, binary):
+        raise ConstraintError("adjacency entries must be 0/1")
+    return binary
 
 
 def row_masks(matrix) -> list[int]:
@@ -427,11 +429,7 @@ def dag_to_text(dag: Dag) -> str:
 
 
 def dag_from_text(text: str) -> Dag:
-    names, matrix = parse_adjacency(text)
-    binary = matrix != 0
-    if not np.array_equal(matrix, binary.astype(float)):
-        raise ConstraintError("adjacency entries must be 0/1")
-    return Dag(names, binary.astype(np.int8))
+    return Dag(*parse_adjacency(text))
 
 
 # --- DOT export ------------------------------------------------------------

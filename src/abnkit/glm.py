@@ -655,20 +655,22 @@ class FrequentistScores:
     mdl: float
 
 
-def information_criteria(ll, n_coefficients: int, family: str, n_obs: int,
+def information_criteria(ll, n_coefficients, family: str, n_obs: int,
                          n_candidate_parents: int) -> tuple:
     """Larger-is-better (loglik, aic, bic, mdl) of the MLE log-likelihood
-    ``ll``, a float or an array of fits of one width.
+    ``ll``, a float or an array of fits, of ``n_coefficients`` coefficients
+    each: an int, or an array with one width per fit.
 
     ``k`` counts every estimated parameter (variance included for gaussian
     nodes).  The MDL adds to BIC a structure-encoding penalty of
     ``log C(n_candidate_parents, k - 1)``, the cost of naming which
     predictors enter; the binomial index is clamped to the valid range.
     """
-    k = n_coefficients + (1 if family == "gaussian" else 0)
+    k = np.asarray(n_coefficients, dtype=np.int64) + (1 if family == "gaussian" else 0)
     bic = ll - 0.5 * k * math.log(n_obs)
-    pick = min(max(k - 1, 0), n_candidate_parents)
-    return ll, ll - k, bic, bic - families.log_choose(n_candidate_parents, pick)
+    pick = np.clip(k - 1, 0, n_candidate_parents)
+    log_k = np.array(families.log_factorials(n_candidate_parents))
+    return ll, ll - k, bic, bic - (log_k[-1] - log_k[pick] - log_k[n_candidate_parents - pick])
 
 
 def frequentist_scores(
@@ -677,14 +679,14 @@ def frequentist_scores(
     """The :func:`information_criteria` of an MLE fit."""
     if fit.method != "mle":
         raise FitError("frequentist_scores needs an mle fit")
-    return FrequentistScores(*information_criteria(
-        fit.log_likelihood, len(fit.coefficients), fit.family, n_obs, n_candidate_parents))
+    return FrequentistScores(*map(float, information_criteria(
+        fit.log_likelihood, len(fit.coefficients), fit.family, n_obs, n_candidate_parents)))
 
 
 def check_grid_size(n_grid: int) -> None:
     """Raise ConfigError unless a density grid of ``n_grid`` points is usable."""
-    if n_grid < 2:
-        raise ConfigError(f"a density grid needs at least 2 points, got {n_grid}")
+    if n_grid < 3:  # two points are the +/- RANGE_SD endpoints alone
+        raise ConfigError(f"a density grid needs at least 3 points, got {n_grid}")
 
 
 @dataclass(frozen=True)

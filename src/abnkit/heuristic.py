@@ -54,6 +54,8 @@ class HeuristicConfig:
             raise ConfigError("cooling_factor must lie in (0, 1)")
         if not 0 < self.initial_temperature < math.inf:
             raise ConfigError("initial_temperature must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,8 @@ class SimSpec:
                 raise ConfigError(f"gaussian node {node!r} needs a positive finite sd")
         if self.n_obs < 1:
             raise AbnError("n_obs must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -98,7 +100,7 @@ class SimSpec:
         try:
             raw = json.loads(text)
             return SimSpec(
-                dag=Dag(raw["nodes"], np.array(raw["adjacency"], dtype=np.int8)),
+                dag=Dag(raw["nodes"], np.array(raw["adjacency"], dtype=float)),
                 families={k: str(v) for k, v in raw["families"].items()},
                 coefficients={
                     node: {k: float(v) for k, v in coefs.items()}

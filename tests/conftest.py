@@ -137,12 +137,13 @@ def random_cache(
     for i in range(n):
         m = enumerate_parent_sets(i, constraints)
         masks.append(np.array(m, dtype=np.int64))
-        scores.append(rng.uniform(low, high, size=(len(m), 1)))
+        scores.append(rng.uniform(low, high, size=len(m)))
     return ScoreCache(
         nodes=nodes,
         distributions=("gaussian",) * n,
         method="bayes",
         fingerprint="test",
+        n_obs=100,
         constraints=constraints,
         masks=tuple(masks),
         scores=tuple(scores),

@@ -218,7 +218,7 @@ class TestBuildCache:
                              retained=parse_formula("~a|c", ds.names), max_parents=2)
         cache = build_cache(ds, cons)
         assert cache.masks[0].tolist() == [0b0100, 0b1100]
-        assert cache.score(0, 0b1100) == cache.scores[0][1, 0]
+        assert cache.score(0, 0b1100) == cache.scores[0][1]
         with pytest.raises(UnenumeratedParentSet, match=f"parent set {mask:#x} of node 'a'"):
             cache.score(0, mask)
 
@@ -322,6 +322,50 @@ class TestFitStatus:
         assert math.isfinite(cache.score(1, 0, "bic"))
 
 
+def _assert_failed_like_fit_node(cache, ds: Dataset, node: int, mask: int) -> None:
+    """The cache entry is -inf and its one note is fit_node's MLE error."""
+    with pytest.raises(FIT_ERRORS) as err:
+        fit_node(build_design(ds, ds.names[node], _mask_names(ds, mask)), "mle")
+    assert cache.score(node, mask, "loglik") == -np.inf
+    notes = [msg for i, m, msg in cache.diagnostics if (i, m) == (node, mask)]
+    assert notes == [f"{type(err.value).__name__}: {err.value}"]
+
+
+class TestMleFailures:
+    """MLE failure branches reached by patching glm; each entry takes fit_node's error."""
+
+    def test_singular_firth_curvature(self, monkeypatch):
+        # every Newton system is singular: the stack's start, then Firth's curvature
+        monkeypatch.setattr(abnkit.glm, "_solve", lambda a, b: (
+            np.zeros(b.shape), [np.linalg.LinAlgError("Singular matrix")] * len(b)))
+        ds = mixed_dataset(60, 10)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1), method="mle")
+        assert (1, 0, "_Diverged: singular curvature") in cache.diagnostics
+        _assert_failed_like_fit_node(cache, ds, 1, 0)  # b|{}
+        _assert_failed_like_fit_node(cache, ds, 1, 0b001)  # b|{g}
+
+    def test_unconverged_poisson_fit(self, monkeypatch):
+        monkeypatch.setattr(abnkit.glm, "NEWTON_MAX_ITER", 0)
+        ds = mixed_dataset(100, 6)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1), method="mle")
+        assert (2, 0, "_Diverged: Newton ascent did not converge") in cache.diagnostics
+        _assert_failed_like_fit_node(cache, ds, 2, 0)  # p|{}
+
+    @pytest.mark.parametrize("lstsq, note", [
+        (mock.Mock(side_effect=np.linalg.LinAlgError("SVD did not converge")),
+         "LinAlgError: SVD did not converge"),
+        (lambda x, y, rcond: (np.full(x.shape[1], np.nan), None, x.shape[1], None),
+         "_Diverged: non-finite least-squares solution"),
+    ], ids=["lstsq-error", "non-finite-solution"])
+    def test_failed_gaussian_least_squares(self, monkeypatch, lstsq, note):
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        ds = mixed_dataset(60, 10)
+        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1), method="mle")
+        assert (0, 0, note) in cache.diagnostics
+        _assert_failed_like_fit_node(cache, ds, 0, 0)  # g|{}
+        _assert_failed_like_fit_node(cache, ds, 0, 0b010)  # g|{b}
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         ds = mixed_dataset(100, 6)
@@ -334,6 +378,18 @@ class TestSerialization:
             assert np.array_equal(back.masks[i], cache.masks[i])
             assert np.array_equal(back.scores[i], cache.scores[i])
         assert cache_to_text(back) == text
+
+    def test_one_line_per_parent_set(self):
+        ds = mixed_dataset(80, 1)
+        cache = build_cache(ds, method="mle")
+        assert all(s.shape == m.shape for s, m in zip(cache.scores, cache.masks))
+        lines = cache_to_text(cache).splitlines()
+        assert "n_obs=80" in lines and not any(line.startswith("score_types=") for line in lines)
+        assert sum(line[:1].isdigit() for line in lines) == cache.n_entries
+        back = cache_from_text("\n".join(lines) + "\n")
+        for i in range(cache.n_nodes):
+            for st in cache.score_types:
+                assert back.score_vector(i, st).tobytes() == cache.score_vector(i, st).tobytes()
 
     def test_fingerprint_guard(self):
         ds = mixed_dataset(100, 7)
@@ -361,7 +417,7 @@ class TestSerialization:
         for k, bad in ((body[1], "nan"), (body[2], "inf")):
             with pytest.raises(CacheMismatch):
                 cache_from_text(with_score(k, bad))
-        assert cache_from_text(with_score(body[1], "-inf")).scores[0][1, 0] == -np.inf
+        assert cache_from_text(with_score(body[1], "-inf")).scores[0][1] == -np.inf
 
     def test_diagnostics_survive_round_trip(self):
         cols = np.column_stack([np.zeros(30), np.arange(30, dtype=float)])
@@ -917,7 +973,7 @@ class TestMalformedText:
         with pytest.raises(CacheMismatch):
             cache_from_text("\n".join(edited) + "\n")
 
-    @pytest.mark.parametrize("key", ["nodes", "score_types", "max_parents", "banned"])
+    @pytest.mark.parametrize("key", ["nodes", "n_obs", "max_parents", "banned"])
     def test_missing_header_key(self, lines, key):
         edited = [line for line in lines if not line.startswith(key + "=")]
         with pytest.raises(CacheMismatch, match=key):
@@ -925,13 +981,15 @@ class TestMalformedText:
 
     @pytest.mark.parametrize("old, new, key", [
         ("method=bayes", "method=foo", "method"),
-        ("score_types=mlik", "score_types=bic", "score_types"),
+        ("n_obs=60", "n_obs=0", "n_obs"),
+        ("n_obs=60", "n_obs=-60", "n_obs"),
+        ("n_obs=60", "n_obs=60.5", "n_obs"),
         ("distributions=gaussian,binomial,poisson", "distributions=gaussian,binomial",
          "distributions"),
         ("distributions=gaussian,binomial,poisson", "distributions=gaussian,binomial,weibull",
          "distributions"),
-    ], ids=["unknown-method", "score-types-of-other-method", "too-few-distributions",
-            "unknown-family"])
+    ], ids=["unknown-method", "zero-observations", "negative-observations",
+            "fractional-observations", "too-few-distributions", "unknown-family"])
     def test_bad_header_value(self, lines, old, new, key):
         assert old in lines
         edited = [new if line == old else line for line in lines]
@@ -943,22 +1001,22 @@ class TestMalformedText:
         with pytest.raises(CacheMismatch, match="max_parents"):
             cache_from_text("\n".join(edited) + "\n")
 
-    def test_unknown_score_type(self, lines):
-        edited = [line.replace("\tmlik\t", "\tmlk\t") if line.startswith("1\t0\t") else line
-                  for line in lines]
-        assert edited != lines
-        with pytest.raises(CacheMismatch, match="'mlk'"):
-            cache_from_text("\n".join(edited) + "\n")
+    def test_v1_file_is_not_a_score_cache(self, lines):
+        assert lines[0] == "# abnkit score cache v2"
+        with pytest.raises(CacheMismatch, match="not a score cache file"):
+            cache_from_text("\n".join(["# abnkit score cache v1", *lines[1:]]) + "\n")
 
-    def test_entry_lacking_a_score_type(self):
-        ds = mixed_dataset(60, 10)
-        cache = build_cache(ds, ConstraintSet(ds.names, max_parents=1), method="mle")
-        lines = cache_to_text(cache).splitlines()
-        entry = [k for k, line in enumerate(lines) if line.startswith("1\t0\t")]
-        assert len(entry) == 4
-        del lines[entry[2]]  # node 1's empty-set bic line
-        with pytest.raises(CacheMismatch, match="lacks score types bic"):
-            cache_from_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("edit, mask, have, want", [
+        (lambda body: [*body, "0\t6\t-1.5"], 6, 1, 0),          # a set beyond max_parents 1
+        (lambda body: [line for line in body if not line.startswith("1\t0\t")], 0, 0, 1),
+        (lambda body: [*body, "2\t1\t-1.5"], 1, 2, 1),          # a second line for p|{g}
+    ], ids=["unenumerated", "missing", "second"])
+    def test_body_not_the_enumerated_sets(self, lines, edit, mask, have, want):
+        body = next(k for k, line in enumerate(lines) if line[:1].isdigit())
+        edited = [*lines[:body], *edit(lines[body:])]
+        message = f"parent mask {mask} has {have} cache lines; .* call for {want}$"
+        with pytest.raises(CacheMismatch, match=message):
+            cache_from_text("\n".join(edited) + "\n")
 
     def test_bad_diagnostic_line(self, lines):
         with pytest.raises(CacheMismatch):

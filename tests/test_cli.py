@@ -275,6 +275,8 @@ class TestCacheConstraints:
          "simulation spec has a value of the wrong type: n_obs must be a whole number"),
         (lambda text: json.dumps({**json.loads(text), "seed": True}),
          "simulation spec has a value of the wrong type: seed must be a whole number"),
+        (lambda text: json.dumps({**json.loads(text), "seed": -1}),
+         "seed must be at least 0, got -1"),
         # json.loads reads the literals NaN and Infinity as floats
         (lambda text: text.replace('"b": {\n      "(Intercept)": -0.2',
                                    '"b": {\n      "(Intercept)": NaN'),
@@ -283,8 +285,8 @@ class TestCacheConstraints:
          "gaussian node 'g' needs a positive finite sd"),
     ], ids=["not-json", "no-adjacency", "unknown-family", "n-obs-string",
             "coefficient-string", "adjacency-string", "families-list", "sd-null",
-            "top-level-list", "n-obs-fraction", "seed-boolean", "coefficient-nan",
-            "sd-infinity"])
+            "top-level-list", "n-obs-fraction", "seed-boolean", "seed-negative",
+            "coefficient-nan", "sd-infinity"])
     def test_malformed_spec_is_one_error_line(self, workspace, tmp_path, capsys,
                                               edit, message):
         bad = tmp_path / "spec.json"
@@ -701,6 +703,33 @@ class TestOutOfRangeOptions:
         assert capsys.readouterr().err.splitlines() == [f"ERROR ConfigError: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "dag", "--seed", "-1"],
+        ["simulate", "data", "--spec", "spec.json", "--seed", "-2"],
+        ["search", "heuristic", "--data", "data.csv", "--dists", "dists.txt", "--seed", "-5"],
+        ["bootstrap", "--data", "data.csv", "--dists", "dists.txt", "--dag", "dag.txt",
+         "--seed", "-7"],
+    ], ids=["simulate-dag", "simulate-data", "search-heuristic", "bootstrap"])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        # no input file exists: a check made after reading one would report that
+        seed = argv[argv.index("--seed") + 1]
+        argv = [tmp_path / a if a.endswith((".txt", ".csv", ".json")) else a for a in argv]
+        capsys.readouterr()
+        assert run([*argv, "--out", tmp_path / "out", "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR ConfigError: --seed must be at least 0, got {seed}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_constraint_matrix_entries_must_be_binary(self, workspace, tmp_path, capsys):
+        (tmp_path / "ban.txt").write_text("node g b p\ng 0 0 0\nb 0.3 0 0\np -2 0 0\n")
+        capsys.readouterr()
+        assert run(["build-cache", "--data", workspace / "data.csv",
+                    "--dists", workspace / "dists.txt", "--ban", tmp_path / "ban.txt",
+                    "--out", tmp_path / "out", "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ConstraintError: adjacency entries must be 0/1"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("command", [
         ["build-cache"], ["search", "heuristic", "--seed", "1"],
@@ -738,9 +767,12 @@ class TestOutOfRangeOptions:
         ["search", "heuristic", "--max-parents", "1", "--seed", "1", "--restarts", "0"],
         ["fit", "--dag", "true-dag.txt", "--method", "mle", "--marginals"],
         ["fit", "--dag", "true-dag.txt", "--marginals", "--n-grid", "1"],
+        ["fit", "--dag", "true-dag.txt", "--marginals", "--n-grid", "2"],
         ["bootstrap", "--dag", "true-dag.txt", "--seed", "1", "--replicates", "0"],
         ["bootstrap", "--dag", "true-dag.txt", "--seed", "1", "--n-grid", "1"],
-    ], ids=["restarts", "mle-marginals", "fit-n-grid", "replicates", "bootstrap-n-grid"])
+        ["bootstrap", "--dag", "true-dag.txt", "--seed", "1", "--n-grid", "2"],
+    ], ids=["restarts", "mle-marginals", "fit-n-grid", "fit-n-grid-two", "replicates",
+            "bootstrap-n-grid", "bootstrap-n-grid-two"])
     def test_rejected_before_fitting(self, workspace, tmp_path, capsys, monkeypatch,
                                      argv):
         import abnkit.cli

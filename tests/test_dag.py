@@ -359,9 +359,9 @@ class TestNodeNames:
                  for i in range(n)]
         cache = ScoreCache(
             nodes=tuple(names), distributions=("gaussian",) * n, method="bayes",
-            fingerprint="test", constraints=constraints,
+            fingerprint="test", n_obs=100, constraints=constraints,
             masks=tuple(masks),
-            scores=tuple(-np.arange(1.0, len(m) + 1)[:, None] for m in masks),
+            scores=tuple(-np.arange(1.0, len(m) + 1) for m in masks),
         )
         back = cache_from_text(cache_to_text(cache))
         assert back.nodes == cache.nodes and back.constraints == constraints

@@ -201,8 +201,8 @@ class TestBestParentsTable:
             empty = (np.zeros(1, np.int64),) * (n - 1)  # the other nodes cache the empty set
             masks = (np.arange(entries, dtype=np.int64) << 1, *empty)
             cache = ScoreCache(nodes=nodes, distributions=("gaussian",) * n, method="bayes",
-                               fingerprint="test", constraints=ConstraintSet(nodes),
-                               masks=masks, scores=tuple(-np.ones((len(m), 1)) for m in masks))
+                               fingerprint="test", n_obs=100, constraints=ConstraintSet(nodes),
+                               masks=masks, scores=tuple(-np.ones(len(m)) for m in masks))
             assert best_parents_table(cache).rank[0].dtype == dtype
 
     def test_memory_limit(self):
@@ -321,20 +321,20 @@ class TestMostProbable:
         for new_i in range(4):
             old_i = int(inv[new_i])
             remapped = []
-            for mask, row in zip(cache.masks[old_i], cache.scores[old_i]):
+            for mask, score in zip(cache.masks[old_i], cache.scores[old_i]):
                 new_mask = 0
                 for j in range(4):
                     if int(mask) >> j & 1:
                         new_mask |= 1 << perm[j]
-                remapped.append((new_mask, row))
+                remapped.append((new_mask, score))
             remapped.sort()
             masks2.append(np.array([m for m, _ in remapped], dtype=np.int64))
-            scores2.append(np.vstack([r for _, r in remapped]))
+            scores2.append(np.array([s for _, s in remapped]))
         from abnkit.cache import ScoreCache
 
         cache2 = ScoreCache(
             nodes=cache.nodes, distributions=cache.distributions,
-            method="bayes", fingerprint="test",
+            method="bayes", fingerprint="test", n_obs=cache.n_obs,
             constraints=cache.constraints, masks=tuple(masks2), scores=tuple(scores2),
         )
         dag2, total2 = most_probable_dag(best_parents_table(cache2, prior))

@@ -9,6 +9,7 @@ from abnkit import families
 from abnkit.data import DesignMatrix, build_design
 from abnkit.errors import (
     AllPredictorsDropped,
+    ConfigError,
     FitError,
     NoObservations,
     NonFiniteData,
@@ -654,6 +655,13 @@ class TestMarginalDensities:
         monkeypatch.setattr(abnkit.glm, "RANGE_SD", 1.5)
         with pytest.raises(RangeTooNarrow):
             marginal_densities(fit)
+
+    def test_grid_needs_three_points(self):
+        # two points are the +/- RANGE_SD endpoints alone, the grid's peak
+        fit = fit_node(gaussian_design(60, 1, 8), method="bayes")
+        with pytest.raises(ConfigError, match="^a density grid needs at least 3 points, got 2$"):
+            marginal_densities(fit, n_grid=2)
+        assert [len(dens.grid) for dens in marginal_densities(fit, n_grid=3)] == [3, 3, 3]
 
     def test_probabilities_sum_to_one(self):
         d = binomial_design(100, 1, 2)

@@ -121,6 +121,10 @@ class TestSearch:
         for restart in trace.restarts:
             assert ("a", "b") in restart.dag.arcs()
 
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ConfigError, match="^seed must be at least 0, got -1$"):
+            HeuristicConfig(seed=-1)
+
     @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_temperature_must_be_positive_and_finite(self, temperature):
         # a NaN temperature would reject every downhill move, an infinite one accept all

@@ -7,7 +7,7 @@ import pytest
 from abnkit.bootstrap import _draw_simspec, model_grid_posteriors
 from abnkit.dag import find_cycle, info_metrics, topological_order
 from abnkit.data import build_design
-from abnkit.errors import AbnError, ConfigError, PoissonOverflow
+from abnkit.errors import AbnError, ConfigError, ConstraintError, PoissonOverflow
 from abnkit.glm import fit_dag, fit_node
 from abnkit.simulate import SimSpec, simulate_dag, simulate_data
 
@@ -125,6 +125,13 @@ class TestSimulateData:
                     coefficients=raw["coefficients"], sd=raw["sd"])
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SimSpec.from_json(json.dumps(raw))  # written as NaN or Infinity
+
+    @pytest.mark.parametrize("entry", [0.5, 300, -1])
+    def test_spec_adjacency_entries_must_be_binary(self, entry):
+        raw = json.loads(self._binary_spec(50, 3).to_json())
+        raw["adjacency"][2][0] = entry
+        with pytest.raises(ConstraintError, match="^adjacency entries must be 0/1$"):
+            SimSpec.from_json(json.dumps(raw))
 
     def test_spec_json_round_trip(self):
         spec = self._binary_spec(50, 3)
